@@ -28,12 +28,9 @@ from .semigroup import (
 )
 from .order_geometry import (
     DownRay,
-    EMPTY_REGION,
     FullLine,
     NotInProduct,
-    Region,
     Side,
-    SinglePoint,
     UpSegment,
     down_set,
     factor_in_line_product,
@@ -51,7 +48,6 @@ from .topology import (
     NbhdUsual,
     nbhd_intersect_ac2,
     nbhd_invert,
-    nbhd_member,
 )
 from .certificates import (
     BranchEvidence,
@@ -73,79 +69,3 @@ from .exprparse import NegativeScalar, ParseError, parse_expr
 from .suites import SUITE_NAMES, Failure, SuiteReport, UnknownSuite, run_suite
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchEvidence",
-    "CaseEvidence",
-    "ContinuityCert",
-    "DownRay",
-    "Elem",
-    "EMPTY_REGION",
-    "ExtElem",
-    "Failure",
-    "FullLine",
-    "GenConfig",
-    "IDENTITY",
-    "IntegerMode",
-    "Interval",
-    "LineRef",
-    "MalformedCert",
-    "NbhdAc1",
-    "NbhdAc2",
-    "NbhdOrder",
-    "NbhdUsual",
-    "NegativeScalar",
-    "NotInProduct",
-    "ParseError",
-    "RationalMode",
-    "Region",
-    "Scalar",
-    "Side",
-    "Sign",
-    "SinglePoint",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "TopEvidence",
-    "UnknownSuite",
-    "UpSegment",
-    "ZERO",
-    "ZeroType",
-    "cert_from_text",
-    "cert_to_text",
-    "classify_line",
-    "continuity_cert_ac1",
-    "continuity_cert_ac2",
-    "down_set",
-    "factor_in_line_product",
-    "falsify",
-    "format_scalar",
-    "gen_elem",
-    "gen_scalar",
-    "inv",
-    "inv_ext",
-    "is_idempotent",
-    "leq_witness",
-    "line_point",
-    "line_product",
-    "mul",
-    "mul_branch",
-    "mul_ext",
-    "natural_leq",
-    "natural_leq_ext",
-    "nbhd_intersect_ac2",
-    "nbhd_invert",
-    "nbhd_member",
-    "parse_expr",
-    "preimage_up_segment",
-    "read_cert",
-    "run_suite",
-    "scalar",
-    "shrink_witness",
-    "shrink_witness_dual",
-    "translate_down_ray",
-    "up_set",
-    "validate_cert",
-    "validate_cert_ac1",
-    "validate_cert_ac2",
-    "write_cert",
-]

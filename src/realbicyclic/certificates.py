@@ -456,11 +456,10 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
             chosen_tops.append(w)
         delta = (translator.a - translator.b) + (u.b - u.a)
         pre = preimage_up_segment(side, translator, up_set(u))
-        if pre.is_empty():
+        if pre is None:
             evidence.append(TopEvidence(u, None, delta, None))
         else:
-            seg = pre.parts[0]
-            evidence.append(TopEvidence(u, seg.top, delta, w))
+            evidence.append(TopEvidence(u, pre.top, delta, w))
     return ContinuityCert(
         topology="ac2",
         side=side,
@@ -501,18 +500,17 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
         if ev.offset != delta:
             return False
         pre = preimage_up_segment(cert.side, cert.translator, up_set(u))
-        if pre.is_empty():
+        if pre is None:
             if ev.preimage_top is not None:
                 return False
             continue
-        seg = pre.parts[0]
-        if ev.preimage_top != seg.top:
+        if ev.preimage_top != pre.top:
             return False
-        if _segment_covered(seg.top, cert.chosen.tops) is None:
+        if _segment_covered(pre.top, cert.chosen.tops) is None:
             return False
         if ev.covering_top is None or ev.covering_top not in cert.chosen.tops:
             return False
-        if _segment_covered(seg.top, [ev.covering_top]) is None:
+        if _segment_covered(pre.top, [ev.covering_top]) is None:
             return False
     return True
 

@@ -49,6 +49,14 @@ def _parse_count(text: str, where: str) -> int:
     return count
 
 
+def _parse_threshold(text: str, where: str) -> NbhdAc1:
+    n = _parse_frac(text, where)
+    try:
+        return NbhdAc1(n)
+    except ValueError as exc:
+        raise MalformedCert(f"{where}: {exc}") from exc
+
+
 def _elem(e: Elem) -> str:
     return f"{_frac(e.a)} {_frac(e.b)}"
 
@@ -185,9 +193,9 @@ def _cert_body(cur: "_Cursor") -> ContinuityCert:
         raise MalformedCert(f"unknown side {side_text!r}") from exc
     translator = _parse_elem(cur.take("translator"), "translator")
     if kind == "ac1":
-        target = NbhdAc1(_parse_frac(cur.take("target-n"), "target-n"))
-        effective = NbhdAc1(_parse_frac(cur.take("effective-n"), "effective-n"))
-        chosen = NbhdAc1(_parse_frac(cur.take("chosen-n"), "chosen-n"))
+        target = _parse_threshold(cur.take("target-n"), "target-n")
+        effective = _parse_threshold(cur.take("effective-n"), "effective-n")
+        chosen = _parse_threshold(cur.take("chosen-n"), "chosen-n")
         cases: List[CaseEvidence] = []
         while True:
             line = cur.peek()

@@ -72,11 +72,14 @@ def _default_seed() -> int:
 
 
 def _gen_config(args) -> GenConfig:
-    if args.integer_mode:
-        mode = IntegerMode(args.max_num)
-    else:
-        mode = RationalMode(args.max_num, args.max_den)
-    return GenConfig(seed=args.seed, scalar_mode=mode, cases=args.cases)
+    try:
+        if args.integer_mode:
+            mode = IntegerMode(args.max_num)
+        else:
+            mode = RationalMode(args.max_num, args.max_den)
+        return GenConfig(seed=args.seed, scalar_mode=mode, cases=args.cases)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser, default_cases: int) -> None:
@@ -163,9 +166,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_lines_product(args) -> int:
-    region = line_product(_parse_line(args.l1), _parse_line(args.l2))
-    for part in region.parts:
-        print(part)
+    print(line_product(_parse_line(args.l1), _parse_line(args.l2)))
     return 0
 
 
@@ -209,6 +210,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    if args.cases < 1:
+        raise UsageError(f"--cases must be at least 1, got {args.cases}")
     side = Side(args.side)
     translator = _parse_element(args.translator)
     if args.kind == "ac1":

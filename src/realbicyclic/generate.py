@@ -21,12 +21,22 @@ class RationalMode:
     max_num: int = 20
     max_den: int = 8
 
+    def __post_init__(self) -> None:
+        if self.max_num < 0:
+            raise ValueError("max_num must be non-negative")
+        if self.max_den < 1:
+            raise ValueError("max_den must be positive")
+
 
 @dataclass(frozen=True)
 class IntegerMode:
     """Draw integer coordinates in [0, max]."""
 
     max: int = 20
+
+    def __post_init__(self) -> None:
+        if self.max < 0:
+            raise ValueError("max must be non-negative")
 
 
 ScalarMode = Union[RationalMode, IntegerMode]

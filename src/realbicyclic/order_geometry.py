@@ -3,9 +3,7 @@
 The pieces are the order-defined subsets that one-sided multiplication can
 produce from diagonal lines: down-rays (principal down-sets, optionally
 punctured at the base), up-segments (principal up-sets, which are closed
-segments reaching the quadrant boundary), single points, and full diagonal
-lines.  A ``Region`` is a finite union of such parts in a normal form with
-decidable structural equality.
+segments reaching the quadrant boundary), and full diagonal lines.
 
 The operations compute, in exact rational arithmetic: products of lines with
 constructive factorisations, the right/left shrink witnesses that squeeze a
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .semigroup import (
     Elem,
@@ -70,17 +68,6 @@ class UpSegment:
 
 
 @dataclass(frozen=True)
-class SinglePoint:
-    point: Elem
-
-    def member(self, e: Elem) -> bool:
-        return e == self.point
-
-    def __str__(self) -> str:
-        return f"point{self.point}"
-
-
-@dataclass(frozen=True)
 class FullLine:
     line: LineRef
 
@@ -91,51 +78,6 @@ class FullLine:
         return str(self.line)
 
 
-RegionPart = Union[DownRay, UpSegment, SinglePoint, FullLine]
-
-_PART_RANK = {DownRay: 0, UpSegment: 1, SinglePoint: 2, FullLine: 3}
-
-
-def _part_key(part: RegionPart):
-    rank = _PART_RANK[type(part)]
-    if isinstance(part, DownRay):
-        return (rank, part.base.a, part.base.b, part.punctured)
-    if isinstance(part, UpSegment):
-        return (rank, part.top.a, part.top.b)
-    if isinstance(part, SinglePoint):
-        return (rank, part.point.a, part.point.b)
-    return (rank, part.line.sign.value, part.line.alpha)
-
-
-@dataclass(frozen=True)
-class Region:
-    """Finite union of parts; empty tuple denotes the empty set.
-
-    Parts are stored sorted by kind then coordinates with duplicates dropped,
-    so equal sets built the same way compare equal structurally.
-    """
-
-    parts: Tuple[RegionPart, ...] = ()
-
-    def __post_init__(self) -> None:
-        normalised = tuple(sorted(set(self.parts), key=_part_key))
-        object.__setattr__(self, "parts", normalised)
-
-    def member(self, e: Elem) -> bool:
-        return any(part.member(e) for part in self.parts)
-
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def __str__(self) -> str:
-        if not self.parts:
-            return "empty"
-        return " | ".join(str(p) for p in self.parts)
-
-
-EMPTY_REGION = Region(())
-
-
 def down_set(e: Elem, punctured: bool = False) -> DownRay:
     return DownRay(e, punctured)
 
@@ -144,7 +86,7 @@ def up_set(e: Elem) -> UpSegment:
     return UpSegment(e)
 
 
-def line_product(l1: LineRef, l2: LineRef) -> Region:
+def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
     """The exact product set of two diagonal lines.
 
     Like-signed lines multiply to the line with the offsets added; a PLUS
@@ -154,14 +96,14 @@ def line_product(l1: LineRef, l2: LineRef) -> Region:
     """
     a1, a2 = l1.alpha, l2.alpha
     if l1.sign is Sign.PLUS and l2.sign is Sign.PLUS:
-        return Region((FullLine(LineRef(Sign.PLUS, a1 + a2)),))
+        return FullLine(LineRef(Sign.PLUS, a1 + a2))
     if l1.sign is Sign.MINUS and l2.sign is Sign.MINUS:
-        return Region((FullLine(LineRef(Sign.MINUS, a1 + a2)),))
+        return FullLine(LineRef(Sign.MINUS, a1 + a2))
     if l1.sign is Sign.PLUS:
         if a1 >= a2:
-            return Region((FullLine(LineRef(Sign.PLUS, a1 - a2)),))
-        return Region((FullLine(LineRef(Sign.MINUS, a2 - a1)),))
-    return Region((DownRay(Elem(a1, a2)),))
+            return FullLine(LineRef(Sign.PLUS, a1 - a2))
+        return FullLine(LineRef(Sign.MINUS, a2 - a1))
+    return DownRay(Elem(a1, a2))
 
 
 class NotInProduct(ValueError):
@@ -236,20 +178,20 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     return DownRay(base, punctured=r.punctured and not collapsed)
 
 
-def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Region:
+def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment]:
     """Exact solution set of ``t * s in u`` (left) or ``s * t in u`` (right).
 
     Both product coordinates subtract the same min term, so the image lands on
     u's diagonal iff s sits on one fixed diagonal; the threshold coordinate is
     piecewise affine and monotone along it, which makes the preimage a single
-    up-segment, or empty when the translator already overshoots the segment's
-    top.
+    up-segment, or empty (``None``) when the translator already overshoots the
+    segment's top.
     """
     p, q = u.top.a, u.top.b
     if side is Side.LEFT:
         if t.a > p:
-            return EMPTY_REGION
-        return Region((UpSegment(Elem(p - t.a + t.b, q)),))
+            return None
+        return UpSegment(Elem(p - t.a + t.b, q))
     if t.b > q:
-        return EMPTY_REGION
-    return Region((UpSegment(Elem(p, q - t.b + t.a)),))
+        return None
+    return UpSegment(Elem(p, q - t.b + t.a))

@@ -31,9 +31,14 @@ def scalar(value: ScalarLike) -> Fraction:
 
     Accepts Fractions, ints, and strings such as ``"3/4"`` or ``"1.25"``
     (finite decimal expansions convert exactly).  Raises ``ValueError`` for
-    negative inputs.
+    negative inputs, and for floats and bools, which are not exact rationals.
     """
-    f = value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        f = value
+    elif isinstance(value, (float, bool)):
+        raise ValueError(f"not an exact scalar: {value!r}")
+    else:
+        f = Fraction(value)
     if f < 0:
         raise ValueError(f"negative scalar: {value!r}")
     return f

@@ -279,12 +279,11 @@ def _suite_products(run: _Runner) -> None:
         p = run.mul(line_point(l1, x1), line_point(l2, x2))
         if not prod.member(p):
             run.fail("product-membership", f"{l1} {l2} x1={x1} x2={x2}", f"in {prod}", str(p))
-        part = prod.parts[0]
         t = run.draw().a
-        if isinstance(part, DownRay):
-            target = Elem(part.base.a + t, part.base.b + t)
+        if isinstance(prod, DownRay):
+            target = Elem(prod.base.a + t, prod.base.b + t)
         else:
-            target = line_point(part.line, t)
+            target = line_point(prod.line, t)
         f1, f2 = factor_in_line_product(target, l1, l2)
         if classify_line(f1)[0] != l1 or classify_line(f2)[0] != l2:
             run.fail("factor-lines", f"{target} {l1} {l2}", f"{l1},{l2}",
@@ -329,12 +328,13 @@ def _suite_translations(run: _Runner) -> None:
         pre = preimage_up_segment(side, t, seg)
         probe = run.draw()
         img_probe = mul(t, probe) if side is Side.LEFT else mul(probe, t)
-        if pre.member(probe) != seg.member(img_probe):
+        in_pre = pre is not None and pre.member(probe)
+        if in_pre != seg.member(img_probe):
             run.fail(
                 "preimage-pointwise",
                 f"{side.value} {t} {seg} s={probe}",
                 str(seg.member(img_probe)),
-                str(pre.member(probe)),
+                str(in_pre),
             )
 
 

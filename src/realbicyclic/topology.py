@@ -24,7 +24,6 @@ from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
-    ZeroType,
     classify_line,
     inv,
     natural_leq,
@@ -50,7 +49,7 @@ class NbhdUsual:
         object.__setattr__(self, "radius", _positive(self.radius))
 
     def member(self, e: ExtElem) -> bool:
-        if e is ZERO or isinstance(e, ZeroType):
+        if e is ZERO:
             return False
         return (
             abs(e.a - self.center.a) < self.radius
@@ -69,7 +68,7 @@ class NbhdOrder:
         object.__setattr__(self, "epsilon", _positive(self.epsilon))
 
     def member(self, e: ExtElem) -> bool:
-        if e is ZERO or isinstance(e, ZeroType):
+        if e is ZERO:
             return False
         line_e, x_e = classify_line(e)
         line_c, x_c = classify_line(self.center)
@@ -86,7 +85,7 @@ class NbhdAc1:
         object.__setattr__(self, "n", _positive(self.n))
 
     def member(self, e: ExtElem) -> bool:
-        if e is ZERO or isinstance(e, ZeroType):
+        if e is ZERO:
             return True
         return e.a > self.n or e.b > self.n
 
@@ -104,17 +103,12 @@ class NbhdAc2:
         object.__setattr__(self, "tops", tops)
 
     def member(self, e: ExtElem) -> bool:
-        if e is ZERO or isinstance(e, ZeroType):
+        if e is ZERO:
             return True
         return all(not natural_leq(top, e) for top in self.tops)
 
 
-Nbhd = Union[NbhdUsual, NbhdOrder, NbhdAc1, NbhdAc2]
 ZeroNbhd = Union[NbhdAc1, NbhdAc2]
-
-
-def nbhd_member(nbhd: Nbhd, e: ExtElem) -> bool:
-    return nbhd.member(e)
 
 
 def nbhd_invert(nbhd: ZeroNbhd) -> ZeroNbhd:

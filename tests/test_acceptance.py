@@ -27,7 +27,6 @@ from realbicyclic import (
     mul,
     natural_leq,
     nbhd_invert,
-    nbhd_member,
     run_suite,
     shrink_witness,
     shrink_witness_dual,
@@ -188,7 +187,7 @@ def test_criterion_6_threshold_certificates():
             ok, detail = False, f"corrupted cert not falsified for {side.value} {t} n={n}"
             break
         img = mul(t, w) if side is Side.LEFT else mul(w, t)
-        if not nbhd_member(corrupted.chosen, w) or nbhd_member(cert.effective, img):
+        if not corrupted.chosen.member(w) or cert.effective.member(img):
             ok, detail = False, f"false witness {w} for {side.value} {t} n={n}"
             break
     if ok:
@@ -197,7 +196,7 @@ def test_criterion_6_threshold_certificates():
             cert.chosen == NbhdAc1(8)
             and validate_cert_ac1(cert)
             and mul(Elem(1, 2), Elem(9, 0)) == Elem(8, 0)
-            and nbhd_member(NbhdAc1(4), Elem(8, 0))
+            and NbhdAc1(4).member(Elem(8, 0))
             and not validate_cert_ac1(dataclasses.replace(cert, chosen=NbhdAc1(4)))
             and falsify(Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc1(4), 10**4, 0)
             is not None
@@ -255,10 +254,10 @@ def test_criterion_8_inversion_identities():
     if ok:
         for i in range(10**3):
             e = ZERO if i % 100 == 0 else next(stream)
-            if nbhd_member(nbhd_invert(nb1), e) != nbhd_member(nb1, inv_ext(e)):
+            if nbhd_invert(nb1).member(e) != nb1.member(inv_ext(e)):
                 ok = False
                 break
-            if nbhd_member(nbhd_invert(nb2), e) != nbhd_member(nb2, inv_ext(e)):
+            if nbhd_invert(nb2).member(e) != nb2.member(inv_ext(e)):
                 ok = False
                 break
     report("criterion 8: inversion identities, 1e3 pointwise samples each", ok)

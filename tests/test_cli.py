@@ -50,6 +50,8 @@ def test_lines_product(capsys):
     assert code == 0 and out.strip() == "down(2,3)"
     code, out, _ = run_cli(capsys, "lines", "product", "L+1/2", "L-2")
     assert code == 0 and out.strip() == "L-3/2"
+    code, out, _ = run_cli(capsys, "lines", "product", "L-1", "L-2")
+    assert code == 0 and out.strip() == "L-3"
     code, _, err = run_cli(capsys, "lines", "product", "X+1", "L+2")
     assert code == 2
 
@@ -70,11 +72,16 @@ def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     bad.write_text(text)
     code, out, _ = run_cli(capsys, "validate", str(bad))
     assert code == 1 and out.strip() == "invalid"
-    # garbage file: usage error
+    # garbage file or out-of-range threshold: malformed, exit 2
     ugly = tmp_path / "ugly.cert"
-    ugly.write_text("gibberish\n")
-    code, _, err = run_cli(capsys, "validate", str(ugly))
-    assert code == 2 and "malformed" in err
+    for ugly_text in (
+        "gibberish\n",
+        path.read_text().replace("target-n 4/1", "target-n 0/1"),
+        path.read_text().replace("chosen-n 8/1", "chosen-n -1/1"),
+    ):
+        ugly.write_text(ugly_text)
+        code, _, err = run_cli(capsys, "validate", str(ugly))
+        assert code == 2 and "malformed" in err, ugly_text
 
 
 def test_certify_ac2_stdout(capsys):
@@ -103,6 +110,16 @@ def test_falsify_finds_and_misses(capsys):
     )
     assert code == 0
     assert "no counterexample" in out
+
+
+def test_falsify_needs_a_sample(capsys):
+    for cases in ("-5", "0"):
+        code, out, err = run_cli(
+            capsys,
+            "falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+            "--chosen", "8", "--target", "4", "--cases", cases,
+        )
+        assert code == 2 and out == "" and err.startswith("error:"), cases
 
 
 def test_falsify_ac2(capsys):
@@ -138,6 +155,21 @@ def test_suite_env_seed(capsys, monkeypatch):
     # flag wins over the environment
     code, out, _ = run_cli(capsys, "suite", "axioms", "--cases", "20", "--seed", "3")
     assert "seed 3" in out.splitlines()
+
+
+def test_suite_bad_ranges_usage_error(capsys, monkeypatch):
+    for flags in (
+        ("--cases", "-1"),
+        ("--max-den", "0"),
+        ("--max-num", "-1"),
+        ("--integer-mode", "--max-num", "-1"),
+        ("--seed", "-3"),
+    ):
+        code, out, err = run_cli(capsys, "suite", "axioms", *flags)
+        assert code == 2 and out == "" and err.startswith("error:"), flags
+    monkeypatch.setenv("REALBICYCLIC_SEED", "-3")
+    code, out, err = run_cli(capsys, "suite", "axioms", "--cases", "5")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_unknown_suite_usage_error(capsys):

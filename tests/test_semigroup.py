@@ -24,6 +24,7 @@ from realbicyclic import (
     mul_ext,
     natural_leq,
     natural_leq_ext,
+    scalar,
 )
 
 
@@ -78,6 +79,23 @@ def test_negative_coordinates_rejected():
         Elem(-1, 2)
     with pytest.raises(ValueError):
         Elem(1, F(-1, 3))
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, -0.0, float("inf"), True, False])
+def test_inexact_scalars_rejected(value):
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        scalar(value)
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        Elem(value, 1)
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        Elem(F(1), value)
+
+
+def test_exact_scalars_accepted():
+    assert scalar(3) == F(3)
+    assert scalar("0.1") == F(1, 10)
+    assert scalar(F(7, 2)) == F(7, 2)
+    assert Elem("1.25", 0) == Elem(F(5, 4), 0)
 
 
 @given(elems, elems)

@@ -22,7 +22,6 @@ from realbicyclic import (
     mul_ext,
     nbhd_intersect_ac2,
     nbhd_invert,
-    nbhd_member,
 )
 
 ext_elems = st.one_of(st.just(ZERO), elems)
@@ -30,22 +29,22 @@ ext_elems = st.one_of(st.just(ZERO), elems)
 
 def test_threshold_membership_examples():
     n4 = NbhdAc1(4)
-    assert nbhd_member(n4, Elem(5, 1))
-    assert nbhd_member(n4, Elem(1, 5))
-    assert not nbhd_member(n4, Elem(4, 4))
-    assert nbhd_member(n4, ZERO)
+    assert n4.member(Elem(5, 1))
+    assert n4.member(Elem(1, 5))
+    assert not n4.member(Elem(4, 4))
+    assert n4.member(ZERO)
 
 
 def test_segment_complement_membership_examples():
     nb = NbhdAc2((Elem(2, 3),))
-    assert not nbhd_member(nb, Elem(1, 2))  # above (2,3)
-    assert nbhd_member(nb, Elem(3, 4))
-    assert nbhd_member(nb, ZERO)
+    assert not nb.member(Elem(1, 2))  # above (2,3)
+    assert nb.member(Elem(3, 4))
+    assert nb.member(ZERO)
 
 
 def test_zero_in_every_zero_neighbourhood():
-    assert nbhd_member(NbhdAc1("1/7"), ZERO)
-    assert nbhd_member(NbhdAc2((Elem(0, 0),)), ZERO)
+    assert NbhdAc1("1/7").member(ZERO)
+    assert NbhdAc2((Elem(0, 0),)).member(ZERO)
 
 
 def test_positive_parameters_required():
@@ -61,27 +60,27 @@ def test_positive_parameters_required():
 
 def test_usual_box_membership():
     nb = NbhdUsual(Elem(2, 3), F(1, 2))
-    assert nbhd_member(nb, Elem("9/4", "13/4"))
-    assert not nbhd_member(nb, Elem("5/2", 3))  # boundary excluded
-    assert not nbhd_member(nb, Elem(2, 4))
-    assert not nbhd_member(nb, ZERO)
+    assert nb.member(Elem("9/4", "13/4"))
+    assert not nb.member(Elem("5/2", 3))  # boundary excluded
+    assert not nb.member(Elem(2, 4))
+    assert not nb.member(ZERO)
 
 
 def test_order_neighbourhood_is_line_local():
     center = Elem(2, 5)
     nb = NbhdOrder(center, F(3, 4))
     line, x = classify_line(center)
-    assert nbhd_member(nb, line_point(line, x + F(1, 2)))
-    assert nbhd_member(nb, line_point(line, x - F(1, 2)))
-    assert not nbhd_member(nb, line_point(line, x + F(3, 4)))  # radius excluded
-    assert not nbhd_member(nb, Elem(2, 6))  # different line
-    assert not nbhd_member(nb, ZERO)
+    assert nb.member(line_point(line, x + F(1, 2)))
+    assert nb.member(line_point(line, x - F(1, 2)))
+    assert not nb.member(line_point(line, x + F(3, 4)))  # radius excluded
+    assert not nb.member(Elem(2, 6))  # different line
+    assert not nb.member(ZERO)
 
 
 @given(small_elems, st.fractions(min_value="1/8", max_value=4, max_denominator=8), small_elems)
 def test_order_neighbourhood_members_share_the_line(center, eps, probe):
     nb = NbhdOrder(center, eps)
-    if nbhd_member(nb, probe):
+    if nb.member(probe):
         assert classify_line(probe)[0] == classify_line(center)[0]
 
 
@@ -97,13 +96,13 @@ def test_invert_examples():
 @given(ext_elems)
 def test_invert_threshold_pointwise(e):
     nb = NbhdAc1(F(7, 2))
-    assert nbhd_member(nbhd_invert(nb), e) == nbhd_member(nb, inv_ext(e))
+    assert nbhd_invert(nb).member(e) == nb.member(inv_ext(e))
 
 
 @given(ext_elems)
 def test_invert_segments_pointwise(e):
     nb = NbhdAc2((Elem(2, 3), Elem(5, 1), Elem("1/2", 4)))
-    assert nbhd_member(nbhd_invert(nb), e) == nbhd_member(nb, inv_ext(e))
+    assert nbhd_invert(nb).member(e) == nb.member(inv_ext(e))
 
 
 def test_intersect_examples():
@@ -118,13 +117,13 @@ def test_intersect_membership_is_conjunction(e):
     n1 = NbhdAc2((Elem(1, 1), Elem(3, 0)))
     n2 = NbhdAc2((Elem(2, 3),))
     both = nbhd_intersect_ac2(n1, n2)
-    assert nbhd_member(both, e) == (nbhd_member(n1, e) and nbhd_member(n2, e))
+    assert both.member(e) == (n1.member(e) and n2.member(e))
 
 
 @given(ext_elems)
 def test_zero_absorption_lands_in_every_neighbourhood(e):
     img = mul_ext(ZERO, e)
     assert img is ZERO
-    assert nbhd_member(NbhdAc1(3), img)
-    assert nbhd_member(NbhdAc2((Elem(4, 2),)), img)
+    assert NbhdAc1(3).member(img)
+    assert NbhdAc2((Elem(4, 2),)).member(img)
     assert mul_ext(e, ZERO) is ZERO
