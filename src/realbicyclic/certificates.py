@@ -544,8 +544,11 @@ def falsify(
     seeded random draws.  Any candidate is re-verified with exact rational
     membership
     before being returned, so a returned point is always a true violation.
-    Returns None when the budget is exhausted without a hit.
+    Returns None when the budget is exhausted without a hit.  A negative seed
+    raises ``ValueError``: ``random.Random`` would replay its absolute value.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):
         return _falsify_ac1(side, translator, chosen, target, samples, seed)
     if isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):

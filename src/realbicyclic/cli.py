@@ -221,7 +221,10 @@ def _cmd_falsify(args) -> int:
         chosen = _parse_tops(args.chosen)
         target = _parse_tops(args.target)
     seed = args.seed if args.seed is not None else _default_seed()
-    hit = certs.falsify(side, translator, chosen, target, args.cases, seed)
+    try:
+        hit = certs.falsify(side, translator, chosen, target, args.cases, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if hit is None:
         print(f"no counterexample in {args.cases} samples (seed {seed})")
         return 0

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .semigroup import Elem
+from .semigroup import Elem, _elem
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,12 @@ class GenConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.cases < 0:
-            raise ValueError("cases must be non-negative")
+        if self.cases < 1:
+            raise ValueError("cases must be positive")
+
+
+# Fraction(num, den), memoised: grids are small and Fractions immutable
+_grid_scalar = lru_cache(maxsize=4096)(Fraction)
 
 
 def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
@@ -61,10 +66,10 @@ def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
     mode = cfg.scalar_mode
     if isinstance(mode, IntegerMode):
         while True:
-            yield Fraction(rng.randrange(mode.max + 1))
+            yield _grid_scalar(rng.randrange(mode.max + 1), 1)
     else:
         while True:
-            yield Fraction(
+            yield _grid_scalar(
                 rng.randrange(mode.max_num + 1), rng.randrange(1, mode.max_den + 1)
             )
 
@@ -73,4 +78,4 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
     """Infinite deterministic stream of quadrant points."""
     scalars = gen_scalar(cfg)
     while True:
-        yield Elem(next(scalars), next(scalars))
+        yield _elem(next(scalars), next(scalars))  # num/den with num >= 0, den >= 1

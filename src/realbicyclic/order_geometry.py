@@ -21,6 +21,7 @@ from .semigroup import (
     Elem,
     LineRef,
     Sign,
+    _elem,
     classify_line,
     inv,
     mul,
@@ -146,8 +147,8 @@ def shrink_witness(e0: Elem, e1: Elem) -> Elem:
     the witness.
     """
     c = e1.a + e0.a + e0.b
-    d = e0.a + c - e0.b - e1.a + e1.b
-    return Elem(c, d)
+    d = e0.a + e0.a + e1.b  # d - c = (e0.a - e0.b) + (e1.b - e1.a)
+    return _elem(c, d)  # sums of coordinates
 
 
 def shrink_witness_dual(e0: Elem, e1: Elem) -> Elem:

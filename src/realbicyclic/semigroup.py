@@ -13,6 +13,8 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
+``Elem(a, b)`` checks its coordinates; closed operations build results that
+lie in the quadrant by construction with the unchecked internal ``_elem``.
 """
 
 from __future__ import annotations
@@ -90,6 +92,17 @@ class Elem:
         return natural_leq(other, self)
 
 
+_set_a, _set_b = Elem.a.__set__, Elem.b.__set__
+
+
+def _elem(a: Fraction, b: Fraction) -> Elem:
+    """Trusted construction: the caller guarantees two non-negative Fractions."""
+    e = object.__new__(Elem)
+    _set_a(e, a)
+    _set_b(e, b)
+    return e
+
+
 class ZeroType:
     """The adjoined absorbing zero.  A singleton; use the ``ZERO`` constant."""
 
@@ -137,9 +150,17 @@ class LineRef:
 
 
 def mul(e1: Elem, e2: Elem) -> Elem:
-    """Semigroup product (a+c-min(b,c), b+d-min(b,c))."""
-    m = e1.b if e1.b <= e2.a else e2.a
-    return Elem(e1.a + e2.a - m, e1.b + e2.b - m)
+    """Semigroup product (a+c-min(b,c), b+d-min(b,c)) by its case split on the gap
+    c - b = g/q (unreduced): (a + g/q, d), (a, d) or (a, d - g/q) as g > 0, = 0 or
+    < 0.  Each builds at most one Fraction and adds only a positive amount."""
+    a, b, c, d = e1.a, e1.b, e2.a, e2.b
+    q = b.denominator * c.denominator
+    g = c.numerator * b.denominator - b.numerator * c.denominator
+    if g > 0:
+        return _elem(Fraction(a.numerator * q + g * a.denominator, a.denominator * q), d)
+    if g == 0:
+        return _elem(a, d)
+    return _elem(a, Fraction(d.numerator * q - g * d.denominator, d.denominator * q))
 
 
 def mul_branch(e1: Elem, e2: Elem) -> str:
@@ -162,7 +183,7 @@ def mul_ext(e1: ExtElem, e2: ExtElem) -> ExtElem:
 
 def inv(e: Elem) -> Elem:
     """The unique inverse: coordinate swap."""
-    return Elem(e.b, e.a)
+    return _elem(e.b, e.a)  # the coordinates of a checked element
 
 
 def inv_ext(e: ExtElem) -> ExtElem:
@@ -199,7 +220,7 @@ def leq_witness(e1: Elem, e2: Elem) -> Optional[Elem]:
     """
     if not natural_leq(e1, e2):
         return None
-    return Elem(e1.b, e1.b)
+    return _elem(e1.b, e1.b)  # a coordinate of a checked element
 
 
 def classify_line(e: Elem) -> Tuple[LineRef, Fraction]:
@@ -211,7 +232,7 @@ def classify_line(e: Elem) -> Tuple[LineRef, Fraction]:
 
 def line_point(line: LineRef, x: ScalarLike) -> Elem:
     """The point of ``line`` with parameter ``x`` (inverse of classify_line)."""
-    x = scalar(x)
+    x = scalar(x)  # checked here, and alpha was checked by LineRef
     if line.sign is Sign.PLUS:
-        return Elem(x, x + line.alpha)
-    return Elem(x + line.alpha, x)
+        return _elem(x, x + line.alpha)
+    return _elem(x + line.alpha, x)

@@ -2,6 +2,7 @@
 and bit-exact serialization."""
 
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import small_elems
 from realbicyclic import (
+    ContinuityCert,
     Elem,
     MalformedCert,
     NbhdAc1,
@@ -317,6 +319,13 @@ def test_falsify_kind_mismatch():
         falsify(Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc2((Elem(1, 1),)), 100, 0)
 
 
+def test_falsify_negative_seed_rejected():
+    # random.Random(-7) would replay seed 7 under the name -7
+    for nb in (NbhdAc1(4), NbhdAc2((Elem(1, 1),))):
+        with pytest.raises(ValueError):
+            falsify(Side.LEFT, Elem(1, 2), nb, nb, 100, -7)
+
+
 def test_falsify_zero_budget():
     assert falsify(Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc1(4), 0, 0) is None
 
@@ -431,6 +440,72 @@ def test_parse_rejects_empty_tops():
     bad = text.replace("chosen-tops 1\ntop 6/1 3/1\n", "chosen-tops 0\n")
     with pytest.raises(MalformedCert):
         cert_from_text(bad)
+
+
+_FUZZ_TOKENS = (
+    "-1/1", "0/1", "-0/1", "1/0", "7/2", "1", "x", "inf", "(0/1", "1/1]", "",
+    "end-case", "end-evidence", "end-cert", "branch", "top",
+)
+
+
+def _mutant(rng, text):
+    """Delete, duplicate or alter one to three tokens (or lines) of ``text``."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        row = rng.randrange(len(lines))
+        toks = lines[row]
+        if not toks:
+            toks.append("x")
+            continue
+        i = rng.randrange(len(toks))
+        op = rng.randrange(6)
+        if op == 0:
+            del toks[i]
+        elif op == 1:
+            toks.insert(i, toks[i])
+        elif op == 2:
+            toks[i] = rng.choice(_FUZZ_TOKENS + (rng.choice(rng.choice(lines) or ["x"]),))
+        elif op == 3:
+            k = rng.randrange(len(toks[i]) + 1)
+            toks[i] = toks[i][:k] + rng.choice("0-/()[]x") + toks[i][k:]
+        elif op == 4 and len(lines) > 1:
+            del lines[row]
+        else:
+            lines.insert(row, list(toks))
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+def test_certio_mutation_fuzz():
+    # parsing a damaged file yields a certificate or MalformedCert, and so does
+    # validating what parsed: the CLI maps exactly these to exit 1 / exit 2
+    texts = [
+        cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))),
+        cert_to_text(continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))),
+        cert_to_text(
+            continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))
+        ),
+        cert_to_text(
+            continuity_cert_ac2(
+                Side.RIGHT, Elem("3/2", "1/3"), NbhdAc2((Elem(3, 1), Elem("7/2", 4)))
+            )
+        ),
+    ]
+    rng = random.Random(20240)
+    parsed = malformed = 0
+    for i in range(4000):
+        mutant = _mutant(rng, texts[i % len(texts)])
+        try:
+            cert = cert_from_text(mutant)
+        except MalformedCert:
+            malformed += 1
+            continue
+        assert isinstance(cert, ContinuityCert), mutant
+        parsed += 1
+        try:
+            assert validate_cert(cert) in (True, False), mutant
+        except MalformedCert:
+            pass
+    assert parsed > 0 and malformed > 0
 
 
 def test_tampered_file_still_validates_false(tmp_path):

@@ -122,6 +122,16 @@ def test_falsify_needs_a_sample(capsys):
         assert code == 2 and out == "" and err.startswith("error:"), cases
 
 
+def test_falsify_negative_seed_usage_error(capsys, monkeypatch):
+    flags = ("falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+             "--chosen", "4", "--target", "4", "--cases", "100")
+    code, out, err = run_cli(capsys, *flags, "--seed", "-7")
+    assert code == 2 and out == "" and err.startswith("error:")
+    monkeypatch.setenv("REALBICYCLIC_SEED", "-7")
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_falsify_ac2(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -160,6 +170,7 @@ def test_suite_env_seed(capsys, monkeypatch):
 def test_suite_bad_ranges_usage_error(capsys, monkeypatch):
     for flags in (
         ("--cases", "-1"),
+        ("--cases", "0"),
         ("--max-den", "0"),
         ("--max-num", "-1"),
         ("--integer-mode", "--max-num", "-1"),

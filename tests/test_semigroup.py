@@ -25,6 +25,7 @@ from realbicyclic import (
     natural_leq,
     natural_leq_ext,
     scalar,
+    shrink_witness,
 )
 
 
@@ -79,6 +80,40 @@ def test_negative_coordinates_rejected():
         Elem(-1, 2)
     with pytest.raises(ValueError):
         Elem(1, F(-1, 3))
+    # the public constructor keeps every check beside the trusted one
+    for a, b in ((-1, 0), (F(-1), 0), (0.5, 1)):
+        with pytest.raises(ValueError):
+            Elem(a, b)
+
+
+@pytest.mark.parametrize(
+    "e1,e2,branch",
+    [
+        (Elem(1, 2), Elem(3, 4), "lt"),
+        (Elem("1/2", 3), Elem(3, "5/7"), "eq"),
+        (Elem(2, "9/2"), Elem("1/3", 0), "gt"),
+        (Elem(3, 1), None, "lt"),
+        (Elem("5/2", "5/2"), None, "eq"),
+        (Elem(1, 3), None, "gt"),
+    ],
+)
+def test_mul_is_min_formula_on_every_branch(e1, e2, branch):
+    e2 = e1 if e2 is None else e2  # None: the aliased product e1 * e1
+    assert mul_branch(e1, e2) == branch
+    assert mul(e1, e2) == formula_mul(e1, e2)
+
+
+@given(elems, elems)
+def test_closed_results_are_plain_elems(e1, e2):
+    trusted = (
+        mul(e1, e2), mul(e1, e1), inv(e1), leq_witness(e1, e1),
+        line_point(*classify_line(e1)), shrink_witness(e1, e2),
+    )
+    for r in trusted:
+        assert type(r) is Elem
+        assert type(r.a) is F and type(r.b) is F
+        checked = Elem(r.a, r.b)
+        assert r == checked and hash(r) == hash(checked)
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, -0.0, float("inf"), True, False])

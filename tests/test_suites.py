@@ -2,6 +2,9 @@
 deterministic, and an injected mutant validator is caught with a concrete
 counterexample."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from realbicyclic import (
@@ -60,6 +63,25 @@ def test_gen_elem_never_negative():
         assert e.a >= 0 and e.b >= 0
 
 
+@pytest.mark.parametrize(
+    "mode,seed,digest",
+    [
+        (RationalMode(30, 8), 3,
+         "85e335f2fc38054b254371b4e8b361fcc3564e9e2f3b093c540cee87e240e676"),
+        (RationalMode(), 11,
+         "732edff8dcf266c69b9495014c3e92e773a974631817dd7c85cd57436da53586"),
+        (IntegerMode(25), 29,
+         "1f17864bae31f6e9dfa44436bb8065c13cb08080b45728f01a7bb2133dc84530"),
+    ],
+)
+def test_gen_elem_golden_streams(mode, seed, digest):
+    # sha256 of the first 3000 elements, one per line, as first generated with
+    # plain Fraction(num, den) and the validating Elem constructor
+    stream = itertools.islice(gen_elem(GenConfig(seed=seed, scalar_mode=mode)), 3000)
+    text = "\n".join(str(e) for e in stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(seed=-1)
@@ -67,6 +89,8 @@ def test_gen_config_validation():
         GenConfig(seed=2**64)
     with pytest.raises(ValueError):
         GenConfig(seed=0, cases=-5)
+    with pytest.raises(ValueError):
+        GenConfig(seed=0, cases=0)
 
 
 def test_report_body_reproducible():
