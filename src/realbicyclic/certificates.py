@@ -546,7 +546,10 @@ def falsify(
     before being returned, so a returned point is always a true violation.
     Returns None when the budget is exhausted without a hit.  A negative seed
     raises ``ValueError``: ``random.Random`` would replay its absolute value.
+    So does ``samples < 1``, which would report a miss without drawing a sample.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):

@@ -300,4 +300,8 @@ def write_cert(cert: ContinuityCert, path: str) -> None:
 
 def read_cert(path: str) -> ContinuityCert:
     with open(path, "r", encoding="ascii") as fh:
-        return cert_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedCert(f"not ASCII text: {exc}") from exc
+    return cert_from_text(text)

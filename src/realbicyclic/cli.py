@@ -3,11 +3,13 @@
 Subcommands: ``eval``, ``order``, ``lines product``, ``certify``, ``validate``,
 ``falsify``, ``suite``.  Exit codes: 0 for pass/true, 1 for fail/false, 2 for
 usage errors.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
+The argument parser is built on first use and reused by every later ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -90,6 +92,7 @@ def _add_sampling_flags(p: argparse.ArgumentParser, default_cases: int) -> None:
     p.add_argument("--max-den", type=int, default=8, help="largest denominator")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="realbicyclic",
@@ -99,16 +102,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression such as '(1,3)*(2,5)'")
     p.add_argument("expr")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("order", help="compare two elements in the natural partial order")
     p.add_argument("e1")
     p.add_argument("e2")
+    p.set_defaults(run=_cmd_order)
 
     p = sub.add_parser("lines", help="line operations")
     lines_sub = p.add_subparsers(dest="lines_command", required=True)
     lp = lines_sub.add_parser("product", help="product set of two diagonal lines")
     lp.add_argument("l1")
     lp.add_argument("l2")
+    lp.set_defaults(run=_cmd_lines_product)
 
     p = sub.add_parser("certify", help="generate a continuity certificate")
     p.add_argument("kind", choices=("ac1", "ac2"))
@@ -120,9 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ac1: threshold like 4 or 9/2; ac2: tops like '(3,1);(2,5)'",
     )
     p.add_argument("--emit", metavar="FILE", help="write the certificate to FILE")
+    p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("validate", help="validate a stored certificate")
     p.add_argument("certfile")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("falsify", help="search for a counterexample to an inclusion")
     p.add_argument("kind", choices=("ac1", "ac2"))
@@ -132,11 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cases", type=int, default=10000)
+    p.set_defaults(run=_cmd_falsify)
 
     p = sub.add_parser("suite", help="run a property suite")
     p.add_argument("name", choices=SUITE_NAMES)
     _add_sampling_flags(p, default_cases=1000)
     p.add_argument("--machine", action="store_true", help="machine-readable JSON report")
+    p.set_defaults(run=_cmd_suite)
 
     return ap
 
@@ -234,35 +244,20 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.seed is None:
+        args.seed = _default_seed()
     report = run_suite(args.name, _gen_config(args))
     print(report.render(machine=args.machine))
     return 0 if report.passed else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "order":
-            return _cmd_order(args)
-        if args.command == "lines":
-            return _cmd_lines_product(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "falsify":
-            return _cmd_falsify(args)
-        if args.command == "suite":
-            if args.seed is None:
-                args.seed = _default_seed()
-            return _cmd_suite(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

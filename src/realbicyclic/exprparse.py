@@ -12,7 +12,9 @@ Scalars are exact: fractions stay fractions and decimal literals (necessarily
 finite) convert exactly.  ``*`` is the semigroup product, ``^-1`` inversion,
 ``<=`` the natural partial order (yielding a boolean); the bare literal ``0``
 is the adjoined zero, the least element.  Evaluation happens during the parse
-and returns either a point (or zero) or a boolean.
+and returns either a point (or zero) or a boolean.  Grouping parentheses nest
+at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``, raised well
+before the parser's recursion (four frames a level) reaches Python's limit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .semigroup import (
 )
 
 Value = Union[Elem, ZeroType, bool]
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -127,6 +131,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.depth = 0
 
     def _peek(self) -> Optional[_Token]:
         if self.pos < len(self.tokens):
@@ -195,7 +200,11 @@ class _Parser:
             if elem is not None:
                 return elem
             self.pos = saved
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             closing = self._next("')'")
             if closing[0] != "rparen":
                 raise ParseError("expected ')'", closing[2])

@@ -199,9 +199,16 @@ def natural_leq(e1: Elem, e2: Elem) -> bool:
     """Natural partial order of the inverse semigroup.
 
     (a, b) lies below (c, d) iff a >= c and a - b = c - d, i.e. e1 is e2
-    pushed up the diagonal by a non-negative amount.
+    pushed up the diagonal by a non-negative amount: a - c = b - d >= 0.
+    Both gaps are compared as unreduced integer ratios over the products of
+    their denominators, so no Fraction is built.
     """
-    return e1.a >= e2.a and e1.a - e1.b == e2.a - e2.b
+    a, b, c, d = e1.a, e1.b, e2.a, e2.b
+    x = a.numerator * c.denominator - c.numerator * a.denominator
+    if x < 0:
+        return False
+    y = b.numerator * d.denominator - d.numerator * b.denominator
+    return x * b.denominator * d.denominator == y * a.denominator * c.denominator
 
 
 def natural_leq_ext(e1: ExtElem, e2: ExtElem) -> bool:

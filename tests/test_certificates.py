@@ -327,7 +327,9 @@ def test_falsify_negative_seed_rejected():
 
 
 def test_falsify_zero_budget():
-    assert falsify(Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc1(4), 0, 0) is None
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            falsify(Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc1(4), samples, 0)
 
 
 def test_falsify_right_side_counterexample():

@@ -1,6 +1,15 @@
-"""CLI behaviour: subcommands, exit codes, file round trips, seeding."""
+"""CLI behaviour: subcommands, exit codes, file round trips, seeding, and
+reuse of the one argument parser across calls in a process."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import realbicyclic
+from realbicyclic import cli
 from realbicyclic.cli import main
+from realbicyclic.exprparse import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +35,17 @@ def test_eval_parse_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "(1,")
     assert code == 2
     assert "error" in err
+
+
+def test_eval_nesting_limit(capsys):
+    def nested(depth):
+        return "(" * depth + "(1,2)" + ")" * depth
+
+    code, out, _ = run_cli(capsys, "eval", nested(MAX_NESTING))
+    assert code == 0 and out == "(1,2)\n"
+    for depth in (MAX_NESTING + 1, 1000):
+        code, out, err = run_cli(capsys, "eval", nested(depth))
+        assert code == 2 and out == "" and err.startswith("error: parentheses nested deeper")
 
 
 def test_eval_zero(capsys):
@@ -82,6 +102,21 @@ def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
         ugly.write_text(ugly_text)
         code, _, err = run_cli(capsys, "validate", str(ugly))
         assert code == 2 and "malformed" in err, ugly_text
+
+
+def test_validate_non_ascii_file_is_malformed(capsys, tmp_path):
+    path = tmp_path / "c.cert"
+    code, _, _ = run_cli(
+        capsys,
+        "certify", "ac1", "--side", "left", "--translator", "(1,2)",
+        "--target", "4", "--emit", str(path),
+    )
+    assert code == 0
+    for data in (b"\xff", path.read_bytes().replace(b"chosen-n", b"chosen-\xffn")):
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == "", data
+        assert err.startswith("error: malformed certificate: not ASCII text"), err
 
 
 def test_certify_ac2_stdout(capsys):
@@ -195,3 +230,60 @@ def test_integer_mode_flag(capsys):
     )
     assert code == 0
     assert "mode integer 15" in out.splitlines()
+
+
+# One parser serves every call in a process: nothing of one call may leak into
+# the next.
+
+FALSIFY_MISS = ("falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+                "--chosen", "8", "--target", "4", "--cases", "100")
+
+
+def test_usage_error_then_valid_command(capsys):
+    for bad in (("suite", "nosuch"), ("falsify", "ac1", "--side", "up"), ("lines",), ()):
+        code, out, err = run_cli(capsys, *bad)
+        assert code == 2 and out == "" and "usage: realbicyclic" in err, bad
+        code, out, err = run_cli(capsys, "eval", "(1,3)*(2,5)")
+        assert (code, out, err) == (0, "(1,6)\n", ""), bad
+
+
+def test_help_then_valid_command(capsys):
+    for helpargs in (("--help",), ("suite", "--help"), ("lines", "product", "-h")):
+        code, out, err = run_cli(capsys, *helpargs)
+        assert code == 0 and out.startswith("usage: realbicyclic") and err == ""
+        code, out, err = run_cli(capsys, "order", "(3,5)", "(1,3)")
+        assert (code, out, err) == (0, "true\nwitness (5,5)\n", "")
+
+
+def test_suite_reads_env_seed_on_every_call(capsys, monkeypatch):
+    for seed in ("3", "4"):
+        monkeypatch.setenv("REALBICYCLIC_SEED", seed)
+        code, out, _ = run_cli(capsys, "suite", "products", "--cases", "5")
+        assert code == 0
+        assert f"seed {seed}" in out.splitlines()
+
+
+def test_falsify_seed_flag_not_kept(capsys, monkeypatch):
+    monkeypatch.delenv("REALBICYCLIC_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *FALSIFY_MISS, "--seed", "7")
+    assert code == 0 and out == "no counterexample in 100 samples (seed 7)\n"
+    code, out, _ = run_cli(capsys, *FALSIFY_MISS)
+    assert code == 0 and out == "no counterexample in 100 samples (seed 0)\n"
+
+
+def test_parser_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    run_cli(capsys, "eval", "(1,3)*(2,5)")
+    run_cli(capsys, "order", "(3,5)", "(1,3)")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
+    probe = "import realbicyclic.cli as c; print(c._build_parser.cache_info().misses)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from realbicyclic import Elem, NegativeScalar, ParseError, ZERO, parse_expr
+from realbicyclic.exprparse import MAX_NESTING
 
 
 def test_worked_examples():
@@ -87,3 +88,16 @@ def test_boolean_misuse_rejected():
 
 def test_whitespace_is_free_form():
     assert parse_expr("  ( 1 , 3 )  *  ( 2 , 5 )  ") == Elem(1, 6)
+
+
+def nested(depth: int, inner: str = "(1,2)") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_nesting_limit():
+    assert parse_expr(nested(MAX_NESTING)) == Elem(1, 2)
+    assert parse_expr(nested(MAX_NESTING, "(1,3)*(2,5)")) == Elem(1, 6)
+    for depth in (MAX_NESTING + 1, 1000, 100000):
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_expr(nested(depth))
+        assert info.value.pos == MAX_NESTING

@@ -1,6 +1,7 @@
 """Core operation tests: worked examples checked against the defining formula
 and the case-table route, plus law checks with hypothesis."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from realbicyclic import (
     scalar,
     shrink_witness,
 )
+from realbicyclic.generate import GenConfig, IntegerMode, RationalMode, gen_elem
 
 
 def formula_mul(e1: Elem, e2: Elem) -> Elem:
@@ -185,6 +187,24 @@ def test_order_examples():
     assert natural_leq(Elem(3, 5), Elem(1, 3))
     assert not natural_leq(Elem(1, 3), Elem(2, 5))
     assert natural_leq(Elem(4, 4), Elem(4, 4))
+
+
+def test_natural_leq_matches_fraction_definition():
+    def by_definition(s, t):
+        return s.a >= t.a and s.a - s.b == t.a - t.b
+
+    for mode in (RationalMode(30, 8), RationalMode(7, 3), IntegerMode(6)):
+        points = list(itertools.islice(gen_elem(GenConfig(seed=11, scalar_mode=mode)), 3000))
+        seen = {True: 0, False: 0}
+        for t, u, v in zip(points[0::3], points[1::3], points[2::3]):
+            below = Elem(t.a + u.a, t.b + u.a)  # same diagonal, a >= t.a
+            above = Elem(t.a + u.a + 1, t.b + u.a + 1)  # same diagonal, t.a < above.a
+            for s1, s2 in ((t, u), (u, v), (t, t), (below, t), (t, below), (t, above), (above, t)):
+                want = by_definition(s1, s2)
+                assert natural_leq(s1, s2) is want, (s1, s2)
+                seen[want] += 1
+            assert not natural_leq(t, above) and natural_leq(above, t)
+        assert seen[True] >= 2000 and seen[False] >= 2000, (mode, seen)
 
 
 @given(elems, elems)
