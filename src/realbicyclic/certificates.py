@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .semigroup import Elem, mul
 from .order_geometry import (
@@ -303,39 +303,51 @@ def _affine_inf(
     return total, attained
 
 
-def _axis_reps(values: Sequence[Fraction]) -> List[Fraction]:
-    """Exact decision points for interval unions along one axis: every finite
-    endpoint, a midpoint between each consecutive pair, and one point beyond."""
-    vals = sorted(set(values))
-    reps = list(vals)
-    for v1, v2 in zip(vals, vals[1:]):
-        reps.append((v1 + v2) / 2)
-    reps.append(vals[-1] + 1)
-    return reps
-
-
 def _covers_chosen(cases: Sequence[CaseEvidence], m: Fraction) -> bool:
     """Do the case boxes cover everything with a coordinate beyond m?
 
     Membership in a union of boxes is constant on the cells of the endpoint
     grid, so testing one representative per cell decides coverage exactly.
+    On the integer grid of doubled common-denominator units every endpoint e
+    is even and e + 1 represents the gap above it; a representative's bitmask
+    holds the cases whose closed integer range contains it.
     """
-    a_vals = [F0, m]
-    b_vals = [F0, m]
-    for c in cases:
-        for iv, vals in ((c.a_range, a_vals), (c.b_range, b_vals)):
-            vals.append(iv.lo)
-            if iv.hi is not None:
-                vals.append(iv.hi)
-    for ra in _axis_reps(a_vals):
-        for rb in _axis_reps(b_vals):
-            if ra <= m and rb <= m:
-                continue  # not in the chosen set
-            if not any(
-                c.a_range.contains(ra) and c.b_range.contains(rb) for c in cases
-            ):
-                return False
-    return True
+    ivs = [iv for c in cases for iv in (c.a_range, c.b_range)]
+    dens = (v.denominator for iv in ivs for v in (iv.lo, iv.hi) if v is not None)
+    den = math.lcm(m.denominator, *dens)
+
+    def grid(v: Fraction) -> int:
+        return 2 * v.numerator * (den // v.denominator)
+
+    top = grid(m)
+    low_masks, high_masks = [], []
+    for axis in (0, 1):
+        ranges = []
+        ends = {0, top}
+        for iv in ivs[axis::2]:
+            lo = grid(iv.lo)
+            ends.add(lo)
+            if iv.hi is None:
+                hi = None
+            else:
+                hi = grid(iv.hi)
+                ends.add(hi)
+                hi -= 1 if iv.hi_strict else 0
+            ranges.append((lo + (1 if iv.lo_strict else 0), hi))
+        low, high = set(), set()
+        for e in ends:
+            for r in (e, e + 1):
+                mask = 0
+                for bit, (lo, hi) in enumerate(ranges):
+                    if lo <= r and (hi is None or r <= hi):
+                        mask |= 1 << bit
+                (high if r > top else low).add(mask)
+        low_masks.append(low)
+        high_masks.append(high)
+    # a point of the chosen set has a coordinate beyond m on one axis or both
+    return all(
+        a & b for a in high_masks[0] for b in low_masks[1] | high_masks[1]
+    ) and all(a & b for a in low_masks[0] for b in high_masks[1])
 
 
 def _corner_scan_ok(side: Side, translator: Elem, m: Fraction, n_eff: Fraction) -> bool:
@@ -388,29 +400,34 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if n_eff < n_req:
         return False
 
-    pivot = cert.translator.b if cert.side is Side.LEFT else cert.translator.a
+    left = cert.side is Side.LEFT
+    pivot = cert.translator.b if left else cert.translator.a
+    # per branch tag: the constraint on the driving coordinate, and the images
+    expected = [
+        (tag, _branch_interval(cert.side, tag, pivot),
+         _expected_images(cert.side, cert.translator, tag))
+        for tag in _BRANCH_ORDER
+    ]
     for case in cert.evidence:
-        seen_branches = [b.branch for b in case.branches]
-        for tag in seen_branches:
+        records = {b.branch: b for b in case.branches}
+        for tag in records:
             if tag not in _BRANCH_ORDER:
                 raise MalformedCert(f"unknown branch tag {tag!r}")
-        if len(set(seen_branches)) != len(seen_branches):
+        if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
-        for tag in _BRANCH_ORDER:
-            driver = case.a_range if cert.side is Side.LEFT else case.b_range
-            meet = _iv_meet(driver, _branch_interval(cert.side, tag, pivot))
-            required = _iv_nonempty(meet)
-            record = next((b for b in case.branches if b.branch == tag), None)
-            if required != (record is not None):
+        driver = case.a_range if left else case.b_range
+        for tag, branch_iv, (exp_a, exp_b) in expected:
+            meet = _iv_meet(driver, branch_iv)
+            record = records.get(tag)
+            if _iv_nonempty(meet) != (record is not None):
                 return False
             if record is None:
                 continue
-            exp_a, exp_b = _expected_images(cert.side, cert.translator, tag)
             if record.image_a != exp_a or record.image_b != exp_b:
                 return False
             if record.witness not in ("a", "b"):
                 raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
-            if cert.side is Side.LEFT:
+            if left:
                 iv_a, iv_b = meet, case.b_range
             else:
                 iv_a, iv_b = case.a_range, meet
@@ -538,12 +555,14 @@ def falsify(
 ) -> Optional[Elem]:
     """Hunt for s in the chosen neighbourhood whose image escapes the target.
 
-    Deterministic for a given seed.  The search runs on a common-denominator
-    integer grid (exact, and much faster than rational objects); a handful of
-    structural probes near the boundary of the chosen set go first, then
-    seeded random draws.  Any candidate is re-verified with exact rational
-    membership
-    before being returned, so a returned point is always a true violation.
+    Deterministic for a given seed.  The search runs on the integer grid of
+    the inputs' common denominator: a handful of structural probes near the
+    boundary of the chosen set go first, then seeded random draws.  Each
+    sample is tested by integer comparisons against cut-offs computed once
+    per call (per diagonal for segment neighbourhoods), which decide exactly
+    what membership would.  Any candidate is re-verified with exact rational
+    membership before being returned, so a returned point is always a true
+    violation.
     Returns None when the budget is exhausted without a hit.  A negative seed
     raises ``ValueError``: ``random.Random`` would replay its absolute value.
     So does ``samples < 1``, which would report a miss without drawing a sample.
@@ -557,6 +576,15 @@ def falsify(
     if isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
         return _falsify_ac2(side, translator, chosen, target, samples, seed)
     raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
+
+
+def _confirm(
+    side: Side, t: Elem, chosen: ZeroNbhd, target: ZeroNbhd, xs: int, ys: int, D: int
+) -> Optional[Elem]:
+    """The grid point (xs, ys)/D if exact membership confirms it escapes."""
+    s = Elem(Fraction(xs, D), Fraction(ys, D))
+    img = mul(t, s) if side is Side.LEFT else mul(s, t)
+    return s if chosen.member(s) and not target.member(img) else None
 
 
 def _falsify_ac1(
@@ -588,50 +616,60 @@ def _falsify_ac1(
         (nt + 1, nc + 1),
         (nc + 1, nc + 1),
     )
+    # With u the coordinate the product branches on (a on the left, b on the
+    # right), v the other one, p the translator's pivot and q its remaining
+    # coordinate, the image stays in the closed target box exactly when
+    #   u >= p:  u <= nt - q + p  and  v <= nt
+    #   u <  p:  q <= nt          and  v - u <= nt - p
+    p, q = (tb, ta) if left else (ta, tb)
+    u_cut, d_cut, low_ok = nt - q + p, nt - p, q <= nt
+    for xs, ys in probes[:samples]:
+        u, v = (xs, ys) if left else (ys, xs)
+        if (xs > nc or ys > nc) and (
+            (u <= u_cut and v <= nt) if u >= p else (low_ok and v - u <= d_cut)
+        ):
+            s = _confirm(side, t, chosen, target, xs, ys, D)
+            if s is not None:
+                return s
     span = 3 * max(nc, nt) + 4 * D + 1
     near = 2 * D
     bwin = nt + 2 * D + 1
-    rng = random.Random(seed)
-    grb = rng.getrandbits
-    checked = 0
-    idx = 0
-    nprobes = len(probes)
-    while checked < samples:
-        if idx < nprobes:
-            xs, ys = probes[idx]
-            idx += 1
+    grb = random.Random(seed).getrandbits
+    # every mode draws one coordinate past nc: each draw is in the chosen set
+    for _ in range(samples - len(probes)):
+        bits = grb(70)
+        r1 = bits & 0x7FFFFFFF
+        rest = bits >> 31
+        mode = rest % 5
+        r2 = (rest >> 3) & 0x7FFFFFFF
+        if mode == 0:
+            xs, ys = nc + 1 + r1 % span, r2 % span
+        elif mode == 1:
+            xs, ys = r2 % span, nc + 1 + r1 % span
+        elif mode == 2:
+            xs, ys = nc + 1 + r1 % span, nc + 1 + r2 % span
+        elif mode == 3:
+            xs, ys = nc + 1 + r1 % near, r2 % bwin
         else:
-            bits = grb(70)
-            r1 = bits & 0x7FFFFFFF
-            rest = bits >> 31
-            mode = rest % 5
-            r2 = (rest >> 3) & 0x7FFFFFFF
-            if mode == 0:
-                xs, ys = nc + 1 + r1 % span, r2 % span
-            elif mode == 1:
-                xs, ys = r2 % span, nc + 1 + r1 % span
-            elif mode == 2:
-                xs, ys = nc + 1 + r1 % span, nc + 1 + r2 % span
-            elif mode == 3:
-                xs, ys = nc + 1 + r1 % near, r2 % bwin
-            else:
-                xs, ys = r2 % bwin, nc + 1 + r1 % near
-        checked += 1
-        if xs <= nc and ys <= nc:
-            continue
+            xs, ys = r2 % bwin, nc + 1 + r1 % near
         if left:
-            mm = tb if tb < xs else xs
-            ia, ib = ta + xs - mm, tb + ys - mm
+            u, v = xs, ys
         else:
-            mm = ys if ys < ta else ta
-            ia, ib = xs + ta - mm, ys + tb - mm
-        if ia > nt or ib > nt:
-            continue
-        s = Elem(Fraction(xs, D), Fraction(ys, D))
-        img = mul(t, s) if left else mul(s, t)
-        if chosen.member(s) and not target.member(img):
-            return s
+            u, v = ys, xs
+        if (u <= u_cut and v <= nt) if u >= p else (low_ok and v - u <= d_cut):
+            s = _confirm(side, t, chosen, target, xs, ys, D)
+            if s is not None:
+                return s
     return None
+
+
+def _furthest(tops: Sequence[Tuple[int, int]]) -> Dict[int, int]:
+    """Per diagonal a - b, the largest first coordinate among the tops on it."""
+    far: Dict[int, int] = {}
+    for a, b in tops:
+        if a > far.get(a - b, -1):
+            far[a - b] = a
+    return far
 
 
 def _falsify_ac2(
@@ -663,56 +701,47 @@ def _falsify_ac2(
         probes.append((x0, x0 + d))
         probes.append((x0 + 1, x0 + 1 + d))
         probes.append((x0 + D, x0 + D + d))
+    # Up-segment membership needs a top on the point's diagonal at least as
+    # far out.  On diagonal k = xs - ys the image (on k + ta - tb) has first
+    # coordinate ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the
+    # right, non-decreasing in xs: so with c_far and t_far the furthest chosen
+    # and target tops there, a point escapes iff c_far < xs <= cut.
+    far_ch = _furthest(ch)
+    reach: Dict[int, Tuple[int, int]] = {}
+    for image_k, t_far in _furthest(tg).items():
+        k = image_k - (ta - tb)
+        if left:
+            cut = t_far - ta + tb if ta <= t_far else -1
+        else:
+            cut = t_far if ta + k <= t_far else -1
+        reach[k] = (far_ch.get(k, -1), cut)
+    nowhere = (0, -1)
+    for xs, ys in probes[:samples]:
+        c_far, cut = reach.get(xs - ys, nowhere)
+        if c_far < xs <= cut:
+            s = _confirm(side, t, chosen, target, xs, ys, D)
+            if s is not None:
+                return s
     maxcoord = max([1] + [v for pair in ch + tg for v in pair])
     span = 3 * maxcoord + 4 * D + 1
-    rng = random.Random(seed)
-    grb = rng.getrandbits
-    nd = len(deltas)
-    checked = 0
-    idx = 0
-    nprobes = len(probes)
-    while checked < samples:
-        if idx < nprobes:
-            xs, ys = probes[idx]
-            idx += 1
+    # one mode per pulled-back diagonal: its first grid point and cut-offs
+    lanes = [(-d if d < 0 else 0, d) + reach[-d] for d in deltas]
+    grb = random.Random(seed).getrandbits
+    modes = len(deltas) + 1
+    for _ in range(samples - len(probes)):
+        bits = grb(70)
+        r1 = bits & 0x7FFFFFFF
+        rest = bits >> 31
+        mode = rest % modes
+        if mode == 0:
+            xs, ys = r1 % span, ((rest >> 3) & 0x7FFFFFFF) % span
+            c_far, cut = reach.get(xs - ys, nowhere)
         else:
-            bits = grb(70)
-            r1 = bits & 0x7FFFFFFF
-            rest = bits >> 31
-            mode = rest % (nd + 1)
-            r2 = (rest >> 3) & 0x7FFFFFFF
-            if mode == 0:
-                xs, ys = r1 % span, r2 % span
-            else:
-                d = deltas[mode - 1]
-                x0 = -d if d < 0 else 0
-                xs = x0 + r1 % span
-                ys = xs + d
-        checked += 1
-        if xs < 0 or ys < 0:
-            continue
-        inside = False
-        for ca, cb in ch:
-            if ca >= xs and ca - cb == xs - ys:
-                inside = True
-                break
-        if inside:
-            continue
-        if left:
-            mm = tb if tb < xs else xs
-            ia, ib = ta + xs - mm, tb + ys - mm
-        else:
-            mm = ys if ys < ta else ta
-            ia, ib = xs + ta - mm, ys + tb - mm
-        hit = False
-        for ua, ub in tg:
-            if ua >= ia and ua - ub == ia - ib:
-                hit = True
-                break
-        if not hit:
-            continue
-        s = Elem(Fraction(xs, D), Fraction(ys, D))
-        img = mul(t, s) if left else mul(s, t)
-        if chosen.member(s) and not target.member(img):
-            return s
+            x0, d, c_far, cut = lanes[mode - 1]
+            xs = x0 + r1 % span
+            ys = xs + d
+        if c_far < xs <= cut:
+            s = _confirm(side, t, chosen, target, xs, ys, D)
+            if s is not None:
+                return s
     return None

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import certificates as certs
-from .certio import cert_to_text, read_cert, write_cert
+from .certio import cert_to_text, read_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
 from .order_geometry import Side, line_product
@@ -194,7 +194,12 @@ def _cmd_certify(args) -> int:
         return 1
     text = cert_to_text(cert)
     if args.emit:
-        write_cert(cert, args.emit)
+        try:
+            with open(args.emit, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.emit}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote certificate to {args.emit} (valid)")
     else:
         sys.stdout.write(text)

@@ -2,6 +2,7 @@
 and bit-exact serialization."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -30,7 +31,8 @@ from realbicyclic import (
     validate_cert_ac2,
     write_cert,
 )
-from realbicyclic.certificates import _corner_scan_ok
+from realbicyclic import certificates
+from realbicyclic.certificates import Interval, _corner_scan_ok, _covers_chosen
 
 
 def image(side, t, s):
@@ -118,6 +120,33 @@ def test_ac1_missing_case_breaks_coverage():
     cert = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
     tampered = dataclasses.replace(cert, evidence=cert.evidence[:2])
     assert not validate_cert_ac1(tampered)
+    assert _covers_chosen(cert.evidence, cert.chosen.n) is True
+    assert _covers_chosen(tampered.evidence, cert.chosen.n) is False
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_ac1_open_mid_range_caught_by_coverage(side, monkeypatch):
+    # [n, m] -> [n, m) on the mid case's bounded range leaves the points with
+    # that coordinate equal to m uncovered; every branch record still matches
+    t = Elem(1, 2)
+    cert = continuity_cert_ac1(side, t, NbhdAc1(4))
+    m = cert.chosen.n
+    mid = cert.evidence[1]
+    field = "a_range" if side is Side.LEFT else "b_range"
+    assert mid.case_id == ("mid-a" if side is Side.LEFT else "mid-b")
+    assert getattr(mid, field).hi == m and not getattr(mid, field).hi_strict
+    opened = dataclasses.replace(
+        mid, **{field: dataclasses.replace(getattr(mid, field), hi_strict=True)}
+    )
+    tampered = dataclasses.replace(
+        cert, evidence=(cert.evidence[0], opened, cert.evidence[2])
+    )
+    assert not validate_cert_ac1(tampered)
+    assert _covers_chosen(tampered.evidence, m) is False
+    # the branch checks and the corner scan pass: coverage alone rejects it
+    assert _corner_scan_ok(side, t, m, cert.effective.n)
+    monkeypatch.setattr(certificates, "_covers_chosen", lambda cases, m: True)
+    assert validate_cert_ac1(tampered)
 
 
 def test_ac1_missing_branch_rejected():
@@ -146,8 +175,6 @@ def test_ac1_flipped_witness_rejected():
 def test_ac1_widened_region_rejected():
     cert = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
     big = cert.evidence[0]
-    from realbicyclic import Interval
-
     widened = dataclasses.replace(big, a_range=Interval(F(4), True, None, True))
     tampered = dataclasses.replace(cert, evidence=(widened,) + cert.evidence[1:])
     assert not validate_cert_ac1(tampered)
@@ -188,6 +215,73 @@ def test_corner_scan_helper():
     assert not _corner_scan_ok(Side.LEFT, Elem(1, 2), F(4), F(4))
     assert _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(8), F(4))
     assert not _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(4), F(4))
+
+
+def _fraction_grid_covers(cases, m):
+    """Reference coverage decision on the rational endpoint grid: every
+    endpoint, the midpoint of each consecutive pair and one point beyond."""
+    reps = []
+    for pick in (lambda c: c.a_range, lambda c: c.b_range):
+        vals = {F(0), m}
+        for c in cases:
+            iv = pick(c)
+            vals.add(iv.lo)
+            if iv.hi is not None:
+                vals.add(iv.hi)
+        vals = sorted(vals)
+        mids = [(v1 + v2) / 2 for v1, v2 in zip(vals, vals[1:])]
+        reps.append(vals + mids + [vals[-1] + 1])
+    for ra in reps[0]:
+        for rb in reps[1]:
+            if ra <= m and rb <= m:
+                continue
+            if not any(c.a_range.contains(ra) and c.b_range.contains(rb) for c in cases):
+                return False
+    return True
+
+
+def _mutate_range(rng, iv):
+    op = rng.randrange(5)
+    shift = F(rng.randrange(-16, 17), rng.choice((1, 2, 4, 8)))
+    if op == 0:
+        return dataclasses.replace(iv, lo=iv.lo + shift)
+    if op == 1 and iv.hi is not None:
+        return dataclasses.replace(iv, hi=iv.hi + shift)
+    if op == 2:
+        return dataclasses.replace(iv, lo_strict=not iv.lo_strict)
+    if op == 3 and iv.hi is not None:
+        return dataclasses.replace(iv, hi_strict=not iv.hi_strict)
+    if iv.hi is None:  # bound it
+        return Interval(iv.lo, iv.lo_strict, iv.lo + abs(shift), rng.random() < 0.5)
+    return Interval(iv.lo, iv.lo_strict, None, True)  # unbound it
+
+
+def test_coverage_grid_matches_fraction_reference():
+    # endpoint shifts, strictness flips, (un)bounded ranges and dropped cases
+    rng = random.Random(8080)
+
+    def q(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(1, 9))
+
+    outcomes = {True: 0, False: 0}
+    for k in range(2400):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        cert = continuity_cert_ac1(side, Elem(q(0, 49), q(0, 49)), NbhdAc1(q(1, 97)))
+        cases = list(cert.evidence)
+        for _ in range(rng.randint(1, 3)):
+            if cases and rng.random() < 0.15:
+                del cases[rng.randrange(len(cases))]
+                continue
+            i = rng.randrange(len(cases))
+            field = rng.choice(("a_range", "b_range"))
+            cases[i] = dataclasses.replace(
+                cases[i], **{field: _mutate_range(rng, getattr(cases[i], field))}
+            )
+        m = cert.chosen.n
+        expected = _fraction_grid_covers(cases, m)
+        assert _covers_chosen(cases, m) == expected, (cert, cases)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 @settings(max_examples=40)
@@ -338,6 +432,95 @@ def test_falsify_right_side_counterexample():
     w = falsify(Side.RIGHT, t, NbhdAc1(4), NbhdAc1(4), 10000, 3)
     assert_violates(Side.RIGHT, t, NbhdAc1(4), NbhdAc1(4), w)
 
+
+# ---------------------------------------------------------------------------
+# golden falsifier streams
+# ---------------------------------------------------------------------------
+
+
+def _golden_falsify_instances():
+    """Seeded (side, translator, chosen, target) instances: honest ac1/ac2
+    certificates, their tampered twins as in the benchmark's certs workload,
+    and random inclusions of which many fail."""
+    rng = random.Random(5151)
+
+    def q(hi=48, den=8):
+        return F(rng.randrange(hi + 1), rng.randrange(1, den + 1))
+
+    def el(hi=48, den=8):
+        return Elem(q(hi, den), q(hi, den))
+
+    out = []
+    for k in range(12):
+        t = el()
+        if t.a == t.b:
+            t = Elem(t.a, t.b + F(1, 2))
+        side = Side.LEFT if t.a < t.b else Side.RIGHT
+        cert = continuity_cert_ac1(side, t, NbhdAc1(max(t.a, t.b) + 2 + q()))
+        out.append((side, t, cert.chosen, cert.effective))
+        out.append((side, t, cert.effective, cert.effective))  # tampered twin
+    for k in range(160):
+        # small thresholds, often the chosen one at most the target's: some of
+        # these fail only off the probes, some only on a cut-off's boundary
+        m = q(20, 4) + F(1, 8)
+        n = m + q(8, 8) if k % 2 else q(20, 4) + F(1, 8)
+        out.append((rng.choice((Side.LEFT, Side.RIGHT)), el(12, 4), NbhdAc1(m), NbhdAc1(n)))
+    for k in range(12):
+        t = el()
+        side = Side.LEFT if k % 2 == 0 else Side.RIGHT
+        tops = []
+        for _ in range(1 + k % 3):
+            x = el()
+            if side is Side.LEFT:
+                tops.append(Elem(t.a + 1 + x.a, 1 + x.b))
+            else:
+                tops.append(Elem(1 + x.a, t.b + 1 + x.b))
+        cert = continuity_cert_ac2(side, t, NbhdAc2(tuple(tops)))
+        out.append((side, t, cert.chosen, cert.target))
+        pushed = tuple(
+            Elem(max(F(0), c.a - c.b), max(F(0), c.b - c.a)) for c in cert.chosen.tops
+        )
+        out.append((side, t, NbhdAc2(pushed), cert.target))  # tampered twin
+    for k in range(160):
+        # small tops, some target tops sharing a diagonal
+        tops = [el(12, 4) for _ in range(rng.randint(1, 3))]
+        if k % 2:
+            tops.append(Elem(tops[0].a + 1, tops[0].b + 1))
+        out.append((rng.choice((Side.LEFT, Side.RIGHT)), el(12, 4),
+                    NbhdAc2(tuple(el(12, 4) for _ in range(rng.randint(1, 4)))),
+                    NbhdAc2(tuple(tops))))
+    return out
+
+
+def test_falsify_golden_streams():
+    # the seeded streams and returned witnesses, pinned by a digest recorded
+    # with the sample loops as they were before the integer cut-offs and
+    # diagonal tables; budgets 1, 7 (the ac1 probes), 8 and 1000 per instance
+    results = []
+    for i, (side, t, chosen, target) in enumerate(_golden_falsify_instances()):
+        for samples in (1, 7, 8, 1000):
+            results.append(falsify(side, t, chosen, target, samples, 31 * i + samples))
+    hits = sum(w is not None for w in results)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert (hits, digest) == (
+        723,
+        "96996f12272a36a240abec477a6c743f512de3027c79b96b7ed6cb0297c78e9e",
+    )
+
+
+
+def test_falsify_ac1_images_on_the_target_edge():
+    # the target box is closed: an image on its edge escapes, and each of
+    # these probes is the only grid point of its kind that does
+    cases = [
+        (Side.LEFT, Elem(1, 3), 5, 4, 1, Elem(6, 0)),  # image (4, 0)
+        (Side.RIGHT, Elem(3, 1), 5, 4, 2, Elem(0, 6)),  # image (0, 4)
+        (Side.LEFT, Elem(5, 1), 4, 6, 2, Elem(0, 5)),  # image (5, 6)
+        (Side.RIGHT, Elem(1, 5), 4, 6, 1, Elem(5, 0)),  # image (6, 5)
+    ]
+    for side, t, m, n, samples, expected in cases:
+        assert falsify(side, t, NbhdAc1(m), NbhdAc1(n), samples, 0) == expected
+        assert_violates(side, t, NbhdAc1(m), NbhdAc1(n), expected)
 
 def _threshold_violation_exists(side, t, m, n):
     """Independent exact decision of whether translating the threshold

@@ -104,6 +104,22 @@ def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
         assert code == 2 and "malformed" in err, ugly_text
 
 
+def test_certify_emit_unwritable_path_is_usage_error(capsys, tmp_path):
+    argv = ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", "4")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the emitted file holds exactly the text certify prints without --emit
+    path = tmp_path / "c.cert"
+    code, out, _ = run_cli(capsys, *argv, "--emit", str(path))
+    assert code == 0 and out.strip() == f"wrote certificate to {path} (valid)"
+    assert path.read_text() == text
+    missing = tmp_path / "no-such-dir" / "c.cert"
+    code, out, err = run_cli(capsys, *argv, "--emit", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {missing}: "), err
+    assert not missing.parent.exists()
+
+
 def test_validate_non_ascii_file_is_malformed(capsys, tmp_path):
     path = tmp_path / "c.cert"
     code, _, _ = run_cli(
