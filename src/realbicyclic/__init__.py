@@ -6,7 +6,6 @@ continuity certificates."""
 from .semigroup import (
     Elem,
     ExtElem,
-    IDENTITY,
     LineRef,
     Scalar,
     Sign,

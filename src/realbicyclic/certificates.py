@@ -5,9 +5,14 @@ a *chosen* zero neighbourhood into a *target* zero neighbourhood.  The
 generator builds the chosen neighbourhood together with explicit evidence; the
 validators re-derive every claim from exact rational arithmetic and are
 written independently of the generator, so a tampered certificate is rejected
-on its merits.  ``falsify`` is a third, randomized route: it hunts for a
-concrete point of the chosen neighbourhood whose image escapes the target,
-double-checking any hit by direct evaluation before reporting it.
+on its merits.  ``falsify`` is a third route: it hunts for a concrete point
+of the chosen neighbourhood whose image escapes the target, double-checking
+any hit by direct evaluation before reporting it.  Its sample count is a
+budget, an upper bound: structural probes go first, and where they provably
+reach every escaping point (segment neighbourhoods always, threshold ones
+whenever the chosen threshold is at least the target's) the search ends with
+them.  Only the remaining threshold case spends seeded random draws, so a
+segment-neighbourhood result does not depend on the seed.
 
 For threshold neighbourhoods the evidence is a case split of the chosen set
 into boxes, each carrying the affine image formula of the product's applicable
@@ -24,7 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .semigroup import Elem, mul
 from .order_geometry import (
@@ -541,7 +547,7 @@ def validate_cert(cert: ContinuityCert) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# randomized falsifier
+# falsifier
 # ---------------------------------------------------------------------------
 
 
@@ -557,15 +563,19 @@ def falsify(
 
     Deterministic for a given seed.  The search runs on the integer grid of
     the inputs' common denominator: a handful of structural probes near the
-    boundary of the chosen set go first, then seeded random draws.  Each
-    sample is tested by integer comparisons against cut-offs computed once
-    per call (per diagonal for segment neighbourhoods), which decide exactly
-    what membership would.  Any candidate is re-verified with exact rational
-    membership before being returned, so a returned point is always a true
-    violation.
-    Returns None when the budget is exhausted without a hit.  A negative seed
-    raises ``ValueError``: ``random.Random`` would replay its absolute value.
-    So does ``samples < 1``, which would report a miss without drawing a sample.
+    boundary of the chosen set go first, each tested by integer comparisons
+    against cut-offs computed once per call (per diagonal for segment
+    neighbourhoods), which decide exactly what membership would.
+    ``samples`` is a budget, an upper bound on the points tried.  When the
+    probes provably reach every escaping point the search ends after them:
+    always for segment neighbourhoods, whose result therefore does not depend
+    on the seed, and for threshold neighbourhoods whose chosen threshold is at
+    least the target's.  Otherwise seeded random draws spend the rest of the
+    budget.  Any candidate is re-verified with exact rational membership
+    before being returned, so a returned point is always a true violation.
+    Returns None when no violation is found.  A negative seed raises
+    ``ValueError``: ``random.Random`` would replay its absolute value.  So
+    does ``samples < 1``, which would report a miss without trying a point.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -574,7 +584,7 @@ def falsify(
     if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):
         return _falsify_ac1(side, translator, chosen, target, samples, seed)
     if isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
-        return _falsify_ac2(side, translator, chosen, target, samples, seed)
+        return _falsify_ac2(side, translator, chosen, target, samples)
     raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
 
 
@@ -587,14 +597,15 @@ def _confirm(
     return s if chosen.member(s) and not target.member(img) else None
 
 
-def _falsify_ac1(
-    side: Side,
-    t: Elem,
-    chosen: NbhdAc1,
-    target: NbhdAc1,
-    samples: int,
-    seed: int,
-) -> Optional[Elem]:
+def _ac1_grid(
+    side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1
+) -> Tuple[int, int, int, Tuple[Tuple[int, int], ...], Callable[[int, int], bool]]:
+    """Scale a threshold instance to the grid of its common denominator D.
+
+    Returns D, the chosen and target thresholds nc and nt in grid units, the
+    probes, and the escape predicate: does the grid point (xs, ys) lie in the
+    chosen set with its image in the closed target box?
+    """
     D = math.lcm(
         t.a.denominator,
         t.b.denominator,
@@ -604,9 +615,6 @@ def _falsify_ac1(
     ta, tb = int(t.a * D), int(t.b * D)
     nc, nt = int(chosen.n * D), int(target.n * D)
     left = side is Side.LEFT
-    # the first grid point past the threshold and the translator's pivot row
-    # are, between them, guaranteed to expose any failing inclusion with
-    # chosen threshold >= target threshold; the random modes cover the rest
     probes = (
         (nc + 1, 0),
         (0, nc + 1),
@@ -623,40 +631,69 @@ def _falsify_ac1(
     #   u <  p:  q <= nt          and  v - u <= nt - p
     p, q = (tb, ta) if left else (ta, tb)
     u_cut, d_cut, low_ok = nt - q + p, nt - p, q <= nt
-    for xs, ys in probes[:samples]:
+
+    def escapes(xs: int, ys: int) -> bool:
         u, v = (xs, ys) if left else (ys, xs)
-        if (xs > nc or ys > nc) and (
+        return (xs > nc or ys > nc) and (
             (u <= u_cut and v <= nt) if u >= p else (low_ok and v - u <= d_cut)
-        ):
-            s = _confirm(side, t, chosen, target, xs, ys, D)
-            if s is not None:
-                return s
-    span = 3 * max(nc, nt) + 4 * D + 1
+        )
+
+    return D, nc, nt, probes, escapes
+
+
+def _ac1_draws(nc: int, nt: int, D: int, seed: int) -> Iterator[Tuple[int, int]]:
+    """Seeded grid points of the chosen set, for nc < nt: every mode draws one
+    coordinate past nc, two of them in a window next to the target box."""
+    span = 3 * nt + 4 * D + 1
     near = 2 * D
     bwin = nt + 2 * D + 1
     grb = random.Random(seed).getrandbits
-    # every mode draws one coordinate past nc: each draw is in the chosen set
-    for _ in range(samples - len(probes)):
+    while True:
         bits = grb(70)
         r1 = bits & 0x7FFFFFFF
         rest = bits >> 31
         mode = rest % 5
         r2 = (rest >> 3) & 0x7FFFFFFF
         if mode == 0:
-            xs, ys = nc + 1 + r1 % span, r2 % span
+            yield nc + 1 + r1 % span, r2 % span
         elif mode == 1:
-            xs, ys = r2 % span, nc + 1 + r1 % span
+            yield r2 % span, nc + 1 + r1 % span
         elif mode == 2:
-            xs, ys = nc + 1 + r1 % span, nc + 1 + r2 % span
+            yield nc + 1 + r1 % span, nc + 1 + r2 % span
         elif mode == 3:
-            xs, ys = nc + 1 + r1 % near, r2 % bwin
+            yield nc + 1 + r1 % near, r2 % bwin
         else:
-            xs, ys = r2 % bwin, nc + 1 + r1 % near
-        if left:
-            u, v = xs, ys
-        else:
-            u, v = ys, xs
-        if (u <= u_cut and v <= nt) if u >= p else (low_ok and v - u <= d_cut):
+            yield r2 % bwin, nc + 1 + r1 % near
+
+
+def _falsify_ac1(
+    side: Side,
+    t: Elem,
+    chosen: NbhdAc1,
+    target: NbhdAc1,
+    samples: int,
+    seed: int,
+) -> Optional[Elem]:
+    """Probes, then random draws only when the chosen threshold nc is below
+    the target's nt, where escaping points can miss every probe.
+
+    Why nc >= nt needs nothing past the probes, in the terms of the cut-off
+    comment in ``_ac1_grid``: let (u, v) escape.
+      u >= p:  v <= nt <= nc, so membership in the chosen set needs u > nc.
+               Then (max(nc + 1, p), 0) escapes as well, and it is the probe
+               (nc + 1, 0) or (p, 0).
+      u <  p:  q <= nt and v <= nt - p + u < nt <= nc, so p > u > nc.  Then
+               (p, 0) escapes: p <= nt - q + p and 0 <= nt.
+    In (xs, ys) these are (nc + 1, 0) and (tb, 0) on the left, (0, nc + 1)
+    and (0, ta) on the right, all among the probes.  So when no probe
+    escapes, no grid point does, and no draw could find one.
+    """
+    D, nc, nt, probes, escapes = _ac1_grid(side, t, chosen, target)
+    points: Iterable[Tuple[int, int]] = probes[:samples]
+    if nc < nt and samples > len(probes):
+        points = chain(probes, islice(_ac1_draws(nc, nt, D, seed), samples - len(probes)))
+    for xs, ys in points:
+        if escapes(xs, ys):
             s = _confirm(side, t, chosen, target, xs, ys, D)
             if s is not None:
                 return s
@@ -678,8 +715,21 @@ def _falsify_ac2(
     chosen: NbhdAc2,
     target: NbhdAc2,
     samples: int,
-    seed: int,
 ) -> Optional[Elem]:
+    """Probes only: they reach the least escaping point of every diagonal.
+
+    Up-segment membership needs a top on the point's diagonal at least as far
+    out.  On diagonal k = xs - ys the image (on k + ta - tb) has first
+    coordinate ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the
+    right, non-decreasing in xs.  With c_far and t_far the furthest chosen and
+    target tops there, the escaping points of the diagonal are therefore the
+    interval c_far < xs <= cut, and only diagonals k = -d, for d in the
+    target's pulled-back offsets, have any.  The least grid point of the
+    interval is c_far + 1, the probe just past the furthest chosen top, when
+    a chosen top lies on k (its first coordinate is at least max(k, 0)), and
+    otherwise the diagonal's first point max(k, 0), the probe (x0, x0 + d).
+    So when no probe escapes, no grid point does, whatever the seed.
+    """
     dens = [t.a.denominator, t.b.denominator]
     for e in chosen.tops + target.tops:
         dens.append(e.a.denominator)
@@ -701,11 +751,6 @@ def _falsify_ac2(
         probes.append((x0, x0 + d))
         probes.append((x0 + 1, x0 + 1 + d))
         probes.append((x0 + D, x0 + D + d))
-    # Up-segment membership needs a top on the point's diagonal at least as
-    # far out.  On diagonal k = xs - ys the image (on k + ta - tb) has first
-    # coordinate ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the
-    # right, non-decreasing in xs: so with c_far and t_far the furthest chosen
-    # and target tops there, a point escapes iff c_far < xs <= cut.
     far_ch = _furthest(ch)
     reach: Dict[int, Tuple[int, int]] = {}
     for image_k, t_far in _furthest(tg).items():
@@ -718,28 +763,6 @@ def _falsify_ac2(
     nowhere = (0, -1)
     for xs, ys in probes[:samples]:
         c_far, cut = reach.get(xs - ys, nowhere)
-        if c_far < xs <= cut:
-            s = _confirm(side, t, chosen, target, xs, ys, D)
-            if s is not None:
-                return s
-    maxcoord = max([1] + [v for pair in ch + tg for v in pair])
-    span = 3 * maxcoord + 4 * D + 1
-    # one mode per pulled-back diagonal: its first grid point and cut-offs
-    lanes = [(-d if d < 0 else 0, d) + reach[-d] for d in deltas]
-    grb = random.Random(seed).getrandbits
-    modes = len(deltas) + 1
-    for _ in range(samples - len(probes)):
-        bits = grb(70)
-        r1 = bits & 0x7FFFFFFF
-        rest = bits >> 31
-        mode = rest % modes
-        if mode == 0:
-            xs, ys = r1 % span, ((rest >> 3) & 0x7FFFFFFF) % span
-            c_far, cut = reach.get(xs - ys, nowhere)
-        else:
-            x0, d, c_far, cut = lanes[mode - 1]
-            xs = x0 + r1 % span
-            ys = xs + d
         if c_far < xs <= cut:
             s = _confirm(side, t, chosen, target, xs, ys, D)
             if s is not None:

@@ -48,7 +48,10 @@ def _parse_line(text: str) -> LineRef:
     if not m:
         raise UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2")
     sign = Sign.PLUS if m.group(1) == "+" else Sign.MINUS
-    return LineRef(sign, scalar(m.group(2)))
+    try:
+        return LineRef(sign, scalar(m.group(2)))
+    except ValueError as exc:
+        raise UsageError(f"bad line {text!r}: {exc}") from exc
 
 
 def _parse_tops(text: str) -> NbhdAc2:

@@ -33,14 +33,18 @@ def scalar(value: ScalarLike) -> Fraction:
 
     Accepts Fractions, ints, and strings such as ``"3/4"`` or ``"1.25"``
     (finite decimal expansions convert exactly).  Raises ``ValueError`` for
-    negative inputs, and for floats and bools, which are not exact rationals.
+    negative inputs, for a zero denominator, and for floats and bools, which
+    are not exact rationals.
     """
     if type(value) is Fraction:
         f = value
     elif isinstance(value, (float, bool)):
         raise ValueError(f"not an exact scalar: {value!r}")
     else:
-        f = Fraction(value)
+        try:
+            f = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     if f < 0:
         raise ValueError(f"negative scalar: {value!r}")
     return f
@@ -120,8 +124,6 @@ class ZeroType:
 ZERO = ZeroType()
 
 ExtElem = Union[Elem, ZeroType]
-
-IDENTITY = Elem(0, 0)
 
 
 class Sign(Enum):

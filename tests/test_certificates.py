@@ -3,8 +3,10 @@ and bit-exact serialization."""
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -551,6 +553,178 @@ def test_falsify_agrees_with_exact_truth(side, t, n, extra):
     assert (found is not None) == _threshold_violation_exists(side, t, m, n)
     if found is not None:
         assert_violates(side, t, NbhdAc1(m), NbhdAc1(n), found)
+
+
+# ---------------------------------------------------------------------------
+# falsifier: exhaustive probes and the threshold escape predicate
+# ---------------------------------------------------------------------------
+
+
+def _escapes(side, t, chosen, target, s):
+    """The definition the falsifier's integer tests must decide."""
+    return chosen.member(s) and not target.member(image(side, t, s))
+
+
+def _scan_finds_escape(side, t, chosen, target):
+    """Exhaustive scan of the grid box that holds every escaping point.
+
+    An escaping image lies in the closed target box, or on a target
+    up-segment, so both its coordinates are at most r (the threshold, or the
+    largest top coordinate).  Each input coordinate exceeds the matching
+    image coordinate by at most max(t.a, t.b), so the box of side
+    r + max(t.a, t.b) on the common-denominator grid holds them all."""
+    if isinstance(target, NbhdAc1):
+        values = [t.a, t.b, chosen.n, target.n]
+        r = target.n
+    else:
+        values = [t.a, t.b] + [v for e in chosen.tops + target.tops for v in (e.a, e.b)]
+        r = max(max(u.a, u.b) for u in target.tops)
+    D = math.lcm(*(v.denominator for v in values))
+    top = int((r + max(t.a, t.b)) * D)
+    return any(
+        _escapes(side, t, chosen, target, Elem(F(xs, D), F(ys, D)))
+        for xs in range(top + 1)
+        for ys in range(top + 1)
+    )
+
+
+def _exhaustive_instances():
+    """Seeded instances the probes settle: threshold ones with the chosen
+    threshold at least the target's, and segment ones, on both sides, with
+    honest certificates and their tampered twins among them."""
+    rng = random.Random(2718)
+
+    def q(hi=5, den=3):
+        return F(rng.randrange(hi + 1), rng.randrange(1, den + 1))
+
+    def el():
+        return Elem(q(), q())
+
+    out = []
+    for k in range(64):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        n = q() + F(1, 2)
+        out.append((side, el(), NbhdAc1(n + q(2, 2)), NbhdAc1(n)))
+    for k in range(8):
+        # a pivot far past both thresholds: of the probes, only the one on
+        # the pivot row escapes
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        n = q() + F(1, 2)
+        m = n + q(2, 2)
+        far = n + m + 1 + q()
+        t = Elem(n, far) if side is Side.LEFT else Elem(far, n)
+        out.append((side, t, NbhdAc1(m), NbhdAc1(n)))
+    for k in range(4):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        t = el()
+        cert = continuity_cert_ac1(side, t, NbhdAc1(q() + 1))
+        out.append((side, t, cert.chosen, cert.effective))
+        out.append((side, t, cert.effective, cert.effective))
+    for k in range(64):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        chosen = tuple(el() for _ in range(rng.randint(1, 3)))
+        target = tuple(el() for _ in range(rng.randint(1, 3)))
+        out.append((side, el(), NbhdAc2(chosen), NbhdAc2(target)))
+    for k in range(12):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        t = el()
+        # tops past the translator, so that their preimages are not empty
+        tops = [Elem(q(2, 2), q(2, 2)) for _ in range(2)]
+        if side is Side.LEFT:
+            tops = [Elem(t.a + 1 + u.a, 1 + u.b) for u in tops]
+        else:
+            tops = [Elem(1 + u.a, t.b + 1 + u.b) for u in tops]
+        cert = continuity_cert_ac2(side, t, NbhdAc2(tuple(tops)))
+        out.append((side, t, cert.chosen, cert.target))
+        pushed = tuple(
+            Elem(max(F(0), c.a - c.b), max(F(0), c.b - c.a)) for c in cert.chosen.tops
+        )
+        out.append((side, t, NbhdAc2(pushed), cert.target))
+        # every chosen segment one grid step short of its preimage: each
+        # preimage top is then the only escaping point on its diagonal
+        values = [v for e in (t,) + cert.target.tops for v in (e.a, e.b)]
+        step = F(1, math.lcm(*(v.denominator for v in values)))
+        short = tuple(
+            Elem(ev.preimage_top.a - step, ev.preimage_top.b - step)
+            for ev in cert.evidence
+            if ev.preimage_top is not None and min(ev.preimage_top.a, ev.preimage_top.b) >= step
+        )
+        if short:
+            out.append((side, t, NbhdAc2(short), cert.target))
+    return out
+
+
+def test_falsify_probes_are_exhaustive():
+    # with a budget of exactly the probes, falsify finds a witness iff the
+    # whole escaping set is non-empty; larger budgets and other seeds add
+    # nothing on these instances
+    outcomes = set()
+    for i, (side, t, chosen, target) in enumerate(_exhaustive_instances()):
+        if isinstance(chosen, NbhdAc1):
+            probes = 7
+        else:
+            probes = 2 * len(chosen.tops) + 3 * len(target.tops)
+        found = falsify(side, t, chosen, target, probes, i)
+        expected = _scan_finds_escape(side, t, chosen, target)
+        assert (found is not None) == expected, (side, t, chosen, target)
+        if found is not None:
+            assert_violates(side, t, chosen, target, found)
+        for seed in (i, i + 1000):
+            assert falsify(side, t, chosen, target, 1000, seed) == found
+        outcomes.add((type(chosen), side, expected))
+    assert len(outcomes) == 8  # both kinds, both sides, hits and misses
+
+
+def _threshold_cutoff_points(side, t, D, nc, nt):
+    """Grid points on and next to every cut-off line of the threshold escape
+    predicate (u the coordinate the product branches on, p the pivot)."""
+    p, q = (t.b, t.a) if side is Side.LEFT else (t.a, t.b)
+    p, q = int(p * D), int(q * D)
+    u_cut, d_cut = nt - q + p, nt - p
+    points = set()
+    for u in (0, 1, p - 1, p, p + 1, nc, nc + 1, u_cut - 1, u_cut, u_cut + 1):
+        for v in (0, nc, nc + 1, nt - 1, nt, nt + 1, u + d_cut - 1, u + d_cut, u + d_cut + 1):
+            if u >= 0 and v >= 0:
+                points.add((u, v) if side is Side.LEFT else (v, u))
+    return sorted(points)
+
+
+def test_threshold_escape_predicate_matches_definition():
+    # chosen threshold below the target's, the only case that draws: the
+    # integer predicate against exact membership and mul, on every cut-off
+    # boundary, on the probes and on 5000 seeded draws (about 1000 per mode)
+    rng = random.Random(4242)
+    hits = 0
+    for k in range(16):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        def q(lo, hi):
+            return F(rng.randrange(lo, hi), rng.randrange(1, 5))
+
+        t = Elem(q(0, 25), q(0, 25))
+        m = q(1, 25)
+        chosen, target = NbhdAc1(m), NbhdAc1(m + q(1, 13))
+        D, nc, nt, probes, escapes = certificates._ac1_grid(side, t, chosen, target)
+        draws = list(islice(certificates._ac1_draws(nc, nt, D, k), 5000))
+        for xs, ys in _threshold_cutoff_points(side, t, D, nc, nt) + list(probes) + draws:
+            s = Elem(F(xs, D), F(ys, D))
+            expected = _escapes(side, t, chosen, target, s)
+            assert escapes(xs, ys) == expected, (side, t, chosen, target, xs, ys)
+            hits += expected
+        assert all(xs > nc or ys > nc for xs, ys in draws)
+    assert hits > 0
+
+
+def test_falsify_ac1_hit_only_random_draws_reach():
+    # the escaping points (1..4, 10) (mirrored on the right) miss every
+    # probe: the budget of the probes alone finds nothing, 1000 samples do
+    for side, t, expected in (
+        (Side.LEFT, Elem(7, 1), Elem(3, 10)),
+        (Side.RIGHT, Elem(1, 7), Elem(10, 3)),
+    ):
+        chosen, target = NbhdAc1(9), NbhdAc1(10)
+        assert falsify(side, t, chosen, target, 7, 0) is None
+        assert falsify(side, t, chosen, target, 1000, 0) == expected
+        assert_violates(side, t, chosen, target, expected)
 
 
 def test_segment_cover_decision_matches_membership():

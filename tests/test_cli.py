@@ -76,6 +76,18 @@ def test_lines_product(capsys):
     assert code == 2
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    for argv in (
+        ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", "1/0"),
+        ("falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+         "--chosen", "1/0", "--target", "4"),
+        ("lines", "product", "L+1/0", "L+2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert "zero denominator" in err, argv
+
+
 def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     path = tmp_path / "c.cert"
     code, out, _ = run_cli(

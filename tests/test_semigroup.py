@@ -128,6 +128,14 @@ def test_inexact_scalars_rejected(value):
         Elem(F(1), value)
 
 
+@pytest.mark.parametrize("value", ["1/0", "0/0", "7/00"])
+def test_zero_denominator_rejected(value):
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar(value)
+    with pytest.raises(ValueError, match="zero denominator"):
+        Elem(value, 1)
+
+
 def test_exact_scalars_accepted():
     assert scalar(3) == F(3)
     assert scalar("0.1") == F(1, 10)
