@@ -74,34 +74,6 @@ class Interval:
 FULL = Interval(F0, False, None, True)
 
 
-def _iv_meet(i1: Interval, i2: Interval) -> Interval:
-    if i1.lo > i2.lo:
-        lo, lo_strict = i1.lo, i1.lo_strict
-    elif i2.lo > i1.lo:
-        lo, lo_strict = i2.lo, i2.lo_strict
-    else:
-        lo, lo_strict = i1.lo, i1.lo_strict or i2.lo_strict
-    if i1.hi is None:
-        hi, hi_strict = i2.hi, i2.hi_strict
-    elif i2.hi is None:
-        hi, hi_strict = i1.hi, i1.hi_strict
-    elif i1.hi < i2.hi:
-        hi, hi_strict = i1.hi, i1.hi_strict
-    elif i2.hi < i1.hi:
-        hi, hi_strict = i2.hi, i2.hi_strict
-    else:
-        hi, hi_strict = i1.hi, i1.hi_strict or i2.hi_strict
-    return Interval(lo, lo_strict, hi, hi_strict)
-
-
-def _iv_nonempty(iv: Interval) -> bool:
-    if iv.hi is None:
-        return True
-    if iv.lo < iv.hi:
-        return True
-    return iv.lo == iv.hi and not iv.lo_strict and not iv.hi_strict
-
-
 @dataclass(frozen=True)
 class BranchEvidence:
     """One branch of the product's case split over a case region.
@@ -258,57 +230,6 @@ def _cases_right(x: Fraction, y: Fraction, n: Fraction, m: Fraction) -> Tuple[Ca
     return (big, mid, low)
 
 
-def _branch_interval(side: Side, branch: str, pivot: Fraction) -> Interval:
-    """The constraint a branch places on the driving input coordinate.
-
-    Left translation branches on the input's first coordinate against the
-    translator's second; right translation branches on the input's second
-    coordinate against the translator's first.
-    """
-    if branch == "eq":
-        return Interval(pivot, False, pivot, False)
-    below = Interval(F0, False, pivot, True)
-    above = Interval(pivot, True, None, True)
-    if side is Side.LEFT:
-        return above if branch == "lt" else below
-    return below if branch == "lt" else above
-
-
-def _expected_images(side: Side, translator: Elem, branch: str) -> Tuple[Affine, Affine]:
-    x, y = translator.a, translator.b
-    if side is Side.LEFT:
-        if branch == "lt":
-            return (F1, F0, x - y), (F0, F1, F0)
-        if branch == "eq":
-            return (F0, F0, x), (F0, F1, F0)
-        return (F0, F0, x), (-F1, F1, y)
-    if branch == "lt":
-        return (F1, -F1, x), (F0, F0, y)
-    if branch == "eq":
-        return (F1, F0, F0), (F0, F0, y)
-    return (F1, F0, F0), (F0, F1, y - x)
-
-
-def _affine_inf(
-    coeffs: Affine, iv_a: Interval, iv_b: Interval
-) -> Optional[Tuple[Fraction, bool]]:
-    ca, cb, const = coeffs
-    total = const
-    attained = True
-    for c, iv in ((ca, iv_a), (cb, iv_b)):
-        if c == 0:
-            continue
-        if c > 0:
-            total += c * iv.lo
-            attained = attained and not iv.lo_strict
-        else:
-            if iv.hi is None:
-                return None
-            total += c * iv.hi
-            attained = attained and not iv.hi_strict
-    return total, attained
-
-
 def _covers_chosen(cases: Sequence[CaseEvidence], m: Fraction) -> bool:
     """Do the case boxes cover everything with a coordinate beyond m?
 
@@ -356,24 +277,33 @@ def _covers_chosen(cases: Sequence[CaseEvidence], m: Fraction) -> bool:
     ) and all(a & b for a in low_masks[0] for b in high_masks[1])
 
 
+def _grid_mul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """The product (a, b) * (c, d) of grid points, by its case split on the
+    gap g = c - b: (a + g, d) when g > 0, else (a, d - g)."""
+    g = c - b
+    return (a + g, d) if g > 0 else (a, d - g)
+
+
 def _corner_scan_ok(side: Side, translator: Elem, m: Fraction, n_eff: Fraction) -> bool:
     """Push the extreme points of the chosen set's inner boundary through the
     translation and demand every image clears the closed target box.
 
     The boundary is two segments meeting at (m, m); the piecewise-affine
     translation can only switch branches where the driving coordinate equals
-    the pivot, which adds at most one more corner.
+    the pivot, which adds at most one more corner.  Runs on the integer grid
+    of the four values' common denominator.
     """
-    corners = [Elem(m, F0), Elem(m, m), Elem(F0, m)]
-    pivot = translator.b if side is Side.LEFT else translator.a
-    if pivot <= m:
-        if side is Side.LEFT:
-            corners.append(Elem(pivot, m))
-        else:
-            corners.append(Elem(m, pivot))
-    for corner in corners:
-        img = mul(translator, corner) if side is Side.LEFT else mul(corner, translator)
-        if img.a <= n_eff and img.b <= n_eff:
+    vals = (translator.a, translator.b, m, n_eff)
+    den = math.lcm(*(v.denominator for v in vals))
+    x, y, m_, n = (v.numerator * (den // v.denominator) for v in vals)
+    left = side is Side.LEFT
+    corners = [(m_, 0), (m_, m_), (0, m_)]
+    pivot = y if left else x
+    if pivot <= m_:
+        corners.append((pivot, m_) if left else (m_, pivot))
+    for c, d in corners:
+        a, b = _grid_mul(x, y, c, d) if left else _grid_mul(c, d, x, y)
+        if a <= n and b <= n:
             return False
     return True
 
@@ -385,6 +315,12 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     requested and effective targets, per-case branch completeness with exact
     affine images and infima, coverage of the chosen set by the case boxes,
     and a corner scan of the chosen set's boundary.
+
+    The branch checks run on integers: every value they read is scaled once
+    by G = 2 * (their common denominator), so each endpoint is an even grid point,
+    and a range becomes the closed integer range of its grid points, a strict
+    end moved one step inwards (odd).  Meets are then max/min of ends and a
+    range is empty exactly when lo > hi.
     """
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
@@ -407,13 +343,45 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         return False
 
     left = cert.side is Side.LEFT
-    pivot = cert.translator.b if left else cert.translator.a
-    # per branch tag: the constraint on the driving coordinate, and the images
-    expected = [
-        (tag, _branch_interval(cert.side, tag, pivot),
-         _expected_images(cert.side, cert.translator, tag))
-        for tag in _BRANCH_ORDER
-    ]
+    t = cert.translator
+    vals = [t.a, t.b, n_eff]
+    for case in cert.evidence:
+        for iv in (case.a_range, case.b_range):
+            vals.append(iv.lo)
+            if iv.hi is not None:
+                vals.append(iv.hi)
+        for br in case.branches:
+            vals += br.image_a
+            vals += br.image_b
+            vals.append(br.inf_value)
+    G = 2 * math.lcm(*(v.denominator for v in vals))
+
+    def grid(v: Fraction) -> int:
+        return v.numerator * (G // v.denominator)
+
+    def closed(iv: Interval) -> Tuple[int, Optional[int]]:
+        lo = grid(iv.lo) + (1 if iv.lo_strict else 0)
+        return lo, None if iv.hi is None else grid(iv.hi) - (1 if iv.hi_strict else 0)
+
+    x, y, ne = grid(t.a), grid(t.b), grid(n_eff)
+    # Per branch tag: the range the branch allows the driving coordinate (the
+    # input's a on the left, its b on the right, compared with the pivot, the
+    # translator's b or a), and the image rows (coefficient of a, of b,
+    # constant) on the grid, where a coefficient 1 reads G.
+    if left:
+        below, at, above = (0, y - 1), (y, y), (y + 1, None)
+        expected = (
+            ("lt", above, (G, 0, x - y), (0, G, 0)),
+            ("eq", at, (0, 0, x), (0, G, 0)),
+            ("gt", below, (0, 0, x), (-G, G, y)),
+        )
+    else:
+        below, at, above = (0, x - 1), (x, x), (x + 1, None)
+        expected = (
+            ("lt", below, (G, -G, x), (0, 0, y)),
+            ("eq", at, (G, 0, 0), (0, 0, y)),
+            ("gt", above, (G, 0, 0), (0, G, y - x)),
+        )
     for case in cert.evidence:
         records = {b.branch: b for b in case.branches}
         for tag in records:
@@ -421,33 +389,45 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                 raise MalformedCert(f"unknown branch tag {tag!r}")
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
-        driver = case.a_range if left else case.b_range
-        for tag, branch_iv, (exp_a, exp_b) in expected:
-            meet = _iv_meet(driver, branch_iv)
+        a_iv, b_iv = closed(case.a_range), closed(case.b_range)
+        d_lo, d_hi = a_iv if left else b_iv
+        for tag, (br_lo, br_hi), exp_a, exp_b in expected:
+            lo = max(d_lo, br_lo)
+            hi = br_hi if d_hi is None else d_hi if br_hi is None else min(d_hi, br_hi)
             record = records.get(tag)
-            if _iv_nonempty(meet) != (record is not None):
+            if (hi is None or lo <= hi) != (record is not None):
                 return False
             if record is None:
                 continue
-            if record.image_a != exp_a or record.image_b != exp_b:
+            if (
+                tuple(map(grid, record.image_a)) != exp_a
+                or tuple(map(grid, record.image_b)) != exp_b
+            ):
                 return False
             if record.witness not in ("a", "b"):
                 raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
-            if left:
-                iv_a, iv_b = meet, case.b_range
-            else:
-                iv_a, iv_b = case.a_range, meet
-            coeffs = record.image_a if record.witness == "a" else record.image_b
-            derived = _affine_inf(coeffs, iv_a, iv_b)
-            if derived is None:
-                return False
-            inf_value, attained = derived
-            if inf_value != record.inf_value or attained != record.inf_attained:
+            ca, cb, inf_value = exp_a if record.witness == "a" else exp_b
+            attained = True
+            # the coefficients are -G, 0 or G: add the least (subtract the
+            # greatest) value of the coordinate, its even grid end
+            for c, (c_lo, c_hi) in (
+                (ca, (lo, hi) if left else a_iv),
+                (cb, b_iv if left else (lo, hi)),
+            ):
+                if c > 0:
+                    inf_value += c_lo - (c_lo & 1)
+                    attained = attained and not c_lo & 1
+                elif c < 0:
+                    if c_hi is None:
+                        return False
+                    inf_value -= c_hi + (c_hi & 1)
+                    attained = attained and not c_hi & 1
+            if inf_value != grid(record.inf_value) or attained != record.inf_attained:
                 return False
             if attained:
-                if inf_value <= n_eff:
+                if inf_value <= ne:
                     return False
-            elif inf_value < n_eff:
+            elif inf_value < ne:
                 return False
     if not _covers_chosen(cert.evidence, m):
         return False

@@ -1,16 +1,34 @@
 """Stable text serialization for continuity certificates.
 
 Line oriented, fixed field order, every rational written ``num/den`` with the
-denominator explicit, so emitting the same certificate twice is byte
-identical and certificates survive storage and re-validation bit exactly.
+denominator explicit.  The format is canonical in both directions:
+``cert_to_text`` emits one text per certificate, byte identical every time,
+and ``cert_from_text`` accepts exactly the texts it emits, so
+``cert_to_text(cert_from_text(text)) == text`` whenever the parse succeeds.
+Tokens are separated by single spaces and every line, the last included,
+ends in one LF:
+
+    rational := "-"? natural "/" positive    in lowest terms, never "-0/1"
+    natural  := "0" | positive
+    positive := [1-9] [0-9]*                 ASCII digits
+    count    := natural
+    elem     := rational " " rational        both non-negative
+    interval := ("(" | "[") rational " " (rational (")" | "]") | "inf)")
+    case-id  := [a-z]+ ("-" [a-z]+)*
+
+Blank lines, tabs, carriage returns and leading, trailing or doubled spaces
+are malformed.  ``read_cert`` reads its file in text mode, so a file with
+CRLF line ends reads as the LF text and validates; ``cert_from_text`` of a
+string with CRLF line ends is malformed.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .semigroup import Elem
+from .semigroup import Elem, _elem as _trusted_elem
 from .order_geometry import Side
 from .topology import NbhdAc1, NbhdAc2
 from .certificates import (
@@ -29,48 +47,8 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_frac(text: str, where: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    if not sep:
-        raise MalformedCert(f"{where}: expected num/den rational, got {text!r}")
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedCert(f"{where}: bad rational {text!r}") from exc
-
-
-def _parse_count(text: str, where: str) -> int:
-    try:
-        count = int(text)
-    except ValueError as exc:
-        raise MalformedCert(f"{where}: bad count {text!r}") from exc
-    if count < 0:
-        raise MalformedCert(f"{where}: negative count")
-    return count
-
-
-def _parse_threshold(text: str, where: str) -> NbhdAc1:
-    n = _parse_frac(text, where)
-    try:
-        return NbhdAc1(n)
-    except ValueError as exc:
-        raise MalformedCert(f"{where}: {exc}") from exc
-
-
 def _elem(e: Elem) -> str:
     return f"{_frac(e.a)} {_frac(e.b)}"
-
-
-def _parse_elem(text: str, where: str) -> Elem:
-    parts = text.split()
-    if len(parts) != 2:
-        raise MalformedCert(f"{where}: expected two rationals, got {text!r}")
-    a = _parse_frac(parts[0], where)
-    b = _parse_frac(parts[1], where)
-    try:
-        return Elem(a, b)
-    except ValueError as exc:
-        raise MalformedCert(f"{where}: {exc}") from exc
 
 
 def _iv(iv: Interval) -> str:
@@ -79,22 +57,6 @@ def _iv(iv: Interval) -> str:
         return f"{lo_br}{_frac(iv.lo)} inf)"
     hi_br = ")" if iv.hi_strict else "]"
     return f"{lo_br}{_frac(iv.lo)} {_frac(iv.hi)}{hi_br}"
-
-
-def _parse_iv(text: str, where: str) -> Interval:
-    if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]":
-        raise MalformedCert(f"{where}: bad interval {text!r}")
-    lo_strict = text[0] == "("
-    hi_strict = text[-1] == ")"
-    body = text[1:-1].split()
-    if len(body) != 2:
-        raise MalformedCert(f"{where}: bad interval {text!r}")
-    lo = _parse_frac(body[0], where)
-    if body[1] == "inf":
-        if not hi_strict:
-            raise MalformedCert(f"{where}: unbounded interval must be open above")
-        return Interval(lo, lo_strict, None, True)
-    return Interval(lo, lo_strict, _parse_frac(body[1], where), hi_strict)
 
 
 def cert_to_text(cert: ContinuityCert) -> str:
@@ -142,155 +104,184 @@ def cert_to_text(cert: ContinuityCert) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Cursor:
+_RATIONAL = re.compile(r"(?:-?[1-9][0-9]*|0)/[1-9][0-9]*")
+_COUNT = re.compile(r"0|[1-9][0-9]*")
+_WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
+
+
+class _Reader:
+    """One pass over the lines of a certificate text.  Parsed rationals are
+    kept per token for the length of one ``cert_from_text`` call."""
+
     def __init__(self, text: str) -> None:
-        self.lines = [ln.rstrip() for ln in text.splitlines()]
+        if not text.endswith("\n"):
+            raise MalformedCert("certificate must end with a newline")
+        self.lines = text[:-1].split("\n")
         self.pos = 0
+        self.fracs: Dict[str, Fraction] = {}
 
-    def next(self) -> str:
-        while self.pos < len(self.lines) and not self.lines[self.pos]:
-            self.pos += 1
-        if self.pos >= len(self.lines):
+    def line(self) -> str:
+        if self.pos == len(self.lines):
             raise MalformedCert("unexpected end of certificate")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
 
-    def peek(self) -> Optional[str]:
-        saved = self.pos
-        try:
-            line = self.next()
-        except MalformedCert:
-            return None
-        self.pos = saved
-        return line
-
-    def take(self, key: str) -> str:
-        line = self.next()
-        if line == key:
-            return ""
-        if not line.startswith(key + " "):
+    def field(self, key: str, line: Optional[str] = None) -> str:
+        """The value of the line ``key value`` (the next line by default)."""
+        if line is None:
+            line = self.line()
+        head, sep, value = line.partition(" ")
+        if head != key or not sep:
             raise MalformedCert(f"line {self.pos}: expected {key!r}, got {line!r}")
-        return line[len(key) + 1 :]
+        return value
+
+    def frac(self, token: str, where: str) -> Fraction:
+        f = self.fracs.get(token)
+        if f is None:
+            if _RATIONAL.fullmatch(token) is None:
+                raise MalformedCert(f"{where}: expected a num/den rational, got {token!r}")
+            num, den = token.split("/")
+            d = int(den)
+            f = Fraction(int(num), d)
+            if f.denominator != d:
+                raise MalformedCert(f"{where}: {token!r} is not in lowest terms")
+            self.fracs[token] = f
+        return f
+
+    def fracs_of(self, key: str, size: int) -> List[Fraction]:
+        tokens = self.field(key).split(" ")
+        if len(tokens) != size:
+            raise MalformedCert(f"{key}: expected {size} tokens, got {len(tokens)}")
+        return [self.frac(tok, key) for tok in tokens]
+
+    def count(self, key: str) -> int:
+        text = self.field(key)
+        if _COUNT.fullmatch(text) is None:
+            raise MalformedCert(f"{key}: bad count {text!r}")
+        return int(text)
+
+    def threshold(self, key: str) -> NbhdAc1:
+        (n,) = self.fracs_of(key, 1)
+        try:
+            return NbhdAc1(n)
+        except ValueError as exc:
+            raise MalformedCert(f"{key}: {exc}") from exc
+
+    def elem(self, key: str, where: str, line: Optional[str] = None) -> Elem:
+        tokens = self.field(key, line).split(" ")
+        if len(tokens) != 2:
+            raise MalformedCert(f"{where}: expected two rationals, got {len(tokens)}")
+        a, b = self.frac(tokens[0], where), self.frac(tokens[1], where)
+        if tokens[0][0] == "-" or tokens[1][0] == "-":
+            raise MalformedCert(f"{where}: negative coordinate: ({a}, {b})")
+        return _trusted_elem(a, b)
+
+    def interval(self, key: str) -> Interval:
+        text = self.field(key)
+        lo, sep, hi = text[1:-1].partition(" ")
+        if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]" or not sep:
+            raise MalformedCert(f"{key}: bad interval {text!r}")
+        lo_strict, hi_strict = text[0] == "(", text[-1] == ")"
+        if hi == "inf":
+            if not hi_strict:
+                raise MalformedCert(f"{key}: unbounded interval must be open above")
+            return Interval(self.frac(lo, key), lo_strict, None, True)
+        return Interval(self.frac(lo, key), lo_strict, self.frac(hi, key), hi_strict)
+
+    def choice(self, key: str, allowed: Tuple[str, ...], what: str) -> str:
+        value = self.field(key)
+        if value not in allowed:
+            raise MalformedCert(f"unknown {what} {value!r}")
+        return value
 
 
 def cert_from_text(text: str) -> ContinuityCert:
-    cur = _Cursor(text)
-    if cur.next() != _HEADER:
+    r = _Reader(text)
+    if r.line() != _HEADER:
         raise MalformedCert("missing certificate header")
-    cert = _cert_body(cur)
-    if cur.peek() is not None:
+    kind = r.field("kind")
+    side = Side(r.choice("side", ("left", "right"), "side"))
+    translator = r.elem("translator", "translator")
+    if kind == "ac1":
+        cert = _ac1_body(r, side, translator)
+    elif kind == "ac2":
+        cert = _ac2_body(r, side, translator)
+    else:
+        raise MalformedCert(f"unknown certificate kind {kind!r}")
+    if r.pos != len(r.lines):
         raise MalformedCert("trailing content after end-cert")
     return cert
 
 
-def _cert_body(cur: "_Cursor") -> ContinuityCert:
-    kind = cur.take("kind")
-    side_text = cur.take("side")
+def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
+    target = r.threshold("target-n")
+    effective = r.threshold("effective-n")
+    chosen = r.threshold("chosen-n")
+    cases: List[CaseEvidence] = []
+    line = r.line()
+    while line != "end-cert":
+        case_id = r.field("case", line)
+        if _WORD.fullmatch(case_id) is None:
+            raise MalformedCert(f"bad case id {case_id!r}")
+        a_range = r.interval("a-range")
+        b_range = r.interval("b-range")
+        branches: List[BranchEvidence] = []
+        line = r.line()
+        while line != "end-case":
+            tag = r.field("branch", line)
+            if tag not in ("lt", "eq", "gt"):
+                raise MalformedCert(f"unknown branch tag {tag!r}")
+            image_a = tuple(r.fracs_of("image-a", 3))
+            image_b = tuple(r.fracs_of("image-b", 3))
+            witness = r.choice("witness", ("a", "b"), "witness coordinate")
+            (inf_value,) = r.fracs_of("inf", 1)
+            attained = r.choice("attained", ("yes", "no"), "attained flag") == "yes"
+            branches.append(BranchEvidence(tag, image_a, image_b, witness, inf_value, attained))
+            line = r.line()
+        cases.append(CaseEvidence(case_id, a_range, b_range, tuple(branches)))
+        line = r.line()
+    return ContinuityCert(
+        topology="ac1",
+        side=side,
+        translator=translator,
+        target=target,
+        chosen=chosen,
+        evidence=tuple(cases),
+        effective=effective,
+    )
+
+
+def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
+    target_tops = tuple(r.elem("top", "target top") for _ in range(r.count("target-tops")))
+    chosen_tops = tuple(r.elem("top", "chosen top") for _ in range(r.count("chosen-tops")))
     try:
-        side = Side(side_text)
+        target = NbhdAc2(target_tops)
+        chosen = NbhdAc2(chosen_tops)
     except ValueError as exc:
-        raise MalformedCert(f"unknown side {side_text!r}") from exc
-    translator = _parse_elem(cur.take("translator"), "translator")
-    if kind == "ac1":
-        target = _parse_threshold(cur.take("target-n"), "target-n")
-        effective = _parse_threshold(cur.take("effective-n"), "effective-n")
-        chosen = _parse_threshold(cur.take("chosen-n"), "chosen-n")
-        cases: List[CaseEvidence] = []
-        while True:
-            line = cur.peek()
-            if line == "end-cert":
-                cur.next()
-                break
-            case_id = cur.take("case")
-            a_range = _parse_iv(cur.take("a-range"), "a-range")
-            b_range = _parse_iv(cur.take("b-range"), "b-range")
-            branches: List[BranchEvidence] = []
-            while True:
-                line = cur.peek()
-                if line == "end-case":
-                    cur.next()
-                    break
-                tag = cur.take("branch")
-                if tag not in ("lt", "eq", "gt"):
-                    raise MalformedCert(f"unknown branch tag {tag!r}")
-                image_a = tuple(
-                    _parse_frac(p, "image-a") for p in cur.take("image-a").split()
-                )
-                image_b = tuple(
-                    _parse_frac(p, "image-b") for p in cur.take("image-b").split()
-                )
-                if len(image_a) != 3 or len(image_b) != 3:
-                    raise MalformedCert("image rows need three coefficients")
-                witness = cur.take("witness")
-                if witness not in ("a", "b"):
-                    raise MalformedCert(f"unknown witness coordinate {witness!r}")
-                inf_value = _parse_frac(cur.take("inf"), "inf")
-                att_text = cur.take("attained")
-                if att_text not in ("yes", "no"):
-                    raise MalformedCert(f"bad attained flag {att_text!r}")
-                branches.append(
-                    BranchEvidence(
-                        tag, image_a, image_b, witness, inf_value, att_text == "yes"
-                    )
-                )
-            cases.append(CaseEvidence(case_id, a_range, b_range, tuple(branches)))
-        return ContinuityCert(
-            topology="ac1",
-            side=side,
-            translator=translator,
-            target=target,
-            chosen=chosen,
-            evidence=tuple(cases),
-            effective=effective,
+        raise MalformedCert(str(exc)) from exc
+    records: List[TopEvidence] = []
+    for _ in range(r.count("evidence")):
+        t_top = r.elem("target-top", "evidence target top")
+        line = r.line()
+        preimage_top = (
+            None if line == "preimage empty" else r.elem("preimage-top", "preimage top", line)
         )
-    if kind == "ac2":
-        n_target = _parse_count(cur.take("target-tops"), "target-tops")
-        target_tops = tuple(
-            _parse_elem(cur.take("top"), "target top") for _ in range(n_target)
-        )
-        n_chosen = _parse_count(cur.take("chosen-tops"), "chosen-tops")
-        chosen_tops = tuple(
-            _parse_elem(cur.take("top"), "chosen top") for _ in range(n_chosen)
-        )
-        try:
-            target = NbhdAc2(target_tops)
-            chosen = NbhdAc2(chosen_tops)
-        except ValueError as exc:
-            raise MalformedCert(str(exc)) from exc
-        n_ev = _parse_count(cur.take("evidence"), "evidence")
-        records: List[TopEvidence] = []
-        for _ in range(n_ev):
-            t_top = _parse_elem(cur.take("target-top"), "evidence target top")
-            line = cur.next()
-            if line == "preimage empty":
-                preimage_top = None
-            elif line.startswith("preimage-top "):
-                preimage_top = _parse_elem(line[len("preimage-top ") :], "preimage top")
-            else:
-                raise MalformedCert(f"bad preimage line {line!r}")
-            offset = _parse_frac(cur.take("offset"), "offset")
-            line = cur.next()
-            if line == "covering none":
-                covering = None
-            elif line.startswith("covering-top "):
-                covering = _parse_elem(line[len("covering-top ") :], "covering top")
-            else:
-                raise MalformedCert(f"bad covering line {line!r}")
-            if cur.next() != "end-evidence":
-                raise MalformedCert("missing end-evidence")
-            records.append(TopEvidence(t_top, preimage_top, offset, covering))
-        if cur.next() != "end-cert":
-            raise MalformedCert("missing end-cert")
-        return ContinuityCert(
-            topology="ac2",
-            side=side,
-            translator=translator,
-            target=target,
-            chosen=chosen,
-            evidence=tuple(records),
-        )
-    raise MalformedCert(f"unknown certificate kind {kind!r}")
+        (offset,) = r.fracs_of("offset", 1)
+        line = r.line()
+        covering = None if line == "covering none" else r.elem("covering-top", "covering top", line)
+        if r.line() != "end-evidence":
+            raise MalformedCert("missing end-evidence")
+        records.append(TopEvidence(t_top, preimage_top, offset, covering))
+    if r.line() != "end-cert":
+        raise MalformedCert("missing end-cert")
+    return ContinuityCert(
+        topology="ac2",
+        side=side,
+        translator=translator,
+        target=target,
+        chosen=chosen,
+        evidence=tuple(records),
+    )
 
 
 def write_cert(cert: ContinuityCert, path: str) -> None:

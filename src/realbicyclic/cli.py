@@ -26,7 +26,7 @@ from .topology import NbhdAc1, NbhdAc2
 
 SEED_ENV = "REALBICYCLIC_SEED"
 
-_LINE_RE = re.compile(r"^L([+-])(\d+(?:/\d+|\.\d+)?)$")
+_LINE_RE = re.compile(r"L([+-])(.*)", re.DOTALL)  # alpha: the scalar grammar
 
 
 class UsageError(ValueError):
@@ -44,7 +44,7 @@ def _parse_element(text: str) -> Elem:
 
 
 def _parse_line(text: str) -> LineRef:
-    m = _LINE_RE.match(text)
+    m = _LINE_RE.fullmatch(text)
     if not m:
         raise UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2")
     sign = Sign.PLUS if m.group(1) == "+" else Sign.MINUS

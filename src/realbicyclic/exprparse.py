@@ -8,10 +8,12 @@ Grammar (whitespace free-form):
     primary := "0" | "(" expr ")" | "(" scalar "," scalar ")"
     scalar  := digits | digits "/" digits | digits "." digits
 
-Scalars are exact: fractions stay fractions and decimal literals (necessarily
-finite) convert exactly.  ``*`` is the semigroup product, ``^-1`` inversion,
-``<=`` the natural partial order (yielding a boolean); the bare literal ``0``
-is the adjoined zero, the least element.  Evaluation happens during the parse
+Digits are ASCII: the scalar grammar is ``semigroup.SCALAR_LITERAL``, shared
+with ``scalar`` and the CLI's lines.  Scalars are exact: fractions stay
+fractions and decimal literals (necessarily finite) convert exactly.  ``*``
+is the semigroup product, ``^-1`` inversion, ``<=`` the natural partial
+order (yielding a boolean); the bare literal ``0`` is the adjoined zero, the
+least element.  Evaluation happens during the parse
 and returns either a point (or zero) or a boolean.  Grouping parentheses nest
 at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``, raised well
 before the parser's recursion (four frames a level) reaches Python's limit.
@@ -19,14 +21,15 @@ before the parser's recursion (four frames a level) reaches Python's limit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .semigroup import (
+    SCALAR_LITERAL,
     Elem,
     ZERO,
     ZeroType,
     inv_ext,
+    literal_value,
     mul_ext,
     natural_leq_ext,
 )
@@ -52,6 +55,8 @@ class NegativeScalar(ParseError):
 
 
 _Token = Tuple[str, object, int]  # kind, value, position
+
+_DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts '²' and '٣'
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -91,34 +96,20 @@ def _tokenize(text: str) -> List[_Token]:
             j = i + 1
             while j < n and text[j].isspace():
                 j += 1
-            if j < n and text[j].isdigit():
+            if j < n and text[j] in _DIGITS:
                 raise NegativeScalar(i)
             raise ParseError("unexpected '-'", i)
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
+        elif c in _DIGITS:
+            m = SCALAR_LITERAL.match(text, i)
+            j = m.end()
+            if j == m.end(1) and j < n and text[j] in "/.":
+                if text[j] == "/":
                     raise ParseError("missing denominator", j)
-                try:
-                    value = Fraction(int(text[i:j]), int(text[j + 1 : k]))
-                except ZeroDivisionError:
-                    raise ParseError("zero denominator", j) from None
-                j = k
-            elif j < n and text[j] == ".":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("missing digits after decimal point", j)
-                value = Fraction(text[i:k])
-                j = k
-            else:
-                value = Fraction(int(text[i:j]))
+                raise ParseError("missing digits after decimal point", j)
+            try:
+                value = literal_value(m)
+            except ValueError:
+                raise ParseError("zero denominator", m.end(1)) from None
             tokens.append(("number", value, i))
             i = j
         else:

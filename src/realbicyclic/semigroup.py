@@ -19,6 +19,7 @@ lie in the quadrant by construction with the unchecked internal ``_elem``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,24 +28,45 @@ from typing import Optional, Tuple, Union
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
+# The scalar grammar of every text input (``scalar`` of a string, the
+# expression language, the CLI's lines): ASCII digits, optionally followed by
+# "/" and a denominator or by "." and decimal digits.
+SCALAR_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+)|(\.[0-9]+))?")
+
+
+def literal_value(m: "re.Match[str]") -> Fraction:
+    """The exact value of a ``SCALAR_LITERAL`` match (a finite decimal
+    converts exactly).  Raises ``ValueError`` for a zero denominator."""
+    whole, den, decimals = m.groups()
+    if decimals is not None:
+        return Fraction(m.group())
+    if den is None:
+        return Fraction(int(whole))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator: {m.group()!r}")
+    return Fraction(int(whole), int(den))
+
 
 def scalar(value: ScalarLike) -> Fraction:
     """Coerce ``value`` to a non-negative exact rational.
 
-    Accepts Fractions, ints, and strings such as ``"3/4"`` or ``"1.25"``
-    (finite decimal expansions convert exactly).  Raises ``ValueError`` for
-    negative inputs, for a zero denominator, and for floats and bools, which
-    are not exact rationals.
+    Accepts Fractions, ints, and strings in the ``SCALAR_LITERAL`` grammar
+    such as ``"3"``, ``"3/4"`` or ``"1.25"``.  Raises ``ValueError`` for
+    negative inputs, for any other string (signs, spaces, exponents,
+    underscores, non-ASCII digits), for a zero denominator, and for floats
+    and bools, which are not exact rationals.
     """
     if type(value) is Fraction:
         f = value
     elif isinstance(value, (float, bool)):
         raise ValueError(f"not an exact scalar: {value!r}")
+    elif isinstance(value, str):
+        m = SCALAR_LITERAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"not a scalar (digits, digits/digits or digits.digits): {value!r}")
+        f = literal_value(m)
     else:
-        try:
-            f = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
+        f = Fraction(value)
     if f < 0:
         raise ValueError(f"negative scalar: {value!r}")
     return f

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import small_elems
 from realbicyclic import (
+    BranchEvidence,
     ContinuityCert,
     Elem,
     MalformedCert,
@@ -217,6 +219,27 @@ def test_corner_scan_helper():
     assert not _corner_scan_ok(Side.LEFT, Elem(1, 2), F(4), F(4))
     assert _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(8), F(4))
     assert not _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(4), F(4))
+    # the integer scan agrees with the Fraction one, also where a corner's
+    # image lies on the target box and where the pivot equals m
+    rng = random.Random(5150)
+
+    def q():
+        return F(rng.randrange(25), rng.randrange(1, 5))
+
+    verdicts = Counter()
+    for k in range(4000):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        t = Elem(q(), q())
+        m = rng.choice((q(), q() + q(), t.a, t.b))
+        if m == 0:
+            continue
+        corner = rng.choice((Elem(m, 0), Elem(m, m), Elem(0, m), Elem(t.b, m), Elem(m, t.a)))
+        img = image(side, t, corner)
+        n = rng.choice((q(), img.a, img.b, max(img.a, img.b)))
+        expected = _fraction_corner_scan_ok(side, t, m, n)
+        assert _corner_scan_ok(side, t, m, n) == expected, (side, t, m, n)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def _fraction_grid_covers(cases, m):
@@ -284,6 +307,296 @@ def test_coverage_grid_matches_fraction_reference():
         assert _covers_chosen(cases, m) == expected, (cert, cases)
         outcomes[expected] += 1
     assert min(outcomes.values()) > 200, outcomes
+
+
+# The Fraction reference for the integer branch checks and corner scan of
+# ``validate_cert_ac1``: the same checks in the same order, on rationals.
+
+
+def _iv_meet(i1, i2):
+    if i1.lo > i2.lo:
+        lo, lo_strict = i1.lo, i1.lo_strict
+    elif i2.lo > i1.lo:
+        lo, lo_strict = i2.lo, i2.lo_strict
+    else:
+        lo, lo_strict = i1.lo, i1.lo_strict or i2.lo_strict
+    if i1.hi is None:
+        hi, hi_strict = i2.hi, i2.hi_strict
+    elif i2.hi is None:
+        hi, hi_strict = i1.hi, i1.hi_strict
+    elif i1.hi < i2.hi:
+        hi, hi_strict = i1.hi, i1.hi_strict
+    elif i2.hi < i1.hi:
+        hi, hi_strict = i2.hi, i2.hi_strict
+    else:
+        hi, hi_strict = i1.hi, i1.hi_strict or i2.hi_strict
+    return Interval(lo, lo_strict, hi, hi_strict)
+
+
+def _iv_nonempty(iv):
+    if iv.hi is None:
+        return True
+    if iv.lo < iv.hi:
+        return True
+    return iv.lo == iv.hi and not iv.lo_strict and not iv.hi_strict
+
+
+def _branch_interval(side, branch, pivot):
+    if branch == "eq":
+        return Interval(pivot, False, pivot, False)
+    below = Interval(F(0), False, pivot, True)
+    above = Interval(pivot, True, None, True)
+    if side is Side.LEFT:
+        return above if branch == "lt" else below
+    return below if branch == "lt" else above
+
+
+def _expected_images(side, translator, branch):
+    x, y = translator.a, translator.b
+    one, zero = F(1), F(0)
+    if side is Side.LEFT:
+        if branch == "lt":
+            return (one, zero, x - y), (zero, one, zero)
+        if branch == "eq":
+            return (zero, zero, x), (zero, one, zero)
+        return (zero, zero, x), (-one, one, y)
+    if branch == "lt":
+        return (one, -one, x), (zero, zero, y)
+    if branch == "eq":
+        return (one, zero, zero), (zero, zero, y)
+    return (one, zero, zero), (zero, one, y - x)
+
+
+def _affine_inf(coeffs, iv_a, iv_b):
+    ca, cb, const = coeffs
+    total = const
+    attained = True
+    for c, iv in ((ca, iv_a), (cb, iv_b)):
+        if c == 0:
+            continue
+        if c > 0:
+            total += c * iv.lo
+            attained = attained and not iv.lo_strict
+        else:
+            if iv.hi is None:
+                return None
+            total += c * iv.hi
+            attained = attained and not iv.hi_strict
+    return total, attained
+
+
+def _fraction_corner_scan_ok(side, translator, m, n_eff):
+    corners = [Elem(m, 0), Elem(m, m), Elem(0, m)]
+    pivot = translator.b if side is Side.LEFT else translator.a
+    if pivot <= m:
+        corners.append(Elem(pivot, m) if side is Side.LEFT else Elem(m, pivot))
+    for corner in corners:
+        img = image(side, translator, corner)
+        if img.a <= n_eff and img.b <= n_eff:
+            return False
+    return True
+
+
+def _reference_validate_ac1(cert):
+    if cert.topology != "ac1":
+        raise MalformedCert("not a threshold-neighbourhood certificate")
+    if not isinstance(cert.target, NbhdAc1) or not isinstance(cert.chosen, NbhdAc1):
+        raise MalformedCert("threshold certificate carries wrong neighbourhood kinds")
+    if cert.effective is None:
+        raise MalformedCert("missing effective target threshold")
+    known_ids = certificates._CASE_IDS[cert.side]
+    seen_ids = [c.case_id for c in cert.evidence]
+    for cid in seen_ids:
+        if cid not in known_ids:
+            raise MalformedCert(f"unknown case id {cid!r}")
+    if len(set(seen_ids)) != len(seen_ids):
+        raise MalformedCert("duplicate case id")
+    n_eff, m = cert.effective.n, cert.chosen.n
+    if n_eff < cert.target.n:
+        return False
+    left = cert.side is Side.LEFT
+    pivot = cert.translator.b if left else cert.translator.a
+    for case in cert.evidence:
+        records = {b.branch: b for b in case.branches}
+        for tag in records:
+            if tag not in ("lt", "eq", "gt"):
+                raise MalformedCert(f"unknown branch tag {tag!r}")
+        if len(records) != len(case.branches):
+            raise MalformedCert("duplicate branch record")
+        driving = case.a_range if left else case.b_range
+        for tag in ("lt", "eq", "gt"):
+            meet = _iv_meet(driving, _branch_interval(cert.side, tag, pivot))
+            record = records.get(tag)
+            if _iv_nonempty(meet) != (record is not None):
+                return False
+            if record is None:
+                continue
+            if (record.image_a, record.image_b) != _expected_images(
+                cert.side, cert.translator, tag
+            ):
+                return False
+            if record.witness not in ("a", "b"):
+                raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
+            iv_a, iv_b = (meet, case.b_range) if left else (case.a_range, meet)
+            coeffs = record.image_a if record.witness == "a" else record.image_b
+            derived = _affine_inf(coeffs, iv_a, iv_b)
+            if derived is None:
+                return False
+            inf_value, attained = derived
+            if inf_value != record.inf_value or attained != record.inf_attained:
+                return False
+            if attained:
+                if inf_value <= n_eff:
+                    return False
+            elif inf_value < n_eff:
+                return False
+    if not _fraction_grid_covers(cert.evidence, m):
+        return False
+    return _fraction_corner_scan_ok(cert.side, cert.translator, m, n_eff)
+
+
+def _outcome(validate, cert):
+    """The verdict, or the message of the MalformedCert raised instead."""
+    try:
+        return validate(cert)
+    except MalformedCert as exc:
+        return f"malformed: {exc}"
+
+
+def _tamper_ac1(rng, cert):
+    """One to three seeded edits of an ac1 certificate: range endpoints and
+    strictness (some moved onto the pivot), image rows, infima, attained
+    flags, witnesses, branch tags, dropped branches and cases, thresholds
+    (alone, or with the range ends on them) and the translator."""
+    cases = list(cert.evidence)
+
+    def shift():
+        return F(rng.randrange(-8, 9), rng.choice((1, 2, 3, 4)))
+
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(12)
+        if op == 11:
+            # move a threshold together with every range end that sits on it
+            field = rng.choice(("effective", "chosen"))
+            old = getattr(cert, field).n
+            new = rng.choice((cert.effective.n, cert.chosen.n, old + shift()))
+            if new <= 0:
+                continue
+
+            def move(iv):
+                hi = new if iv.hi == old else iv.hi
+                return dataclasses.replace(iv, lo=new if iv.lo == old else iv.lo, hi=hi)
+
+            cases = [
+                dataclasses.replace(c, a_range=move(c.a_range), b_range=move(c.b_range))
+                for c in cases
+            ]
+            cert = dataclasses.replace(cert, **{field: NbhdAc1(new)})
+            continue
+        if op >= 9 or not cases:
+            field = ("target", "effective", "chosen", "translator")[rng.randrange(4)]
+            if field == "translator":
+                t = cert.translator
+                t = Elem(max(F(0), t.a + shift()), max(F(0), t.b + shift()))
+                cert = dataclasses.replace(cert, translator=t)
+            else:
+                n = getattr(cert, field).n + shift()
+                cert = dataclasses.replace(cert, **{field: NbhdAc1(n if n > 0 else F(1, 2))})
+            continue
+        i = rng.randrange(len(cases))
+        case = cases[i]
+        branches = list(case.branches)
+        if op <= 1:
+            field = rng.choice(("a_range", "b_range"))
+            iv = getattr(case, field)
+            if op == 1:  # put an end on the pivot
+                pivot = cert.translator.b if cert.side is Side.LEFT else cert.translator.a
+                end = "lo" if iv.hi is None or rng.random() < 0.5 else "hi"
+                iv = dataclasses.replace(iv, **{end: pivot})
+            else:
+                iv = _mutate_range(rng, iv)
+            cases[i] = dataclasses.replace(case, **{field: iv})
+            continue
+        if op == 8:
+            if rng.random() < 0.8:
+                del cases[i]
+            else:
+                cases.insert(i, case)
+            continue
+        if not branches:
+            continue
+        j = rng.randrange(len(branches))
+        br = branches[j]
+        if op == 2:
+            row = rng.choice(("image_a", "image_b"))
+            coeffs = list(getattr(br, row))
+            k = rng.randrange(3)
+            coeffs[k] = rng.choice((F(-1), F(0), F(1), coeffs[k] + shift()))
+            br = dataclasses.replace(br, **{row: tuple(coeffs)})
+        elif op == 3:
+            br = dataclasses.replace(br, inf_value=br.inf_value + shift())
+        elif op == 4:
+            br = dataclasses.replace(br, inf_attained=not br.inf_attained)
+        elif op == 5:
+            br = dataclasses.replace(br, witness=rng.choice(("a", "b", "a", "b", "c")))
+        elif op == 6:
+            br = dataclasses.replace(br, branch=rng.choice(("lt", "eq", "gt", "lt", "eq", "gt", "ge")))
+        if op == 7:
+            if rng.random() < 0.85:
+                del branches[j]
+            else:
+                branches.insert(j, br)
+        else:
+            branches[j] = br
+        cases[i] = dataclasses.replace(case, branches=tuple(branches))
+    return dataclasses.replace(cert, evidence=tuple(cases))
+
+
+def _rederive_records(cert):
+    """The certificate with every case's branch records derived by the
+    reference, so that only the threshold checks, coverage and the corner
+    scan can reject it: each branch whose meet is nonempty, its images, and
+    the witness with the larger infimum."""
+    left = cert.side is Side.LEFT
+    pivot = cert.translator.b if left else cert.translator.a
+    cases = []
+    for case in cert.evidence:
+        driving = case.a_range if left else case.b_range
+        branches = []
+        for tag in ("lt", "eq", "gt"):
+            meet = _iv_meet(driving, _branch_interval(cert.side, tag, pivot))
+            if not _iv_nonempty(meet):
+                continue
+            rows = _expected_images(cert.side, cert.translator, tag)
+            iv_a, iv_b = (meet, case.b_range) if left else (case.a_range, meet)
+            infs = [_affine_inf(row, iv_a, iv_b) or (F(-1), False) for row in rows]
+            w = 0 if infs[0][0] >= infs[1][0] else 1
+            branches.append(BranchEvidence(tag, *rows, "ab"[w], *infs[w]))
+        cases.append(dataclasses.replace(case, branches=tuple(branches)))
+    return dataclasses.replace(cert, evidence=tuple(cases))
+
+
+def test_ac1_validator_matches_fraction_reference():
+    # every verdict and every MalformedCert message of the integer validator
+    # equals the Fraction reference's, on honest certificates and on seeded
+    # tampers of both sides, a third of them with re-derived branch records
+    rng = random.Random(4711)
+
+    def q(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(1, 9))
+
+    outcomes = Counter()
+    for k in range(3000):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        cert = continuity_cert_ac1(side, Elem(q(0, 49), q(0, 49)), NbhdAc1(q(1, 97)))
+        if k % 10:
+            cert = _tamper_ac1(rng, cert)
+        if k % 3 == 0:
+            cert = _rederive_records(cert)
+        expected = _outcome(_reference_validate_ac1, cert)
+        assert _outcome(validate_cert_ac1, cert) == expected, cert
+        outcomes[expected if expected in (True, False) else "malformed"] += 1
+    assert min(outcomes.values()) > 150, outcomes
 
 
 @settings(max_examples=40)
@@ -788,9 +1101,59 @@ def test_parse_rejects_garbage():
         cert_from_text(text.replace("side left", "side sideways", 1))
     with pytest.raises(MalformedCert):
         cert_from_text(text.replace("inf 7/1", "inf seven", 1))
+    with pytest.raises(MalformedCert, match="negative coordinate"):
+        cert_from_text(text.replace("translator 1/1 2/1", "translator -1/1 2/1", 1))
     truncated = "\n".join(text.splitlines()[:10]) + "\n"
     with pytest.raises(MalformedCert):
         cert_from_text(truncated)
+
+
+# Edits of an emitted certificate that the line reader accepts only in the
+# canonical form; each names the same value or layout, but is malformed.
+_NON_CANONICAL = {
+    "underscore": ("effective-n 4/1\n", "effective-n 4_0/10\n"),
+    "plus-sign": ("translator 1/1 2/1\n", "translator +1/1 2/1\n"),
+    "leading-zero": ("translator 1/1 2/1\n", "translator 01/1 2/1\n"),
+    "unit-not-reduced": ("translator 1/1 2/1\n", "translator 2/2 2/1\n"),
+    "negative-zero": ("image-b 0/1 1/1 0/1\n", "image-b -0/1 1/1 0/1\n"),
+    "not-lowest-terms": ("target-n 3/1\n", "target-n 6/2\n"),
+    "negative-denominator": ("image-a 1/1 0/1 -1/1\n", "image-a 1/1 0/1 1/-1\n"),
+    "tab": ("translator 1/1 2/1\n", "translator 1/1\t2/1\n"),
+    "trailing-space": ("kind ac1\n", "kind ac1 \n"),
+    "trailing-space-case-id": ("case mid-a\n", "case mid-a \n"),
+    "leading-space": ("side left\n", " side left\n"),
+    "doubled-space": ("chosen-n 8/1\n", "chosen-n  8/1\n"),
+    "blank-line": ("end-case\n", "end-case\n\n"),
+    "blank-last-line": ("end-cert\n", "end-cert\n\n"),
+    "no-final-newline": ("end-cert\n", "end-cert"),
+    "final-cr": ("end-cert\n", "end-cert\r"),
+    "crlf": ("\n", "\r\n"),
+    "non-ascii-digit": ("target-n 3/1\n", "target-n \u0663/1\n"),
+    "count-leading-zero": ("target-tops 2\n", "target-tops 02\n"),
+}
+
+
+@pytest.mark.parametrize("old,new", _NON_CANONICAL.values(), ids=list(_NON_CANONICAL))
+def test_parse_rejects_non_canonical_text(old, new):
+    texts = (
+        cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(3))),
+        cert_to_text(continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))),
+    )
+    text = next(t for t in texts if old in t)
+    count = -1 if old == "\n" else 1
+    with pytest.raises(MalformedCert):
+        cert_from_text(text.replace(old, new, count))
+
+
+def test_crlf_file_reads_as_lf(tmp_path):
+    # read_cert opens the file in text mode, where CRLF line ends read as LF,
+    # so a certificate stored with CRLF still validates; a CRLF string given
+    # to cert_from_text is malformed (test_parse_rejects_non_canonical_text)
+    cert = continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))
+    path = tmp_path / "crlf.cert"
+    path.write_bytes(cert_to_text(cert).replace("\n", "\r\n").encode("ascii"))
+    assert read_cert(str(path)) == cert
+    assert validate_cert(read_cert(str(path)))
 
 
 def test_parse_rejects_empty_tops():
@@ -835,8 +1198,10 @@ def _mutant(rng, text):
 
 
 def test_certio_mutation_fuzz():
-    # parsing a damaged file yields a certificate or MalformedCert, and so does
-    # validating what parsed: the CLI maps exactly these to exit 1 / exit 2
+    # parsing a damaged file raises MalformedCert or yields a certificate that
+    # re-emits the same text; validating what parsed yields a verdict or
+    # MalformedCert (the CLI maps exactly these to exit 1 / exit 2), the same
+    # as the Fraction reference's on threshold certificates
     texts = [
         cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))),
         cert_to_text(continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))),
@@ -859,11 +1224,12 @@ def test_certio_mutation_fuzz():
             malformed += 1
             continue
         assert isinstance(cert, ContinuityCert), mutant
+        assert cert_to_text(cert) == mutant
         parsed += 1
-        try:
-            assert validate_cert(cert) in (True, False), mutant
-        except MalformedCert:
-            pass
+        verdict = _outcome(validate_cert, cert)
+        assert verdict in (True, False) or verdict.startswith("malformed: "), mutant
+        if cert.topology == "ac1":
+            assert verdict == _outcome(_reference_validate_ac1, cert), mutant
     assert parsed > 0 and malformed > 0
 
 

@@ -88,6 +88,29 @@ def test_zero_denominator_is_usage_error(capsys):
         assert "zero denominator" in err, argv
 
 
+def test_scalars_outside_the_grammar_are_usage_errors(capsys):
+    # Fraction(str) would read 1e1 and 1_0 as 10, and int() reads '٣' as 3
+    for bad in ("1e1", "1_0", " 3 ", "+2", "\u0663"):
+        for argv in (
+            ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", bad),
+            ("falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+             "--chosen", bad, "--target", "4"),
+            ("falsify", "ac1", "--side", "left", "--translator", "(1,2)",
+             "--chosen", "8", "--target", bad),
+            ("lines", "product", f"L+{bad}", "L+2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+    for argv in (
+        ("eval", "(\u00b2,1)"),
+        ("eval", "(\u0663,1)"),
+        ("lines", "product", "L+\u0663", "L+1"),
+        ("lines", "product", "L+3\n", "L+1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
 def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     path = tmp_path / "c.cert"
     code, out, _ = run_cli(
@@ -104,12 +127,14 @@ def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     bad.write_text(text)
     code, out, _ = run_cli(capsys, "validate", str(bad))
     assert code == 1 and out.strip() == "invalid"
-    # garbage file or out-of-range threshold: malformed, exit 2
+    # garbage file, out-of-range threshold or non-canonical text: malformed, exit 2
     ugly = tmp_path / "ugly.cert"
     for ugly_text in (
         "gibberish\n",
         path.read_text().replace("target-n 4/1", "target-n 0/1"),
         path.read_text().replace("chosen-n 8/1", "chosen-n -1/1"),
+        path.read_text().replace("chosen-n 8/1", "chosen-n 16/2"),
+        path.read_text() + "\n",
     ):
         ugly.write_text(ugly_text)
         code, _, err = run_cli(capsys, "validate", str(ugly))

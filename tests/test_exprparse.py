@@ -79,6 +79,15 @@ def test_parse_errors_carry_positions():
         parse_expr("")
 
 
+@pytest.mark.parametrize(
+    "text", ["(\u00b2,1)", "(\u0663,1)", "(1,1/\u0663)", "(1.\u0663,1)", "(-\u0663,1)"]
+)
+def test_non_ascii_digits_rejected(text):
+    # str.isdigit() accepts '²' and '٣'; the scalar grammar is ASCII only
+    with pytest.raises(ParseError):
+        parse_expr(text)
+
+
 def test_boolean_misuse_rejected():
     with pytest.raises(ParseError):
         parse_expr("((1,2) <= (1,2)) * (1,2)")

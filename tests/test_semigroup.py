@@ -136,6 +136,16 @@ def test_zero_denominator_rejected(value):
         Elem(value, 1)
 
 
+@pytest.mark.parametrize(
+    "value", ["1e1", "1_0", " 3 ", "+2", "\u0663", "-1", "1/", ".5", "1.", "", "3/4/5", "inf"]
+)
+def test_scalar_strings_outside_the_grammar_rejected(value):
+    with pytest.raises(ValueError, match="not a scalar"):
+        scalar(value)
+    with pytest.raises(ValueError, match="not a scalar"):
+        Elem(value, 1)
+
+
 def test_exact_scalars_accepted():
     assert scalar(3) == F(3)
     assert scalar("0.1") == F(1, 10)
