@@ -290,14 +290,19 @@ def _corner_scan_ok(side: Side, translator: Elem, m: Fraction, n_eff: Fraction) 
 
     The boundary is two segments meeting at (m, m); the piecewise-affine
     translation can only switch branches where the driving coordinate equals
-    the pivot, which adds at most one more corner.  Runs on the integer grid
-    of the four values' common denominator.
+    the pivot, which adds at most one more corner.  The meeting corner itself
+    is never needed.  On the left the image of (c, d) is
+    (x + max(c - y, 0), d + max(y - c, 0)): its first coordinate depends on c
+    alone and its second does not decrease as d grows, so if (m, m) lands in
+    the box so does (m, 0).  On the right, by the mirror argument, (0, m)
+    dominates (m, m) in the same way.  Runs on the integer grid of the four
+    values' common denominator.
     """
     vals = (translator.a, translator.b, m, n_eff)
     den = math.lcm(*(v.denominator for v in vals))
     x, y, m_, n = (v.numerator * (den // v.denominator) for v in vals)
     left = side is Side.LEFT
-    corners = [(m_, 0), (m_, m_), (0, m_)]
+    corners = [(m_, 0), (0, m_)]
     pivot = y if left else x
     if pivot <= m_:
         corners.append((pivot, m_) if left else (m_, pivot))

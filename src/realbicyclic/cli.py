@@ -2,8 +2,10 @@
 
 Subcommands: ``eval``, ``order``, ``lines product``, ``certify``, ``validate``,
 ``falsify``, ``suite``.  Exit codes: 0 for pass/true, 1 for fail/false, 2 for
-usage errors.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
-The argument parser is built on first use and reused by every later ``main``.
+usage errors; a closed standard output (``... | head``) ends with exit 1 and
+no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII digits only.
+The default seed comes from ``REALBICYCLIC_SEED`` (flags win).  The argument
+parser is built on first use and reused by every later ``main``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .topology import NbhdAc1, NbhdAc2
 SEED_ENV = "REALBICYCLIC_SEED"
 
 _LINE_RE = re.compile(r"L([+-])(.*)", re.DOTALL)  # alpha: the scalar grammar
+_DIGITS = re.compile(r"[0-9]+")
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """A bad command line.  Not a ValueError, so argparse lets it out of a
+    flag's type function and ``main`` reports it like every other usage error."""
 
 
 def _parse_element(text: str) -> Elem:
@@ -68,12 +72,22 @@ def _parse_ac1(text: str) -> NbhdAc1:
         raise UsageError(f"bad threshold {text!r}: {exc}") from exc
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV, "0")
+def _digits(text: str) -> int:
+    """The type of every integer flag: ASCII digits only, where ``int()``
+    would also take signs, spaces, underscores and non-ASCII digits."""
+    if _DIGITS.fullmatch(text) is None:
+        raise UsageError(f"expected ASCII digits, got {text!r}")
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"bad {SEED_ENV} value {raw!r}")
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise UsageError(str(exc)) from exc
+
+
+def _default_seed() -> int:
+    try:
+        return _digits(os.environ.get(SEED_ENV, "0"))
+    except UsageError as exc:
+        raise UsageError(f"bad {SEED_ENV} value: {exc}") from exc
 
 
 def _gen_config(args) -> GenConfig:
@@ -88,11 +102,11 @@ def _gen_config(args) -> GenConfig:
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser, default_cases: int) -> None:
-    p.add_argument("--seed", type=int, default=None, help=f"seed (default ${SEED_ENV} or 0)")
-    p.add_argument("--cases", type=int, default=default_cases)
+    p.add_argument("--seed", type=_digits, default=None, help=f"seed (default ${SEED_ENV} or 0)")
+    p.add_argument("--cases", type=_digits, default=default_cases)
     p.add_argument("--integer-mode", action="store_true", help="integer grid instead of rationals")
-    p.add_argument("--max-num", type=int, default=20, help="largest numerator (or integer)")
-    p.add_argument("--max-den", type=int, default=8, help="largest denominator")
+    p.add_argument("--max-num", type=_digits, default=20, help="largest numerator (or integer)")
+    p.add_argument("--max-den", type=_digits, default=8, help="largest denominator")
 
 
 @functools.cache
@@ -141,8 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator", required=True)
     p.add_argument("--chosen", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=int, default=10000)
+    p.add_argument("--seed", type=_digits, default=None)
+    p.add_argument("--cases", type=_digits, default=10000)
     p.set_defaults(run=_cmd_falsify)
 
     p = sub.add_parser("suite", help="run a property suite")
@@ -262,13 +276,20 @@ def _cmd_suite(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.run(args)
     except (UsageError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again (the Python docs' note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

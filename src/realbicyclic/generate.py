@@ -61,17 +61,32 @@ _grid_scalar = lru_cache(maxsize=4096)(Fraction)
 
 
 def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
-    """Infinite deterministic stream of grid scalars."""
-    rng = random.Random(cfg.seed)
+    """Infinite deterministic stream of grid scalars.
+
+    Each draw below n takes ``getrandbits(n.bit_length())`` of
+    ``random.Random(cfg.seed)`` until the value is below n.  That is exactly
+    how CPython 3.10-3.13 implement ``randrange(n)``, so the stream is the one
+    ``randrange`` gives, without depending on its internals.  A rational
+    scalar draws its numerator below max_num + 1, then its denominator as 1
+    plus a draw below max_den.
+    """
+    getrandbits = random.Random(cfg.seed).getrandbits
     mode = cfg.scalar_mode
-    if isinstance(mode, IntegerMode):
-        while True:
-            yield _grid_scalar(rng.randrange(mode.max + 1), 1)
-    else:
-        while True:
-            yield _grid_scalar(
-                rng.randrange(mode.max_num + 1), rng.randrange(1, mode.max_den + 1)
-            )
+    integer = isinstance(mode, IntegerMode)
+    n = (mode.max if integer else mode.max_num) + 1
+    d = 1 if integer else mode.max_den
+    kn, kd = n.bit_length(), d.bit_length()
+    while True:
+        num = getrandbits(kn)
+        while num >= n:
+            num = getrandbits(kn)
+        if integer:
+            yield _grid_scalar(num, 1)
+            continue
+        den = getrandbits(kd)
+        while den >= d:
+            den = getrandbits(kd)
+        yield _grid_scalar(num, den + 1)
 
 
 def gen_elem(cfg: GenConfig) -> Iterator[Elem]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .semigroup import (
@@ -22,7 +23,7 @@ from .semigroup import (
     LineRef,
     Sign,
     _elem,
-    classify_line,
+    _line,
     inv,
     mul,
     natural_leq,
@@ -73,7 +74,16 @@ class FullLine:
     line: LineRef
 
     def member(self, e: Elem) -> bool:
-        return classify_line(e)[0] == self.line
+        """Whether ``e`` has the line's signed offset: (b - a) * q, with q the
+        product of e's denominators, equals +-alpha * q on integers.  A
+        canonical MINUS line has alpha > 0, so only one side can match."""
+        a, b, line = e.a, e.b, self.line
+        q = a.denominator * b.denominator
+        g = b.numerator * a.denominator - a.numerator * b.denominator
+        if line.sign is Sign.MINUS:
+            g = -g
+        alpha = line.alpha
+        return g * alpha.denominator == alpha.numerator * q
 
     def __str__(self) -> str:
         return str(self.line)
@@ -96,15 +106,18 @@ def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
     (alpha1, alpha2).
     """
     a1, a2 = l1.alpha, l2.alpha
-    if l1.sign is Sign.PLUS and l2.sign is Sign.PLUS:
-        return FullLine(LineRef(Sign.PLUS, a1 + a2))
-    if l1.sign is Sign.MINUS and l2.sign is Sign.MINUS:
-        return FullLine(LineRef(Sign.MINUS, a1 + a2))
+    if l1.sign is l2.sign:
+        return FullLine(_line(l1.sign, a1 + a2))  # a sum of offsets, > 0 if both MINUS
     if l1.sign is Sign.PLUS:
-        if a1 >= a2:
-            return FullLine(LineRef(Sign.PLUS, a1 - a2))
-        return FullLine(LineRef(Sign.MINUS, a2 - a1))
-    return DownRay(Elem(a1, a2))
+        q = a1.denominator * a2.denominator
+        g = a1.numerator * a2.denominator - a2.numerator * a1.denominator  # (a1 - a2) * q
+        if g >= 0:
+            return FullLine(_line(Sign.PLUS, Fraction(g, q)))  # a1 >= a2
+        return FullLine(_line(Sign.MINUS, Fraction(-g, q)))  # a2 > a1
+    return DownRay(_elem(a1, a2))  # two offsets, both >= 0
+
+
+_ZERO = Fraction(0)
 
 
 class NotInProduct(ValueError):
@@ -122,20 +135,23 @@ def factor_in_line_product(target: Elem, l1: LineRef, l2: LineRef) -> Tuple[Elem
     if not prod.member(target):
         raise NotInProduct(f"{target} is not in {l1} * {l2} = {prod}")
     a1, a2 = l1.alpha, l2.alpha
-    if l1.sign is Sign.PLUS and l2.sign is Sign.PLUS:
-        x = target.a
-        return Elem(x, x + a1), Elem(0, a2)
-    if l1.sign is Sign.MINUS and l2.sign is Sign.MINUS:
-        x = target.b
-        return Elem(a1, 0), Elem(x + a2, x)
-    if l1.sign is Sign.PLUS:
-        if a1 >= a2:
+    if l1.sign is l2.sign:
+        if l1.sign is Sign.PLUS:
             x = target.a
-            return Elem(x, x + a1), Elem(x + a1, x + a1 - a2)
+            return _elem(x, x + a1), _elem(_ZERO, a2)  # sums of coordinates and offsets
         x = target.b
-        return Elem(x + a2 - a1, x + a2), Elem(x + a2, x)
+        return _elem(a1, _ZERO), _elem(x + a2, x)  # sums of coordinates and offsets
+    if l1.sign is Sign.PLUS:
+        # the product's offset: a1 - a2 >= 0 on PLUS, a2 - a1 > 0 on MINUS
+        gap = prod.line.alpha
+        if prod.line.sign is Sign.PLUS:
+            x = target.a
+            return _elem(x, x + a1), _elem(x + a1, x + gap)  # sums of coordinates and offsets
+        x = target.b
+        return _elem(x + gap, x + a2), _elem(x + a2, x)  # sums of coordinates and offsets
+    # target = (a1 + t, a2 + t) lies on the down-ray below (a1, a2), checked above
     t = target.a - a1
-    return Elem(a1 + t, t), Elem(t, t + a2)
+    return _elem(target.a, t), _elem(t, target.b)  # t >= 0 and target's coordinates
 
 
 def shrink_witness(e0: Elem, e1: Elem) -> Elem:

@@ -13,8 +13,10 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
-``Elem(a, b)`` checks its coordinates; closed operations build results that
-lie in the quadrant by construction with the unchecked internal ``_elem``.
+``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments; closed
+operations build results that lie in the quadrant by construction with the
+unchecked internal ``_elem`` and ``_line``, and compare rationals as integer
+cross-products.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def scalar(value: ScalarLike) -> Fraction:
         f = literal_value(m)
     else:
         f = Fraction(value)
-    if f < 0:
+    if f.numerator < 0:
         raise ValueError(f"negative scalar: {value!r}")
     return f
 
@@ -90,7 +92,7 @@ class Elem:
         a, b = self.a, self.b
         if type(a) is not Fraction or type(b) is not Fraction:
             a, b = scalar(a), scalar(b)
-        elif a < 0 or b < 0:
+        elif a.numerator < 0 or b.numerator < 0:
             raise ValueError(f"negative coordinate: ({a}, {b})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -153,7 +155,7 @@ class Sign(Enum):
     MINUS = "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineRef:
     """Handle for one diagonal line: all (x, x+alpha) for PLUS, (x+alpha, x) for MINUS.
 
@@ -165,12 +167,24 @@ class LineRef:
 
     def __post_init__(self) -> None:
         alpha = scalar(self.alpha)
-        sign = self.sign if alpha != 0 else Sign.PLUS
+        sign = self.sign if alpha.numerator else Sign.PLUS
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sign", sign)
 
     def __str__(self) -> str:
         return f"L{self.sign.value}{format_scalar(self.alpha)}"
+
+
+_set_sign, _set_alpha = LineRef.sign.__set__, LineRef.alpha.__set__
+
+
+def _line(sign: Sign, alpha: Fraction) -> LineRef:
+    """Trusted construction: the caller guarantees a non-negative Fraction
+    ``alpha``, positive when ``sign`` is MINUS (the canonical form)."""
+    line = object.__new__(LineRef)
+    _set_sign(line, sign)
+    _set_alpha(line, alpha)
+    return line
 
 
 def mul(e1: Elem, e2: Elem) -> Elem:
@@ -190,10 +204,12 @@ def mul(e1: Elem, e2: Elem) -> Elem:
 def mul_branch(e1: Elem, e2: Elem) -> str:
     """Which case of the product's case split applies: ``lt``/``eq``/``gt``
     according as the left factor's second coordinate compares to the right
-    factor's first."""
-    if e1.b < e2.a:
+    factor's first, read off the sign of the same integer gap as ``mul``."""
+    b, c = e1.b, e2.a
+    g = c.numerator * b.denominator - b.numerator * c.denominator
+    if g > 0:
         return "lt"
-    if e1.b == e2.a:
+    if g == 0:
         return "eq"
     return "gt"
 
@@ -255,10 +271,16 @@ def leq_witness(e1: Elem, e2: Elem) -> Optional[Elem]:
 
 
 def classify_line(e: Elem) -> Tuple[LineRef, Fraction]:
-    """The unique diagonal line through ``e`` and its line parameter x."""
-    if e.b >= e.a:
-        return LineRef(Sign.PLUS, e.b - e.a), e.a
-    return LineRef(Sign.MINUS, e.a - e.b), e.b
+    """The unique diagonal line through ``e`` and its line parameter x.
+
+    The side is the sign of the integer cross-product g = (b - a) * q with
+    q the product of the denominators; the offset is |g| / q."""
+    a, b = e.a, e.b
+    q = a.denominator * b.denominator
+    g = b.numerator * a.denominator - a.numerator * b.denominator
+    if g >= 0:
+        return _line(Sign.PLUS, Fraction(g, q)), a  # b >= a, so alpha = b - a >= 0
+    return _line(Sign.MINUS, Fraction(-g, q)), b  # a > b, so alpha = a - b > 0
 
 
 def line_point(line: LineRef, x: ScalarLike) -> Elem:

@@ -242,6 +242,32 @@ def test_corner_scan_helper():
     assert min(verdicts.values()) > 1000, verdicts
 
 
+def test_corner_scan_needs_no_meeting_corner():
+    # The scan leaves out (m, m), which (m, 0) on the left and (0, m) on the
+    # right dominate.  The Fraction reference still scans it, and no verdict
+    # may differ, also where the image of (m, m) lies on the target box.
+    rng = random.Random(6161)
+
+    def q():
+        return F(rng.randrange(25), rng.randrange(1, 5))
+
+    verdicts = Counter()
+    for k in range(12000):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        t = Elem(q(), q())
+        m = rng.choice((q(), q() + q(), t.a, t.b))
+        if m == 0:
+            continue
+        img = image(side, t, Elem(m, m))
+        n = rng.choice((q(), img.a, img.b, max(img.a, img.b), max(img.a, img.b) + F(1, 8)))
+        if n == 0:
+            continue
+        expected = _fraction_corner_scan_ok(side, t, m, n)
+        assert _corner_scan_ok(side, t, m, n) == expected, (side, t, m, n)
+        verdicts[expected] += 1
+    assert sum(verdicts.values()) >= 10000 and min(verdicts.values()) > 1500, verdicts
+
+
 def _fraction_grid_covers(cases, m):
     """Reference coverage decision on the rational endpoint grid: every
     endpoint, the midpoint of each consecutive pair and one point beyond."""
@@ -386,6 +412,7 @@ def _affine_inf(coeffs, iv_a, iv_b):
 
 
 def _fraction_corner_scan_ok(side, translator, m, n_eff):
+    """The corner scan as first written, with the meeting corner (m, m)."""
     corners = [Elem(m, 0), Elem(m, m), Elem(0, m)]
     pivot = translator.b if side is Side.LEFT else translator.a
     if pivot <= m:

@@ -340,3 +340,42 @@ def test_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_integer_flags_take_ascii_digits_only(capsys, monkeypatch):
+    # int() would read each of these as a number
+    monkeypatch.delenv("REALBICYCLIC_SEED", raising=False)
+    bad = ("1_0", "٣", " 3", "3 ", "+2", "７", "0x10", "")
+    for flag in ("--seed", "--cases", "--max-num", "--max-den"):
+        for value in bad:
+            code, out, err = run_cli(capsys, "suite", "axioms", flag, value)
+            assert code == 2 and out == "" and err.startswith("error:"), (flag, value)
+    for flag in ("--seed", "--cases"):
+        for value in bad:
+            code, out, err = run_cli(capsys, *FALSIFY_MISS, flag, value)
+            assert code == 2 and out == "" and err.startswith("error:"), (flag, value)
+    for value in (" +٧ ", "1_0", "٣", "7\n", "", "1" * 5000):  # int() takes at most 4300 digits
+        monkeypatch.setenv("REALBICYCLIC_SEED", value)
+        for argv in (("suite", "axioms", "--cases", "5"), FALSIFY_MISS):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and "REALBICYCLIC_SEED" in err, (value, argv)
+    # leading zeros are still digits
+    monkeypatch.setenv("REALBICYCLIC_SEED", "007")
+    code, out, _ = run_cli(capsys, "suite", "axioms", "--cases", "05")
+    assert code == 0 and "seed 7" in out.splitlines() and "cases 5" in out.splitlines()
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the read end is closed before the child writes, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "realbicyclic", "suite", "products", "--cases", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

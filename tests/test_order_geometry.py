@@ -1,6 +1,8 @@
 """Down-rays, up-segments, line products, shrink witnesses, translation
 images, and preimages; each checked against brute-force membership oracles."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -112,6 +114,94 @@ def test_line_product_two_sided(s1, s2, a1, a2, x1, x2):
     assert classify_line(f1)[0] == l1
     assert classify_line(f2)[0] == l2
     assert mul(f1, f2) == target
+
+
+def _fraction_line_product(l1, l2):
+    """line_product by its Fraction definition, with checked constructors."""
+    a1, a2 = l1.alpha, l2.alpha
+    if l1.sign is Sign.PLUS and l2.sign is Sign.PLUS:
+        return FullLine(LineRef(Sign.PLUS, a1 + a2))
+    if l1.sign is Sign.MINUS and l2.sign is Sign.MINUS:
+        return FullLine(LineRef(Sign.MINUS, a1 + a2))
+    if l1.sign is Sign.PLUS:
+        if a1 >= a2:
+            return FullLine(LineRef(Sign.PLUS, a1 - a2))
+        return FullLine(LineRef(Sign.MINUS, a2 - a1))
+    return DownRay(Elem(a1, a2))
+
+
+def _fraction_factors(target, l1, l2):
+    """The factorisation of factor_in_line_product as first written."""
+    a1, a2 = l1.alpha, l2.alpha
+    if l1.sign is Sign.PLUS and l2.sign is Sign.PLUS:
+        x = target.a
+        return Elem(x, x + a1), Elem(0, a2)
+    if l1.sign is Sign.MINUS and l2.sign is Sign.MINUS:
+        x = target.b
+        return Elem(a1, 0), Elem(x + a2, x)
+    if l1.sign is Sign.PLUS:
+        if a1 >= a2:
+            x = target.a
+            return Elem(x, x + a1), Elem(x + a1, x + a1 - a2)
+        x = target.b
+        return Elem(x + a2 - a1, x + a2), Elem(x + a2, x)
+    t = target.a - a1
+    return Elem(a1 + t, t), Elem(t, t + a2)
+
+
+def _on_line(line, e):
+    """Membership of a diagonal line by its definition: the signed offset."""
+    return (e.b - e.a if line.sign is Sign.PLUS else e.a - e.b) == line.alpha
+
+
+def test_line_products_match_fraction_reference():
+    # line_product, FullLine.member and factor_in_line_product decide on
+    # integers and build trusted results; each seeded case must agree with
+    # the Fraction definitions, and every trusted value must be one that the
+    # checked constructors build the same
+    rng = random.Random(9099)
+    signs = (Sign.PLUS, Sign.MINUS)
+
+    def q():
+        return F(rng.randrange(13), rng.randrange(1, 7))
+
+    kinds, hits = Counter(), Counter()
+    for _ in range(5000):
+        a1 = q()
+        l1 = LineRef(rng.choice(signs), a1)
+        l2 = LineRef(rng.choice(signs), rng.choice((q(), a1, a1 + F(1, 6))))
+        prod = line_product(l1, l2)
+        assert prod == _fraction_line_product(l1, l2), (l1, l2)
+        if isinstance(prod, FullLine):
+            line = prod.line
+            # a canonical line: never MINUS with alpha 0
+            assert line == LineRef(line.sign, line.alpha) and type(line.alpha) is F
+            assert not (line.sign is Sign.MINUS and line.alpha == 0)
+            kinds[line.sign, line.alpha == 0] += 1
+            target = line_point(line, q())
+            for e in (target, Elem(target.b, target.a), Elem(q(), q()),
+                      Elem(target.a + F(1, 7), target.b)):
+                assert prod.member(e) == _on_line(line, e), (line, e)
+                hits[prod.member(e)] += 1
+        else:
+            assert prod.base == Elem(prod.base.a, prod.base.b)
+            kinds["down"] += 1
+            t = q()
+            target = Elem(prod.base.a + t, prod.base.b + t)
+        f1, f2 = factor_in_line_product(target, l1, l2)
+        assert (f1, f2) == _fraction_factors(target, l1, l2), (target, l1, l2)
+        for f, line in ((f1, l1), (f2, l2)):
+            assert f == Elem(f.a, f.b) and type(f.a) is F and type(f.b) is F
+            assert _on_line(line, f), (f, line)
+        assert mul(f1, f2) == target
+        stray = Elem(q(), q())
+        if prod.member(stray):
+            assert mul(*factor_in_line_product(stray, l1, l2)) == stray
+        else:
+            with pytest.raises(NotInProduct):
+                factor_in_line_product(stray, l1, l2)
+    assert len(kinds) == 4 and min(kinds.values()) > 400, kinds
+    assert min(hits.values()) > 2000, hits
 
 
 def test_factor_examples():

@@ -2,6 +2,8 @@
 and the case-table route, plus law checks with hypothesis."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -329,3 +331,33 @@ def test_str_formats():
     assert str(Elem("1/2", "3/2")) == "(1/2,3/2)"
     assert str(ZERO) == "0"
     assert str(LineRef(Sign.MINUS, F(3, 2))) == "L-3/2"
+
+
+def test_line_layer_matches_fraction_reference():
+    # classify_line and mul_branch decide on integer cross-products; their
+    # Fraction definitions decide every seeded case the same way, ties and
+    # points on the diagonal included
+    rng = random.Random(8088)
+
+    def q():
+        return F(rng.randrange(13), rng.randrange(1, 7))
+
+    sides, branches = Counter(), Counter()
+    for _ in range(6000):
+        a = q()
+        e = Elem(a, rng.choice((q(), q(), a, a + F(1, rng.randrange(1, 9)))))
+        line, x = classify_line(e)
+        if e.b >= e.a:
+            assert (line, x) == (LineRef(Sign.PLUS, e.b - e.a), e.a), e
+        else:
+            assert (line, x) == (LineRef(Sign.MINUS, e.a - e.b), e.b), e
+        # the trusted result is canonical: never MINUS with alpha 0
+        assert line == LineRef(line.sign, line.alpha) and type(line.alpha) is F
+        assert not (line.sign is Sign.MINUS and line.alpha == 0)
+        sides[line.sign, line.alpha == 0] += 1
+        f = Elem(rng.choice((q(), e.b, e.b + F(1, 12))), q())
+        want = "lt" if e.b < f.a else "eq" if e.b == f.a else "gt"
+        assert mul_branch(e, f) == want, (e, f)
+        branches[want] += 1
+    assert len(sides) == 3 and min(sides.values()) > 500, sides
+    assert min(branches.values()) > 1000, branches

@@ -4,6 +4,8 @@ counterexample."""
 
 import hashlib
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,10 @@ from realbicyclic import (
     GenConfig,
     IntegerMode,
     RationalMode,
+    Elem,
     UnknownSuite,
     gen_elem,
+    gen_scalar,
     run_suite,
 )
 from realbicyclic import certificates
@@ -80,6 +84,28 @@ def test_gen_elem_golden_streams(mode, seed, digest):
     stream = itertools.islice(gen_elem(GenConfig(seed=seed, scalar_mode=mode)), 3000)
     text = "\n".join(str(e) for e in stream)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [IntegerMode(0), RationalMode(0, 1), RationalMode(7, 1), RationalMode(8, 8),
+     IntegerMode(2**70), RationalMode(30, 8)],
+)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_gen_scalar_is_the_randrange_stream(mode, seed):
+    # gen_scalar draws by rejection on getrandbits; the stream must be the
+    # one random.Random(seed).randrange gives, at the edges of every range
+    rng = random.Random(seed)
+    if isinstance(mode, IntegerMode):
+        want = [Fraction(rng.randrange(mode.max + 1)) for _ in range(2000)]
+    else:
+        want = [Fraction(rng.randrange(mode.max_num + 1), rng.randrange(1, mode.max_den + 1))
+                for _ in range(2000)]
+    cfg = GenConfig(seed=seed, scalar_mode=mode)
+    got = list(itertools.islice(gen_scalar(cfg), 2000))
+    assert got == want and all(type(f) is Fraction for f in got)
+    elems = list(itertools.islice(gen_elem(cfg), 1000))
+    assert elems == [Elem(a, b) for a, b in zip(want[::2], want[1::2])]
 
 
 def test_gen_config_validation():
