@@ -7,12 +7,11 @@ validators re-derive every claim from exact rational arithmetic and are
 written independently of the generator, so a tampered certificate is rejected
 on its merits.  ``falsify`` is a third route: it hunts for a concrete point
 of the chosen neighbourhood whose image escapes the target, double-checking
-any hit by direct evaluation before reporting it.  Its sample count is a
-budget, an upper bound: structural probes go first, and where they provably
-reach every escaping point (segment neighbourhoods always, threshold ones
-whenever the chosen threshold is at least the target's) the search ends with
-them.  Only the remaining threshold case spends seeded random draws, so a
-segment-neighbourhood result does not depend on the seed.
+any hit by direct evaluation before reporting it.  It tries a fixed list of
+structural probes that provably reach every escaping point, so its result
+depends on no seed, and its sample count is a budget, an upper bound that
+covers every probe from 8 points (threshold neighbourhoods) or
+2|chosen| + 3|target| points (segment ones).
 
 For threshold neighbourhoods the evidence is a case split of the chosen set
 into boxes, each carrying the affine image formula of the product's applicable
@@ -26,11 +25,9 @@ offsets and furthest points.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .semigroup import Elem, mul
 from .order_geometry import (
@@ -542,32 +539,36 @@ def falsify(
     chosen: ZeroNbhd,
     target: ZeroNbhd,
     samples: int,
-    seed: int,
+    seed: int = 0,
 ) -> Optional[Elem]:
     """Hunt for s in the chosen neighbourhood whose image escapes the target.
 
-    Deterministic for a given seed.  The search runs on the integer grid of
-    the inputs' common denominator: a handful of structural probes near the
-    boundary of the chosen set go first, each tested by integer comparisons
-    against cut-offs computed once per call (per diagonal for segment
-    neighbourhoods), which decide exactly what membership would.
-    ``samples`` is a budget, an upper bound on the points tried.  When the
-    probes provably reach every escaping point the search ends after them:
-    always for segment neighbourhoods, whose result therefore does not depend
-    on the seed, and for threshold neighbourhoods whose chosen threshold is at
-    least the target's.  Otherwise seeded random draws spend the rest of the
-    budget.  Any candidate is re-verified with exact rational membership
+    The search runs on the integer grid of the inputs' common denominator.  It
+    tries a fixed list of structural probes near the boundary of the chosen
+    set, each tested by integer comparisons against cut-offs computed once per
+    call (per diagonal for segment neighbourhoods), which decide exactly what
+    membership would.  The probes provably reach every escaping point (see
+    ``_falsify_ac1`` and ``_falsify_ac2``), so when none escapes, no point of
+    the chosen set does.  ``samples`` is a budget, an upper bound on the
+    probes tried: 8 cover them all for threshold neighbourhoods,
+    2|chosen| + 3|target| for segment ones, and a larger budget changes
+    nothing.  Any candidate is re-verified with exact rational membership
     before being returned, so a returned point is always a true violation.
-    Returns None when no violation is found.  A negative seed raises
-    ``ValueError``: ``random.Random`` would replay its absolute value.  So
-    does ``samples < 1``, which would report a miss without trying a point.
+    Returns None when no violation is found.
+
+    ``seed`` plays no part in the search; it stays so that callers that
+    pass one positionally keep working.  A negative seed still raises
+    ``ValueError``: no seed input of the library accepts one (``GenConfig``
+    and the CLI reject it too), and a caller's bad seed is better reported
+    than silently ignored.  So does ``samples < 1``, which would report a
+    miss without trying a point.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):
-        return _falsify_ac1(side, translator, chosen, target, samples, seed)
+        return _falsify_ac1(side, translator, chosen, target, samples)
     if isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
         return _falsify_ac2(side, translator, chosen, target, samples)
     raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
@@ -584,12 +585,11 @@ def _confirm(
 
 def _ac1_grid(
     side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1
-) -> Tuple[int, int, int, Tuple[Tuple[int, int], ...], Callable[[int, int], bool]]:
+) -> Tuple[int, Tuple[Tuple[int, int], ...], Callable[[int, int], bool]]:
     """Scale a threshold instance to the grid of its common denominator D.
 
-    Returns D, the chosen and target thresholds nc and nt in grid units, the
-    probes, and the escape predicate: does the grid point (xs, ys) lie in the
-    chosen set with its image in the closed target box?
+    Returns D, the probes, and the escape predicate: does the grid point
+    (xs, ys) lie in the chosen set with its image in the closed target box?
     """
     D = math.lcm(
         t.a.denominator,
@@ -608,6 +608,7 @@ def _ac1_grid(
         (nc + 1, nt + 1),
         (nt + 1, nc + 1),
         (nc + 1, nc + 1),
+        (tb, nc + 1) if left else (nc + 1, ta),
     )
     # With u the coordinate the product branches on (a on the left, b on the
     # right), v the other one, p the translator's pivot and q its remaining
@@ -623,32 +624,7 @@ def _ac1_grid(
             (u <= u_cut and v <= nt) if u >= p else (low_ok and v - u <= d_cut)
         )
 
-    return D, nc, nt, probes, escapes
-
-
-def _ac1_draws(nc: int, nt: int, D: int, seed: int) -> Iterator[Tuple[int, int]]:
-    """Seeded grid points of the chosen set, for nc < nt: every mode draws one
-    coordinate past nc, two of them in a window next to the target box."""
-    span = 3 * nt + 4 * D + 1
-    near = 2 * D
-    bwin = nt + 2 * D + 1
-    grb = random.Random(seed).getrandbits
-    while True:
-        bits = grb(70)
-        r1 = bits & 0x7FFFFFFF
-        rest = bits >> 31
-        mode = rest % 5
-        r2 = (rest >> 3) & 0x7FFFFFFF
-        if mode == 0:
-            yield nc + 1 + r1 % span, r2 % span
-        elif mode == 1:
-            yield r2 % span, nc + 1 + r1 % span
-        elif mode == 2:
-            yield nc + 1 + r1 % span, nc + 1 + r2 % span
-        elif mode == 3:
-            yield nc + 1 + r1 % near, r2 % bwin
-        else:
-            yield r2 % bwin, nc + 1 + r1 % near
+    return D, probes, escapes
 
 
 def _falsify_ac1(
@@ -657,27 +633,25 @@ def _falsify_ac1(
     chosen: NbhdAc1,
     target: NbhdAc1,
     samples: int,
-    seed: int,
 ) -> Optional[Elem]:
-    """Probes, then random draws only when the chosen threshold nc is below
-    the target's nt, where escaping points can miss every probe.
+    """Probes only: they reach every escaping point, whatever the thresholds.
 
-    Why nc >= nt needs nothing past the probes, in the terms of the cut-off
-    comment in ``_ac1_grid``: let (u, v) escape.
-      u >= p:  v <= nt <= nc, so membership in the chosen set needs u > nc.
-               Then (max(nc + 1, p), 0) escapes as well, and it is the probe
-               (nc + 1, 0) or (p, 0).
-      u <  p:  q <= nt and v <= nt - p + u < nt <= nc, so p > u > nc.  Then
-               (p, 0) escapes: p <= nt - q + p and 0 <= nt.
-    In (xs, ys) these are (nc + 1, 0) and (tb, 0) on the left, (0, nc + 1)
-    and (0, ta) on the right, all among the probes.  So when no probe
-    escapes, no grid point does, and no draw could find one.
+    In the terms of the cut-off comment in ``_ac1_grid``, with nc and nt the
+    chosen and target thresholds, let (u, v) escape.
+      u >  nc, u >= p:  (max(nc + 1, p), 0) escapes as well, and it is the
+               probe (nc + 1, 0) or (p, 0).
+      u >  nc, u <  p:  q <= nt and p > u > nc, so (p, 0) escapes:
+               p <= nt - q + p and 0 <= nt.
+      u <= nc:  then v > nc.  Both branches force q <= nt and v <= nt, so
+               nc < nt, and the probe (p, nc + 1) escapes: it is on the
+               u >= p branch with p <= nt - q + p and nc + 1 <= nt, and
+               v = nc + 1 > nc puts it in the chosen set.
+    In (xs, ys) these are (nc + 1, 0), (tb, 0) and (tb, nc + 1) on the left,
+    (0, nc + 1), (0, ta) and (nc + 1, ta) on the right, all among the probes.
+    So when no probe escapes, no grid point does.
     """
-    D, nc, nt, probes, escapes = _ac1_grid(side, t, chosen, target)
-    points: Iterable[Tuple[int, int]] = probes[:samples]
-    if nc < nt and samples > len(probes):
-        points = chain(probes, islice(_ac1_draws(nc, nt, D, seed), samples - len(probes)))
-    for xs, ys in points:
+    D, probes, escapes = _ac1_grid(side, t, chosen, target)
+    for xs, ys in probes[:samples]:
         if escapes(xs, ys):
             s = _confirm(side, t, chosen, target, xs, ys, D)
             if s is not None:

@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from . import certificates as certs
-from .certio import cert_to_text, read_cert
+from .certio import cert_to_text, read_cert, write_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
 from .order_geometry import Side, line_product
@@ -155,7 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator", required=True)
     p.add_argument("--chosen", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--seed", type=_digits, default=None)
+    p.add_argument(
+        "--seed",
+        type=_digits,
+        default=None,
+        help=f"checked like every seed (default ${SEED_ENV} or 0); the search does not depend on it",
+    )
     p.add_argument("--cases", type=_digits, default=10000)
     p.set_defaults(run=_cmd_falsify)
 
@@ -209,17 +214,15 @@ def _cmd_certify(args) -> int:
     if not valid:
         print("error: generated certificate failed self-validation", file=sys.stderr)
         return 1
-    text = cert_to_text(cert)
     if args.emit:
         try:
-            with open(args.emit, "w", encoding="ascii") as fh:
-                fh.write(text)
+            write_cert(cert, args.emit)
         except OSError as exc:
             print(f"error: cannot write {args.emit}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote certificate to {args.emit} (valid)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(cert_to_text(cert))
     return 0
 
 
@@ -258,7 +261,7 @@ def _cmd_falsify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if hit is None:
-        print(f"no counterexample in {args.cases} samples (seed {seed})")
+        print(f"no counterexample within a budget of {args.cases} points")
         return 0
     image = mul(translator, hit) if side is Side.LEFT else mul(hit, translator)
     print(f"counterexample {hit} -> {image}")

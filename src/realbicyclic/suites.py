@@ -356,12 +356,8 @@ def _suite_witnesses(run: _Runner) -> None:
             run.fail("shrink-dual-hereditary", f"{e0} {e1} s={sd}", "below", str(mul(sd, e0)))
 
 
-def _sub_seed(cfg: GenConfig, i: int, salt: int) -> int:
-    return (cfg.seed * 1000003 + i * 97 + salt) % 2**63
-
-
 def _suite_ac1(run: _Runner) -> None:
-    for i in range(run.cfg.cases):
+    for _ in range(run.cfg.cases):
         t = run.draw()
         if t.a == t.b:
             t = Elem(t.a, t.b + 1)
@@ -371,15 +367,11 @@ def _suite_ac1(run: _Runner) -> None:
         cert = certs.continuity_cert_ac1(side, t, target)
         if not certs.validate_cert_ac1(cert):
             run.fail("ac1-validate", f"{side.value} {t} n={n}", "valid", "invalid")
-        hit = certs.falsify(
-            side, t, cert.chosen, cert.effective, 300, _sub_seed(run.cfg, i, 1)
-        )
+        hit = certs.falsify(side, t, cert.chosen, cert.effective, 300)
         if hit is not None:
             run.fail("ac1-honest-unfalsifiable", f"{side.value} {t} n={n}", "none", str(hit))
         corrupted = replace(cert, chosen=NbhdAc1(cert.effective.n))
-        witness = certs.falsify(
-            side, t, corrupted.chosen, cert.effective, 2000, _sub_seed(run.cfg, i, 2)
-        )
+        witness = certs.falsify(side, t, corrupted.chosen, cert.effective, 2000)
         if certs.validate_cert_ac1(corrupted):
             run.fail(
                 "ac1-corrupt-rejected",
@@ -406,7 +398,7 @@ def _suite_ac2(run: _Runner) -> None:
         cert = certs.continuity_cert_ac2(side, t, target)
         if not certs.validate_cert_ac2(cert):
             run.fail("ac2-validate", f"{side.value} {t} target={target.tops}", "valid", "invalid")
-        hit = certs.falsify(side, t, cert.chosen, target, 300, _sub_seed(run.cfg, i, 3))
+        hit = certs.falsify(side, t, cert.chosen, target, 300)
         if hit is not None:
             run.fail(
                 "ac2-honest-unfalsifiable",
@@ -419,9 +411,7 @@ def _suite_ac2(run: _Runner) -> None:
             for c in cert.chosen.tops
         )
         corrupted = replace(cert, chosen=NbhdAc2(boundary))
-        witness = certs.falsify(
-            side, t, corrupted.chosen, target, 2000, _sub_seed(run.cfg, i, 4)
-        )
+        witness = certs.falsify(side, t, corrupted.chosen, target, 2000)
         if certs.validate_cert_ac2(corrupted):
             run.fail(
                 "ac2-corrupt-rejected",

@@ -3,11 +3,12 @@ and bit-exact serialization."""
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import random
+import textwrap
 from collections import Counter
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,66 @@ def test_ac1_open_mid_range_caught_by_coverage(side, monkeypatch):
     assert _corner_scan_ok(side, t, m, cert.effective.n)
     monkeypatch.setattr(certificates, "_covers_chosen", lambda cases, m: True)
     assert validate_cert_ac1(tampered)
+
+
+def _mutant_validate_ac1(old, new):
+    """validate_cert_ac1 compiled from its source with one edit."""
+    src = textwrap.dedent(inspect.getsource(certificates.validate_cert_ac1))
+    assert src.count(old) == 1
+    namespace = dict(vars(certificates))
+    exec(compile(src.replace(old, new), certificates.__file__, "exec"), namespace)
+    return namespace["validate_cert_ac1"]
+
+
+def _widen_mid_case(cert, low):
+    """The certificate with its mid case's unbounded range widened down to
+    [low, inf) and the branch's infimum recorded as low, attained."""
+    mid = cert.evidence[1]
+    field = "b_range" if cert.side is Side.LEFT else "a_range"
+    (branch,) = mid.branches
+    widened = dataclasses.replace(
+        mid,
+        **{field: Interval(low, False, None, True)},
+        branches=(dataclasses.replace(branch, inf_value=low, inf_attained=True),),
+    )
+    return dataclasses.replace(cert, evidence=(cert.evidence[0], widened, cert.evidence[2]))
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_ac1_attained_infimum_at_threshold_rejected(side):
+    # a box reaching down to n_eff, whose witness coordinate attains n_eff:
+    # the infimum is recorded truly, so only the attained bound (inf > n_eff
+    # when attained) rejects it.  The extra box lies outside the chosen set,
+    # so coverage and the corner scan both pass.
+    t = Elem(1, 2) if side is Side.LEFT else Elem(2, 1)
+    cert = continuity_cert_ac1(side, t, NbhdAc1(F(9, 2)))
+    ne, m = cert.effective.n, cert.chosen.n
+    assert ne == F(9, 2)
+    tampered = _widen_mid_case(cert, ne)
+    assert cert_from_text(cert_to_text(tampered)) == tampered
+    assert not validate_cert_ac1(tampered)
+    assert _covers_chosen(tampered.evidence, m)
+    assert _corner_scan_ok(side, t, m, ne)
+    mutant = _mutant_validate_ac1("if inf_value <= ne:", "if inf_value < ne:")
+    assert mutant(cert) and mutant(tampered)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_ac1_effective_threshold_denominator_on_the_grid(side):
+    # the same widened box down to 4 under an effective threshold of 13/3,
+    # whose denominator no other value of the certificate has: a grid that
+    # left it out would scale n_eff to 0 and accept the box
+    t = Elem(1, 2) if side is Side.LEFT else Elem(2, 1)
+    cert = continuity_cert_ac1(side, t, NbhdAc1(4))
+    cert = dataclasses.replace(cert, effective=NbhdAc1(F(13, 3)))
+    assert validate_cert_ac1(cert)
+    tampered = _widen_mid_case(cert, F(4))
+    assert cert_from_text(cert_to_text(tampered)) == tampered
+    assert not validate_cert_ac1(tampered)
+    assert _covers_chosen(tampered.evidence, cert.chosen.n)
+    assert _corner_scan_ok(side, t, cert.chosen.n, cert.effective.n)
+    mutant = _mutant_validate_ac1("vals = [t.a, t.b, n_eff]", "vals = [t.a, t.b]")
+    assert mutant(cert) and mutant(tampered)
 
 
 def test_ac1_missing_branch_rejected():
@@ -835,9 +896,8 @@ def _golden_falsify_instances():
 
 
 def test_falsify_golden_streams():
-    # the seeded streams and returned witnesses, pinned by a digest recorded
-    # with the sample loops as they were before the integer cut-offs and
-    # diagonal tables; budgets 1, 7 (the ac1 probes), 8 and 1000 per instance
+    # the returned witnesses, pinned by a digest; budgets 1, 7, 8 (the ac1
+    # probes) and 1000 per instance
     results = []
     for i, (side, t, chosen, target) in enumerate(_golden_falsify_instances()):
         for samples in (1, 7, 8, 1000):
@@ -845,8 +905,8 @@ def test_falsify_golden_streams():
     hits = sum(w is not None for w in results)
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert (hits, digest) == (
-        723,
-        "96996f12272a36a240abec477a6c743f512de3027c79b96b7ed6cb0297c78e9e",
+        733,
+        "725e426c9dd07268b9d8325031d342fca54eae00fb6295591888ead241faf3b9",
     )
 
 
@@ -929,9 +989,9 @@ def _scan_finds_escape(side, t, chosen, target):
 
 
 def _exhaustive_instances():
-    """Seeded instances the probes settle: threshold ones with the chosen
-    threshold at least the target's, and segment ones, on both sides, with
-    honest certificates and their tampered twins among them."""
+    """Seeded instances the probes settle: threshold and segment ones, on
+    both sides, with honest certificates and their tampered twins among
+    them."""
     rng = random.Random(2718)
 
     def q(hi=5, den=3):
@@ -991,6 +1051,25 @@ def _exhaustive_instances():
         )
         if short:
             out.append((side, t, NbhdAc2(short), cert.target))
+    for k in range(32):
+        # the chosen threshold below the target's
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        m = q() + F(1, 2)
+        out.append((side, el(), NbhdAc1(m), NbhdAc1(m + q(2, 2) + F(1, 3))))
+    for k in range(16):
+        # a pivot p at most the chosen threshold and the other translator
+        # coordinate q with nt - q + p <= nc <= nt - 1/3: the escaping points
+        # have u in [p, nt - q + p] and v in (nc, nt], and often the probe
+        # (p, nc + 1) is the only probe among them
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        m = q() + 1
+        n = m + F(1, rng.randint(1, 3))
+        p = F(rng.randrange(int(m) + 1))
+        far = min(n, p + (n - m) + q(2, 2))
+        t = Elem(far, p) if side is Side.LEFT else Elem(p, far)
+        out.append((side, t, NbhdAc1(m), NbhdAc1(n)))
+    out.append((Side.LEFT, Elem(7, 1), NbhdAc1(9), NbhdAc1(10)))
+    out.append((Side.RIGHT, Elem(1, 7), NbhdAc1(9), NbhdAc1(10)))
     return out
 
 
@@ -999,9 +1078,10 @@ def test_falsify_probes_are_exhaustive():
     # whole escaping set is non-empty; larger budgets and other seeds add
     # nothing on these instances
     outcomes = set()
+    last_probe_only = Counter()
     for i, (side, t, chosen, target) in enumerate(_exhaustive_instances()):
         if isinstance(chosen, NbhdAc1):
-            probes = 7
+            probes = 8
         else:
             probes = 2 * len(chosen.tops) + 3 * len(target.tops)
         found = falsify(side, t, chosen, target, probes, i)
@@ -1011,8 +1091,15 @@ def test_falsify_probes_are_exhaustive():
             assert_violates(side, t, chosen, target, found)
         for seed in (i, i + 1000):
             assert falsify(side, t, chosen, target, 1000, seed) == found
-        outcomes.add((type(chosen), side, expected))
-    assert len(outcomes) == 8  # both kinds, both sides, hits and misses
+        below = isinstance(chosen, NbhdAc1) and chosen.n < target.n
+        outcomes.add((type(chosen), side, expected, below))
+        if below and found is not None and falsify(side, t, chosen, target, 7) is None:
+            last_probe_only[side] += 1
+    # both kinds, both sides, hits and misses, and threshold ones with the
+    # chosen threshold below the target's and not below it
+    assert len(outcomes) == 12
+    # hits that of the probes only the last, (p, nc + 1), reaches
+    assert last_probe_only[Side.LEFT] and last_probe_only[Side.RIGHT]
 
 
 def _threshold_cutoff_points(side, t, D, nc, nt):
@@ -1029,10 +1116,22 @@ def _threshold_cutoff_points(side, t, D, nc, nt):
     return sorted(points)
 
 
+def _chosen_grid_points(rng, D, nc, nt, count):
+    """Seeded grid points of the chosen set: one coordinate past nc, half of
+    them in a window next to the target box."""
+    wide, near = 3 * nt + 4 * D + 1, nt + 2 * D + 1
+    points = []
+    for k in range(count):
+        span = near if k % 2 else wide
+        far, other = nc + 1 + rng.randrange(span - nt), rng.randrange(span)
+        points.append((far, other) if rng.randrange(2) else (other, far))
+    return points
+
+
 def test_threshold_escape_predicate_matches_definition():
-    # chosen threshold below the target's, the only case that draws: the
-    # integer predicate against exact membership and mul, on every cut-off
-    # boundary, on the probes and on 5000 seeded draws (about 1000 per mode)
+    # chosen threshold below the target's: the integer predicate against
+    # exact membership and mul, on every cut-off boundary, on the probes and
+    # on 5000 seeded grid points of the chosen set
     rng = random.Random(4242)
     hits = 0
     for k in range(16):
@@ -1043,27 +1142,30 @@ def test_threshold_escape_predicate_matches_definition():
         t = Elem(q(0, 25), q(0, 25))
         m = q(1, 25)
         chosen, target = NbhdAc1(m), NbhdAc1(m + q(1, 13))
-        D, nc, nt, probes, escapes = certificates._ac1_grid(side, t, chosen, target)
-        draws = list(islice(certificates._ac1_draws(nc, nt, D, k), 5000))
-        for xs, ys in _threshold_cutoff_points(side, t, D, nc, nt) + list(probes) + draws:
+        D, probes, escapes = certificates._ac1_grid(side, t, chosen, target)
+        nc, nt = int(chosen.n * D), int(target.n * D)
+        points = _chosen_grid_points(random.Random(k), D, nc, nt, 5000)
+        assert all(xs > nc or ys > nc for xs, ys in points)
+        for xs, ys in _threshold_cutoff_points(side, t, D, nc, nt) + list(probes) + points:
             s = Elem(F(xs, D), F(ys, D))
             expected = _escapes(side, t, chosen, target, s)
             assert escapes(xs, ys) == expected, (side, t, chosen, target, xs, ys)
             hits += expected
-        assert all(xs > nc or ys > nc for xs, ys in draws)
     assert hits > 0
 
 
 def test_falsify_ac1_hit_only_random_draws_reach():
-    # the escaping points (1..4, 10) (mirrored on the right) miss every
-    # probe: the budget of the probes alone finds nothing, 1000 samples do
+    # the escaping points (1..4, 10) (mirrored on the right) miss the first
+    # seven probes and once needed random draws; the eighth probe, (p, nc + 1),
+    # is the first of them, whatever the budget past 8 and the seed
     for side, t, expected in (
-        (Side.LEFT, Elem(7, 1), Elem(3, 10)),
-        (Side.RIGHT, Elem(1, 7), Elem(10, 3)),
+        (Side.LEFT, Elem(7, 1), Elem(1, 10)),
+        (Side.RIGHT, Elem(1, 7), Elem(10, 1)),
     ):
         chosen, target = NbhdAc1(9), NbhdAc1(10)
         assert falsify(side, t, chosen, target, 7, 0) is None
-        assert falsify(side, t, chosen, target, 1000, 0) == expected
+        for samples, seed in ((8, 0), (9, 3), (1000, 0), (1000, 6), (10**6, 2**40)):
+            assert falsify(side, t, chosen, target, samples, seed) == expected
         assert_violates(side, t, chosen, target, expected)
 
 

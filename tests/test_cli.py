@@ -316,12 +316,17 @@ def test_suite_reads_env_seed_on_every_call(capsys, monkeypatch):
         assert f"seed {seed}" in out.splitlines()
 
 
-def test_falsify_seed_flag_not_kept(capsys, monkeypatch):
+def test_seed_flag_not_kept(capsys, monkeypatch):
+    # suite reports its seed: a flag given once must not stick
     monkeypatch.delenv("REALBICYCLIC_SEED", raising=False)
-    code, out, _ = run_cli(capsys, *FALSIFY_MISS, "--seed", "7")
-    assert code == 0 and out == "no counterexample in 100 samples (seed 7)\n"
-    code, out, _ = run_cli(capsys, *FALSIFY_MISS)
-    assert code == 0 and out == "no counterexample in 100 samples (seed 0)\n"
+    code, out, _ = run_cli(capsys, "suite", "axioms", "--cases", "5", "--seed", "7")
+    assert code == 0 and "seed 7" in out.splitlines()
+    code, out, _ = run_cli(capsys, "suite", "axioms", "--cases", "5")
+    assert code == 0 and "seed 0" in out.splitlines()
+    # falsify names no seed: its search does not depend on one
+    for seed_flag in (("--seed", "7"), ()):
+        code, out, _ = run_cli(capsys, *FALSIFY_MISS, *seed_flag)
+        assert code == 0 and out == "no counterexample within a budget of 100 points\n"
 
 
 def test_parser_built_once_per_process(capsys):
