@@ -3,11 +3,12 @@
 A certificate claims that one-sided multiplication by a fixed translator maps
 a *chosen* zero neighbourhood into a *target* zero neighbourhood.  The
 generator builds the chosen neighbourhood together with explicit evidence; the
-validators re-derive every claim from exact rational arithmetic and are
-written independently of the generator, so a tampered certificate is rejected
-on its merits.  ``falsify`` is a third route: it hunts for a concrete point
-of the chosen neighbourhood whose image escapes the target, double-checking
-any hit by direct evaluation before reporting it.  It tries a fixed list of
+validators re-derive every claim exactly on integer grids of the
+certificate's common denominator, and are written independently of the
+generator (they call nothing in ``order_geometry``), so a tampered certificate
+is rejected on its merits.  ``falsify`` is a third route: it hunts for a
+concrete point of the chosen neighbourhood whose image escapes the target,
+double-checking any hit by direct evaluation before reporting it.  It tries a fixed list of
 structural probes that provably reach every escaping point, so its result
 depends on no seed, and its sample count is a budget, an upper bound that
 covers every probe from 8 points (threshold neighbourhoods) or
@@ -475,22 +476,17 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     )
 
 
-def _segment_covered(seg_top: Elem, tops: Sequence[Elem]) -> Optional[Elem]:
-    """The first top whose up-segment contains the whole segment below seg_top.
-
-    Up-segments on one diagonal all reach the same boundary point, so
-    containment is: same offset, and the covering top at least as far out.
-    """
-    offset = seg_top.b - seg_top.a
-    for c in tops:
-        if c.b - c.a == offset and c.a >= seg_top.a:
-            return c
-    return None
-
-
 def validate_cert_ac2(cert: ContinuityCert) -> bool:
     """Re-derive an ac2 certificate: recompute each target segment's preimage
-    and decide its containment in the chosen segments exactly."""
+    and decide its containment in the chosen segments exactly.
+
+    Every value is scaled once to the integer grid of the certificate's common
+    denominator.  The preimage of the up-segment below (ua, ub) is the one
+    below (ua - ta + tb, ub) on the left, (ua, ub - tb + ta) on the right, and
+    empty when ta > ua (left) or tb > ub (right).  Up-segments on one diagonal
+    all reach the same boundary point, so the one below (ca, cb) contains the
+    one below (pa, pb) exactly when ca - cb == pa - pb and ca >= pa.
+    """
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
     if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
@@ -499,23 +495,44 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
         raise MalformedCert("chosen neighbourhood must exclude at least one segment")
     if tuple(ev.target_top for ev in cert.evidence) != cert.target.tops:
         raise MalformedCert("evidence tops do not match the target")
+    points = [cert.translator, *cert.chosen.tops]
     for ev in cert.evidence:
-        u = ev.target_top
-        delta = (cert.translator.a - cert.translator.b) + (u.b - u.a)
-        if ev.offset != delta:
+        points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
+    D = math.lcm(
+        *(v.denominator for e in points for v in (e.a, e.b)),
+        *(ev.offset.denominator for ev in cert.evidence),
+    )
+
+    def grid(e: Optional[Elem]) -> Optional[Tuple[int, int]]:
+        if e is None:
+            return None
+        return e.a.numerator * (D // e.a.denominator), e.b.numerator * (D // e.b.denominator)
+
+    ta, tb = grid(cert.translator)
+    chosen = [grid(c) for c in cert.chosen.tops]
+    left = cert.side is Side.LEFT
+    for ev in cert.evidence:
+        ua, ub = grid(ev.target_top)
+        if ev.offset.numerator * (D // ev.offset.denominator) != (ta - tb) + (ub - ua):
             return False
-        pre = preimage_up_segment(cert.side, cert.translator, up_set(u))
+        if left:
+            pre = None if ta > ua else (ua - ta + tb, ub)
+        else:
+            pre = None if tb > ub else (ua, ub - tb + ta)
         if pre is None:
             if ev.preimage_top is not None:
                 return False
             continue
-        if ev.preimage_top != pre.top:
+        if grid(ev.preimage_top) != pre:
             return False
-        if _segment_covered(pre.top, cert.chosen.tops) is None:
+        pa, pb = pre
+        if not any(ca - cb == pa - pb and ca >= pa for ca, cb in chosen):
             return False
-        if ev.covering_top is None or ev.covering_top not in cert.chosen.tops:
+        cover = grid(ev.covering_top)
+        if cover is None or cover not in chosen:
             return False
-        if _segment_covered(pre.top, [ev.covering_top]) is None:
+        ca, cb = cover
+        if not (ca - cb == pa - pb and ca >= pa):
             return False
     return True
 
@@ -591,14 +608,8 @@ def _ac1_grid(
     Returns D, the probes, and the escape predicate: does the grid point
     (xs, ys) lie in the chosen set with its image in the closed target box?
     """
-    D = math.lcm(
-        t.a.denominator,
-        t.b.denominator,
-        chosen.n.denominator,
-        target.n.denominator,
-    )
-    ta, tb = int(t.a * D), int(t.b * D)
-    nc, nt = int(chosen.n * D), int(target.n * D)
+    D = math.lcm(t.a.denominator, t.b.denominator, chosen.n.denominator, target.n.denominator)
+    ta, tb, nc, nt = (v.numerator * (D // v.denominator) for v in (t.a, t.b, chosen.n, target.n))
     left = side is Side.LEFT
     probes = (
         (nc + 1, 0),
@@ -689,14 +700,14 @@ def _falsify_ac2(
     otherwise the diagonal's first point max(k, 0), the probe (x0, x0 + d).
     So when no probe escapes, no grid point does, whatever the seed.
     """
-    dens = [t.a.denominator, t.b.denominator]
-    for e in chosen.tops + target.tops:
-        dens.append(e.a.denominator)
-        dens.append(e.b.denominator)
-    D = math.lcm(*dens)
-    ta, tb = int(t.a * D), int(t.b * D)
-    ch = [(int(c.a * D), int(c.b * D)) for c in chosen.tops]
-    tg = [(int(u.a * D), int(u.b * D)) for u in target.tops]
+    D = math.lcm(*(v.denominator for e in (t, *chosen.tops, *target.tops) for v in (e.a, e.b)))
+
+    def grid(e: Elem) -> Tuple[int, int]:
+        return e.a.numerator * (D // e.a.denominator), e.b.numerator * (D // e.b.denominator)
+
+    ta, tb = grid(t)
+    ch = [grid(c) for c in chosen.tops]
+    tg = [grid(u) for u in target.tops]
     left = side is Side.LEFT
     # every image on a target segment's diagonal pulls back to one source
     # diagonal, since both product coordinates subtract the same min term

@@ -20,13 +20,23 @@ Blank lines, tabs, carriage returns and leading, trailing or doubled spaces
 are malformed.  ``read_cert`` reads its file in text mode, so a file with
 CRLF line ends reads as the LF text and validates; ``cert_from_text`` of a
 string with CRLF line ends is malformed.
+
+``cert_from_text`` reads the text as a sequence of records, each matched
+whole, LF included, by one compiled pattern at its offset: the header block
+(header, kind, side, translator), the three thresholds, a case head with both
+ranges, a six-line branch record, a count line, a top line, and a five-line
+evidence record, with ``end-case`` and ``end-cert`` between them.  What a
+pattern cannot check is checked on the captured tokens: lowest terms,
+non-negative coordinates, positive thresholds and non-empty top lists.  A
+``MalformedCert`` names the line where the offending record starts and the
+record that was expected there.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .semigroup import Elem, _elem as _trusted_elem
 from .order_geometry import Side
@@ -104,184 +114,152 @@ def cert_to_text(cert: ContinuityCert) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RATIONAL = re.compile(r"(?:-?[1-9][0-9]*|0)/[1-9][0-9]*")
-_COUNT = re.compile(r"0|[1-9][0-9]*")
-_WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
+# One rational token, captured; its sign is checked where it must be >= 0.
+_Q = r"((?:-?[1-9][0-9]*|0)/[1-9][0-9]*)"
+_IV = rf"([(\[]){_Q} (?:{_Q}([)\]])|inf\))"
+_HEADER_BLOCK = re.compile(rf"{_HEADER}\nkind (ac1|ac2)\nside (left|right)\ntranslator {_Q} {_Q}\n")
+_THRESHOLDS = re.compile(rf"target-n {_Q}\neffective-n {_Q}\nchosen-n {_Q}\n")
+_CASE_HEAD = re.compile(rf"case ([a-z]+(?:-[a-z]+)*)\na-range {_IV}\nb-range {_IV}\n")
+_BRANCH = re.compile(
+    rf"branch (lt|eq|gt)\nimage-a {_Q} {_Q} {_Q}\nimage-b {_Q} {_Q} {_Q}\n"
+    rf"witness (a|b)\ninf {_Q}\nattained (yes|no)\n"
+)
+_COUNT_LINE = re.compile(r"([a-z]+(?:-[a-z]+)*) (0|[1-9][0-9]*)\n")
+_TOP = re.compile(rf"top {_Q} {_Q}\n")
+_EVIDENCE = re.compile(
+    rf"target-top {_Q} {_Q}\n(?:preimage empty|preimage-top {_Q} {_Q})\n"
+    rf"offset {_Q}\n(?:covering none|covering-top {_Q} {_Q})\nend-evidence\n"
+)
 
 
-class _Reader:
-    """One pass over the lines of a certificate text.  Parsed rationals are
-    kept per token for the length of one ``cert_from_text`` call."""
+class _Reader(dict):
+    """One pass over a certificate text, one pattern match per record.
+
+    The reader is also the token cache of one ``cert_from_text`` call:
+    ``r[token]`` is the token's rational, parsed and checked on its first
+    lookup, so a token repeated in the text is parsed once."""
+
+    __slots__ = ("text", "pos", "mark")
 
     def __init__(self, text: str) -> None:
         if not text.endswith("\n"):
             raise MalformedCert("certificate must end with a newline")
-        self.lines = text[:-1].split("\n")
-        self.pos = 0
-        self.fracs: Dict[str, Fraction] = {}
+        self.text = text
+        self.pos = self.mark = 0
 
-    def line(self) -> str:
-        if self.pos == len(self.lines):
-            raise MalformedCert("unexpected end of certificate")
-        self.pos += 1
-        return self.lines[self.pos - 1]
+    def error(self, problem: str, pos: Optional[int] = None) -> MalformedCert:
+        """``problem`` at the line holding ``pos``, by default the first line
+        of the record being read."""
+        line = self.text.count("\n", 0, self.mark if pos is None else pos) + 1
+        return MalformedCert(f"line {line}: {problem}")
 
-    def field(self, key: str, line: Optional[str] = None) -> str:
-        """The value of the line ``key value`` (the next line by default)."""
-        if line is None:
-            line = self.line()
-        head, sep, value = line.partition(" ")
-        if head != key or not sep:
-            raise MalformedCert(f"line {self.pos}: expected {key!r}, got {line!r}")
-        return value
+    def record(self, pattern: re.Pattern[str], what: str) -> Tuple[Optional[str], ...]:
+        """The groups of the record ``what``, which must come next."""
+        self.mark = self.pos
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            raise self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.groups()
 
-    def frac(self, token: str, where: str) -> Fraction:
-        f = self.fracs.get(token)
-        if f is None:
-            if _RATIONAL.fullmatch(token) is None:
-                raise MalformedCert(f"{where}: expected a num/den rational, got {token!r}")
-            num, den = token.split("/")
-            d = int(den)
-            f = Fraction(int(num), d)
-            if f.denominator != d:
-                raise MalformedCert(f"{where}: {token!r} is not in lowest terms")
-            self.fracs[token] = f
+    def at(self, line: str) -> bool:
+        """Read past ``line`` (with its LF) if it comes next."""
+        if self.text.startswith(line, self.pos):
+            self.pos += len(line)
+            return True
+        return False
+
+    def __missing__(self, token: str) -> Fraction:
+        num, _, den = token.partition("/")
+        d = int(den)
+        f = Fraction(int(num), d)
+        if f.denominator != d:
+            raise self.error(f"{token!r} is not in lowest terms")
+        self[token] = f
         return f
 
-    def fracs_of(self, key: str, size: int) -> List[Fraction]:
-        tokens = self.field(key).split(" ")
-        if len(tokens) != size:
-            raise MalformedCert(f"{key}: expected {size} tokens, got {len(tokens)}")
-        return [self.frac(tok, key) for tok in tokens]
+    def elem(self, a: str, b: str) -> Elem:
+        fa, fb = self[a], self[b]
+        if a[0] == "-" or b[0] == "-":
+            raise self.error(f"negative coordinate: ({fa}, {fb})")
+        return _trusted_elem(fa, fb)
+
+    def interval(self, lo_br: str, lo: str, hi: Optional[str], hi_br: Optional[str]) -> Interval:
+        if hi is None:
+            return Interval(self[lo], lo_br == "(", None, True)
+        return Interval(self[lo], lo_br == "(", self[hi], hi_br == ")")
 
     def count(self, key: str) -> int:
-        text = self.field(key)
-        if _COUNT.fullmatch(text) is None:
-            raise MalformedCert(f"{key}: bad count {text!r}")
-        return int(text)
+        name, value = self.record(_COUNT_LINE, f"the count line {key!r}")
+        if name != key:
+            raise self.error(f"expected the count line {key!r}")
+        return int(value)
 
-    def threshold(self, key: str) -> NbhdAc1:
-        (n,) = self.fracs_of(key, 1)
+    def segments(self, key: str) -> NbhdAc2:
+        """The neighbourhood of the count line ``key`` and its top lines."""
+        tops = [self.elem(*self.record(_TOP, "a top line")) for _ in range(self.count(key))]
         try:
-            return NbhdAc1(n)
-        except ValueError as exc:
-            raise MalformedCert(f"{key}: {exc}") from exc
-
-    def elem(self, key: str, where: str, line: Optional[str] = None) -> Elem:
-        tokens = self.field(key, line).split(" ")
-        if len(tokens) != 2:
-            raise MalformedCert(f"{where}: expected two rationals, got {len(tokens)}")
-        a, b = self.frac(tokens[0], where), self.frac(tokens[1], where)
-        if tokens[0][0] == "-" or tokens[1][0] == "-":
-            raise MalformedCert(f"{where}: negative coordinate: ({a}, {b})")
-        return _trusted_elem(a, b)
-
-    def interval(self, key: str) -> Interval:
-        text = self.field(key)
-        lo, sep, hi = text[1:-1].partition(" ")
-        if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]" or not sep:
-            raise MalformedCert(f"{key}: bad interval {text!r}")
-        lo_strict, hi_strict = text[0] == "(", text[-1] == ")"
-        if hi == "inf":
-            if not hi_strict:
-                raise MalformedCert(f"{key}: unbounded interval must be open above")
-            return Interval(self.frac(lo, key), lo_strict, None, True)
-        return Interval(self.frac(lo, key), lo_strict, self.frac(hi, key), hi_strict)
-
-    def choice(self, key: str, allowed: Tuple[str, ...], what: str) -> str:
-        value = self.field(key)
-        if value not in allowed:
-            raise MalformedCert(f"unknown {what} {value!r}")
-        return value
+            return NbhdAc2(tuple(tops))
+        except ValueError as exc:  # no tops: reported at the count line
+            raise self.error(f"{key}: {exc}") from exc
 
 
 def cert_from_text(text: str) -> ContinuityCert:
     r = _Reader(text)
-    if r.line() != _HEADER:
-        raise MalformedCert("missing certificate header")
-    kind = r.field("kind")
-    side = Side(r.choice("side", ("left", "right"), "side"))
-    translator = r.elem("translator", "translator")
-    if kind == "ac1":
-        cert = _ac1_body(r, side, translator)
-    elif kind == "ac2":
-        cert = _ac2_body(r, side, translator)
-    else:
-        raise MalformedCert(f"unknown certificate kind {kind!r}")
-    if r.pos != len(r.lines):
-        raise MalformedCert("trailing content after end-cert")
+    kind, side, ta, tb = r.record(
+        _HEADER_BLOCK, f"the header block ({_HEADER!r}, kind, side, translator)"
+    )
+    translator = r.elem(ta, tb)
+    body = _ac1_body if kind == "ac1" else _ac2_body
+    cert = body(r, Side(side), translator)
+    if r.pos != len(text):
+        raise r.error("trailing content after end-cert", r.pos)
     return cert
 
 
 def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
-    target = r.threshold("target-n")
-    effective = r.threshold("effective-n")
-    chosen = r.threshold("chosen-n")
+    keys = ("target-n", "effective-n", "chosen-n")
+    tokens = r.record(_THRESHOLDS, f"the three thresholds ({', '.join(keys)})")
+    thresholds = []
+    for key, token in zip(keys, tokens):
+        n = r[token]
+        try:
+            thresholds.append(NbhdAc1(n))
+        except ValueError as exc:
+            raise r.error(f"{key}: {exc}") from exc
     cases: List[CaseEvidence] = []
-    line = r.line()
-    while line != "end-cert":
-        case_id = r.field("case", line)
-        if _WORD.fullmatch(case_id) is None:
-            raise MalformedCert(f"bad case id {case_id!r}")
-        a_range = r.interval("a-range")
-        b_range = r.interval("b-range")
+    while not r.at("end-cert\n"):
+        head = r.record(_CASE_HEAD, "a case head (case, a-range, b-range) or end-cert")
+        a_range, b_range = r.interval(*head[1:5]), r.interval(*head[5:9])
         branches: List[BranchEvidence] = []
-        line = r.line()
-        while line != "end-case":
-            tag = r.field("branch", line)
-            if tag not in ("lt", "eq", "gt"):
-                raise MalformedCert(f"unknown branch tag {tag!r}")
-            image_a = tuple(r.fracs_of("image-a", 3))
-            image_b = tuple(r.fracs_of("image-b", 3))
-            witness = r.choice("witness", ("a", "b"), "witness coordinate")
-            (inf_value,) = r.fracs_of("inf", 1)
-            attained = r.choice("attained", ("yes", "no"), "attained flag") == "yes"
-            branches.append(BranchEvidence(tag, image_a, image_b, witness, inf_value, attained))
-            line = r.line()
-        cases.append(CaseEvidence(case_id, a_range, b_range, tuple(branches)))
-        line = r.line()
-    return ContinuityCert(
-        topology="ac1",
-        side=side,
-        translator=translator,
-        target=target,
-        chosen=chosen,
-        evidence=tuple(cases),
-        effective=effective,
-    )
+        while not r.at("end-case\n"):
+            tag, a0, a1, a2, b0, b1, b2, witness, inf, attained = r.record(
+                _BRANCH,
+                "a branch record (branch, image-a, image-b, witness, inf, attained) or end-case",
+            )
+            image_a, image_b = (r[a0], r[a1], r[a2]), (r[b0], r[b1], r[b2])
+            branches.append(
+                BranchEvidence(tag, image_a, image_b, witness, r[inf], attained == "yes")
+            )
+        cases.append(CaseEvidence(head[0], a_range, b_range, tuple(branches)))
+    target, effective, chosen = thresholds
+    return ContinuityCert("ac1", side, translator, target, chosen, tuple(cases), effective)
 
 
 def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
-    target_tops = tuple(r.elem("top", "target top") for _ in range(r.count("target-tops")))
-    chosen_tops = tuple(r.elem("top", "chosen top") for _ in range(r.count("chosen-tops")))
-    try:
-        target = NbhdAc2(target_tops)
-        chosen = NbhdAc2(chosen_tops)
-    except ValueError as exc:
-        raise MalformedCert(str(exc)) from exc
+    target = r.segments("target-tops")
+    chosen = r.segments("chosen-tops")
     records: List[TopEvidence] = []
     for _ in range(r.count("evidence")):
-        t_top = r.elem("target-top", "evidence target top")
-        line = r.line()
-        preimage_top = (
-            None if line == "preimage empty" else r.elem("preimage-top", "preimage top", line)
+        ua, ub, pa, pb, offset, ca, cb = r.record(
+            _EVIDENCE, "an evidence record (target-top, preimage, offset, covering, end-evidence)"
         )
-        (offset,) = r.fracs_of("offset", 1)
-        line = r.line()
-        covering = None if line == "covering none" else r.elem("covering-top", "covering top", line)
-        if r.line() != "end-evidence":
-            raise MalformedCert("missing end-evidence")
-        records.append(TopEvidence(t_top, preimage_top, offset, covering))
-    if r.line() != "end-cert":
-        raise MalformedCert("missing end-cert")
-    return ContinuityCert(
-        topology="ac2",
-        side=side,
-        translator=translator,
-        target=target,
-        chosen=chosen,
-        evidence=tuple(records),
-    )
+        preimage = None if pa is None else r.elem(pa, pb)
+        covering = None if ca is None else r.elem(ca, cb)
+        records.append(TopEvidence(r.elem(ua, ub), preimage, r[offset], covering))
+    if not r.at("end-cert\n"):
+        raise r.error("expected end-cert", r.pos)
+    return ContinuityCert("ac2", side, translator, target, chosen, tuple(records))
 
 
 def write_cert(cert: ContinuityCert, path: str) -> None:

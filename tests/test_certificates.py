@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_elems
+from line_reader import line_cert_from_text
 from realbicyclic import (
     BranchEvidence,
     ContinuityCert,
@@ -29,8 +30,10 @@ from realbicyclic import (
     continuity_cert_ac2,
     falsify,
     mul,
+    preimage_up_segment,
     read_cert,
     shrink_witness,
+    up_set,
     validate_cert,
     validate_cert_ac1,
     validate_cert_ac2,
@@ -793,6 +796,181 @@ def test_ac2_witness_shrink_consistency():
     assert cert.chosen.tops == tuple(shrink_witness(t, u) for u in tops)
 
 
+def _segment_covered(seg_top, tops):
+    """The first top whose up-segment contains the whole segment below seg_top.
+
+    Up-segments on one diagonal all reach the same boundary point, so
+    containment is: same offset, and the covering top at least as far out.
+    """
+    offset = seg_top.b - seg_top.a
+    for c in tops:
+        if c.b - c.a == offset and c.a >= seg_top.a:
+            return c
+    return None
+
+
+def _reference_validate_ac2(cert):
+    """The ac2 validator in Fraction arithmetic through ``order_geometry``."""
+    if cert.topology != "ac2":
+        raise MalformedCert("not an up-segment-complement certificate")
+    if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
+        raise MalformedCert("segment certificate carries wrong neighbourhood kinds")
+    if not cert.chosen.tops:
+        raise MalformedCert("chosen neighbourhood must exclude at least one segment")
+    if tuple(ev.target_top for ev in cert.evidence) != cert.target.tops:
+        raise MalformedCert("evidence tops do not match the target")
+    for ev in cert.evidence:
+        u = ev.target_top
+        delta = (cert.translator.a - cert.translator.b) + (u.b - u.a)
+        if ev.offset != delta:
+            return False
+        pre = preimage_up_segment(cert.side, cert.translator, up_set(u))
+        if pre is None:
+            if ev.preimage_top is not None:
+                return False
+            continue
+        if ev.preimage_top != pre.top:
+            return False
+        if _segment_covered(pre.top, cert.chosen.tops) is None:
+            return False
+        if ev.covering_top is None or ev.covering_top not in cert.chosen.tops:
+            return False
+        if _segment_covered(pre.top, [ev.covering_top]) is None:
+            return False
+    return True
+
+
+def _ac2_grid_step(cert):
+    """1/D for D the common denominator of every value of an ac2 certificate."""
+    vals = [cert.translator.a, cert.translator.b]
+    for ev in cert.evidence:
+        vals.append(ev.offset)
+        for e in (ev.target_top, ev.preimage_top, ev.covering_top):
+            if e is not None:
+                vals += (e.a, e.b)
+    for e in cert.chosen.tops:
+        vals += (e.a, e.b)
+    return F(1, math.lcm(*(v.denominator for v in vals)))
+
+
+def _tamper_ac2(rng, cert):
+    """One or two seeded edits of an ac2 certificate: offsets; preimage tops
+    (moved, or None against a value); covering tops (one grid step below the
+    preimage top, off its diagonal, or not among the chosen tops, each also
+    with the chosen tops following); chosen tops dropped, reordered or moved;
+    target tops (alone or with their evidence); the translator; and the
+    neighbourhood kinds and topology."""
+    evidence = list(cert.evidence)
+    chosen = list(cert.chosen.tops)
+    step = _ac2_grid_step(cert)
+
+    def shift():
+        return rng.choice((step, -step, F(rng.randrange(-4, 5), rng.choice((1, 2, 3)))))
+
+    def moved(e):
+        return Elem(max(F(0), e.a + shift()), max(F(0), e.b + shift()))
+
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(11)
+        if op == 10:
+            field = rng.choice(("topology", "chosen", "target", "target", "evidence"))
+            if field == "topology":
+                cert = dataclasses.replace(cert, topology="ac1")
+            elif field == "chosen":
+                cert = dataclasses.replace(cert, chosen=NbhdAc1(1))
+                chosen = None
+            elif field == "target":
+                cert = dataclasses.replace(
+                    cert, target=NbhdAc2(tuple(moved(u) for u in cert.target.tops))
+                )
+            elif len(evidence) > 1:
+                del evidence[rng.randrange(len(evidence))]
+            continue
+        if op == 9:
+            cert = dataclasses.replace(cert, translator=moved(cert.translator))
+            continue
+        if op == 8:
+            k = rng.randrange(3)
+            if chosen is None:
+                pass
+            elif k == 0 and len(chosen) > 1:
+                del chosen[rng.randrange(len(chosen))]
+            elif k == 1:
+                rng.shuffle(chosen)
+            else:
+                i = rng.randrange(len(chosen))
+                chosen[i] = moved(chosen[i])
+            continue
+        i = rng.randrange(len(evidence))
+        ev = evidence[i]
+        if op == 0:
+            ev = dataclasses.replace(ev, offset=ev.offset + shift())
+        elif op == 1:
+            if ev.preimage_top is None:
+                top = rng.choice((ev.target_top, moved(ev.target_top)))
+            else:
+                top = rng.choice((None, moved(ev.preimage_top)))
+            ev = dataclasses.replace(ev, preimage_top=top)
+        elif op == 2:
+            # a target top moved with its evidence record, so the evidence
+            # still matches the target
+            top = moved(ev.target_top)
+            tops = list(cert.target.tops)
+            tops[i] = top
+            cert = dataclasses.replace(cert, target=NbhdAc2(tuple(tops)))
+            ev = dataclasses.replace(ev, target_top=top)
+        elif ev.preimage_top is not None:
+            p = ev.preimage_top
+            k = rng.randrange(5)
+            if k == 0:  # one grid step below the preimage top, on its diagonal
+                cover = Elem(p.a - step, p.b - step) if min(p.a, p.b) >= step else p
+            elif k == 1:  # the preimage top itself, the least cover
+                cover = p
+            elif k == 2:  # off the diagonal
+                cover = rng.choice((Elem(p.a + step, p.b), Elem(p.a, p.b + step)))
+            else:  # somewhere else, or dropped
+                cover = rng.choice((moved(p), None))
+            if cover is not None and chosen is not None and rng.random() < 0.7:
+                # the chosen tops follow, so only the cover checks can object
+                if ev.covering_top in chosen:
+                    chosen[chosen.index(ev.covering_top)] = cover
+                else:
+                    chosen.append(cover)
+            ev = dataclasses.replace(ev, covering_top=cover)
+        else:
+            ev = dataclasses.replace(ev, covering_top=rng.choice(chosen or [Elem(1, 1)]))
+        evidence[i] = ev
+    if chosen is not None:
+        cert = dataclasses.replace(cert, chosen=NbhdAc2(tuple(chosen)))
+    return dataclasses.replace(cert, evidence=tuple(evidence))
+
+
+def test_ac2_validator_matches_fraction_reference():
+    # every verdict and every MalformedCert message of the integer validator
+    # equals the Fraction reference's, on honest certificates and on seeded
+    # tampers of both sides
+    rng = random.Random(5802)
+
+    def q(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(1, 9))
+
+    def el(hi):
+        return Elem(q(0, hi), q(0, hi))
+
+    outcomes = Counter()
+    for k in range(4000):
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        t = Elem(0, q(0, 25)) if k % 7 == 0 else el(25)
+        tops = tuple(el(49) for _ in range(rng.randint(1, 3)))
+        cert = continuity_cert_ac2(side, t, NbhdAc2(tops))
+        if k % 10:
+            cert = _tamper_ac2(rng, cert)
+        expected = _outcome(_reference_validate_ac2, cert)
+        assert _outcome(validate_cert_ac2, cert) == expected, cert
+        outcomes[expected if expected in (True, False) else "malformed"] += 1
+    assert min(outcomes.values()) > 150, outcomes
+
+
 # ---------------------------------------------------------------------------
 # falsifier behaviour
 # ---------------------------------------------------------------------------
@@ -817,7 +995,8 @@ def test_falsify_kind_mismatch():
 
 
 def test_falsify_negative_seed_rejected():
-    # random.Random(-7) would replay seed 7 under the name -7
+    # the seed plays no part in the search, but it must be non-negative, as
+    # every seed input of the library (GenConfig, the CLI) requires
     for nb in (NbhdAc1(4), NbhdAc2((Elem(1, 1),))):
         with pytest.raises(ValueError):
             falsify(Side.LEFT, Elem(1, 2), nb, nb, 100, -7)
@@ -1170,9 +1349,7 @@ def test_falsify_ac1_hit_only_random_draws_reach():
 
 
 def test_segment_cover_decision_matches_membership():
-    from realbicyclic.certificates import _segment_covered
-    from realbicyclic import up_set
-
+    # the Fraction reference's cover decision against walking the segment
     tops = [Elem(4, 1), Elem(2, 2), Elem("7/2", "1/2"), Elem(1, 5)]
     segs = [Elem(3, 0), Elem(4, 1), Elem(5, 2), Elem(2, 2), Elem(1, 1), Elem(0, 4)]
     for seg_top in segs:
@@ -1259,6 +1436,7 @@ _NON_CANONICAL = {
     "crlf": ("\n", "\r\n"),
     "non-ascii-digit": ("target-n 3/1\n", "target-n \u0663/1\n"),
     "count-leading-zero": ("target-tops 2\n", "target-tops 02\n"),
+    "unbounded-closed-above": ("a-range (8/1 inf)\n", "a-range (8/1 inf]\n"),
 }
 
 
@@ -1360,6 +1538,44 @@ def test_certio_mutation_fuzz():
         if cert.topology == "ac1":
             assert verdict == _outcome(_reference_validate_ac1, cert), mutant
     assert parsed > 0 and malformed > 0
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except MalformedCert:
+        return "malformed"
+
+
+def test_record_reader_matches_line_reader():
+    # the record reader accepts exactly the texts the line reader it replaced
+    # accepts, and builds equal certificates from them
+    texts = [
+        cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))),
+        cert_to_text(continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))),
+        cert_to_text(continuity_cert_ac2(Side.LEFT, Elem(5, 0), NbhdAc2((Elem(3, 1),)))),
+        cert_to_text(
+            continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))
+        ),
+        cert_to_text(
+            continuity_cert_ac2(
+                Side.RIGHT, Elem("3/2", "1/3"), NbhdAc2((Elem(3, 1), Elem("7/2", 4)))
+            )
+        ),
+    ]
+    candidates = list(texts)
+    for old, new in _NON_CANONICAL.values():
+        for text in texts:
+            if old in text:
+                candidates.append(text.replace(old, new, -1 if old == "\n" else 1))
+    rng = random.Random(6170)
+    candidates += [_mutant(rng, texts[i % len(texts)]) for i in range(20000)]
+    parsed = 0
+    for text in candidates:
+        expected = _read_outcome(line_cert_from_text, text)
+        assert _read_outcome(cert_from_text, text) == expected, text
+        parsed += expected != "malformed"
+    assert 100 < parsed < len(candidates) - 10000
 
 
 def test_tampered_file_still_validates_false(tmp_path):
