@@ -228,37 +228,25 @@ def _cases_right(x: Fraction, y: Fraction, n: Fraction, m: Fraction) -> Tuple[Ca
     return (big, mid, low)
 
 
-def _covers_chosen(cases: Sequence[CaseEvidence], m: Fraction) -> bool:
-    """Do the case boxes cover everything with a coordinate beyond m?
+def _covers_chosen(boxes: Sequence[Tuple[Tuple[int, Optional[int]], ...]], top: int) -> bool:
+    """Do the case boxes cover everything with a coordinate beyond top?
 
-    Membership in a union of boxes is constant on the cells of the endpoint
-    grid, so testing one representative per cell decides coverage exactly.
-    On the integer grid of doubled common-denominator units every endpoint e
-    is even and e + 1 represents the gap above it; a representative's bitmask
-    holds the cases whose closed integer range contains it.
+    ``boxes`` holds each case's closed integer (a, b) ranges on the grid of
+    ``validate_cert_ac1``, where every endpoint is even and a strict end sits
+    one step inwards (odd).  Membership in a union of boxes is constant on the
+    cells of the endpoint grid, so testing one representative per cell decides
+    coverage exactly: every even end e and e + 1, the gap above it, with 0 and
+    top among the ends.  A representative's bitmask holds the cases whose
+    closed range contains it.
     """
-    ivs = [iv for c in cases for iv in (c.a_range, c.b_range)]
-    dens = (v.denominator for iv in ivs for v in (iv.lo, iv.hi) if v is not None)
-    den = math.lcm(m.denominator, *dens)
-
-    def grid(v: Fraction) -> int:
-        return 2 * v.numerator * (den // v.denominator)
-
-    top = grid(m)
     low_masks, high_masks = [], []
     for axis in (0, 1):
-        ranges = []
+        ranges = [box[axis] for box in boxes]
         ends = {0, top}
-        for iv in ivs[axis::2]:
-            lo = grid(iv.lo)
-            ends.add(lo)
-            if iv.hi is None:
-                hi = None
-            else:
-                hi = grid(iv.hi)
-                ends.add(hi)
-                hi -= 1 if iv.hi_strict else 0
-            ranges.append((lo + (1 if iv.lo_strict else 0), hi))
+        for lo, hi in ranges:
+            ends.add(lo - (lo & 1))
+            if hi is not None:
+                ends.add(hi + (hi & 1))
         low, high = set(), set()
         for e in ends:
             for r in (e, e + 1):
@@ -269,7 +257,7 @@ def _covers_chosen(cases: Sequence[CaseEvidence], m: Fraction) -> bool:
                 (high if r > top else low).add(mask)
         low_masks.append(low)
         high_masks.append(high)
-    # a point of the chosen set has a coordinate beyond m on one axis or both
+    # a point of the chosen set has a coordinate beyond top on one axis or both
     return all(
         a & b for a in high_masks[0] for b in low_masks[1] | high_masks[1]
     ) and all(a & b for a in low_masks[0] for b in high_masks[1])
@@ -282,9 +270,10 @@ def _grid_mul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     return (a + g, d) if g > 0 else (a, d - g)
 
 
-def _corner_scan_ok(side: Side, translator: Elem, m: Fraction, n_eff: Fraction) -> bool:
+def _corner_scan_ok(left: bool, x: int, y: int, m: int, n: int) -> bool:
     """Push the extreme points of the chosen set's inner boundary through the
-    translation and demand every image clears the closed target box.
+    translation by the grid point (x, y), on the left when ``left``, and
+    demand every image clears the closed target box below (n, n).
 
     The boundary is two segments meeting at (m, m); the piecewise-affine
     translation can only switch branches where the driving coordinate equals
@@ -293,17 +282,12 @@ def _corner_scan_ok(side: Side, translator: Elem, m: Fraction, n_eff: Fraction) 
     (x + max(c - y, 0), d + max(y - c, 0)): its first coordinate depends on c
     alone and its second does not decrease as d grows, so if (m, m) lands in
     the box so does (m, 0).  On the right, by the mirror argument, (0, m)
-    dominates (m, m) in the same way.  Runs on the integer grid of the four
-    values' common denominator.
+    dominates (m, m) in the same way.
     """
-    vals = (translator.a, translator.b, m, n_eff)
-    den = math.lcm(*(v.denominator for v in vals))
-    x, y, m_, n = (v.numerator * (den // v.denominator) for v in vals)
-    left = side is Side.LEFT
-    corners = [(m_, 0), (0, m_)]
+    corners = [(m, 0), (0, m)]
     pivot = y if left else x
-    if pivot <= m_:
-        corners.append((pivot, m_) if left else (m_, pivot))
+    if pivot <= m:
+        corners.append((pivot, m) if left else (m, pivot))
     for c, d in corners:
         a, b = _grid_mul(x, y, c, d) if left else _grid_mul(c, d, x, y)
         if a <= n and b <= n:
@@ -319,11 +303,14 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     affine images and infima, coverage of the chosen set by the case boxes,
     and a corner scan of the chosen set's boundary.
 
-    The branch checks run on integers: every value they read is scaled once
-    by G = 2 * (their common denominator), so each endpoint is an even grid point,
+    Every check after the threshold relation runs on one integer grid: each
+    value read, the chosen threshold included, is scaled once by
+    G = 2 * (their common denominator), so each endpoint is an even grid point,
     and a range becomes the closed integer range of its grid points, a strict
     end moved one step inwards (odd).  Meets are then max/min of ends and a
-    range is empty exactly when lo > hi.
+    range is empty exactly when lo > hi.  Coverage reads the closed ranges
+    the branch checks built, and the corner scan the scaled translator and
+    thresholds.
     """
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
@@ -357,7 +344,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             vals += br.image_a
             vals += br.image_b
             vals.append(br.inf_value)
-    G = 2 * math.lcm(*(v.denominator for v in vals))
+    G = 2 * math.lcm(m.denominator, *(v.denominator for v in vals))
 
     def grid(v: Fraction) -> int:
         return v.numerator * (G // v.denominator)
@@ -366,7 +353,8 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         lo = grid(iv.lo) + (1 if iv.lo_strict else 0)
         return lo, None if iv.hi is None else grid(iv.hi) - (1 if iv.hi_strict else 0)
 
-    x, y, ne = grid(t.a), grid(t.b), grid(n_eff)
+    x, y, ne, top = grid(t.a), grid(t.b), grid(n_eff), grid(m)
+    boxes = []
     # Per branch tag: the range the branch allows the driving coordinate (the
     # input's a on the left, its b on the right, compared with the pivot, the
     # translator's b or a), and the image rows (coefficient of a, of b,
@@ -393,6 +381,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
         a_iv, b_iv = closed(case.a_range), closed(case.b_range)
+        boxes.append((a_iv, b_iv))
         d_lo, d_hi = a_iv if left else b_iv
         for tag, (br_lo, br_hi), exp_a, exp_b in expected:
             lo = max(d_lo, br_lo)
@@ -432,9 +421,9 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                     return False
             elif inf_value < ne:
                 return False
-    if not _covers_chosen(cert.evidence, m):
+    if not _covers_chosen(boxes, top):
         return False
-    if not _corner_scan_ok(cert.side, cert.translator, m, n_eff):
+    if not _corner_scan_ok(left, x, y, top, ne):
         return False
     return True
 
@@ -564,14 +553,15 @@ def falsify(
     tries a fixed list of structural probes near the boundary of the chosen
     set, each tested by integer comparisons against cut-offs computed once per
     call (per diagonal for segment neighbourhoods), which decide exactly what
-    membership would.  The probes provably reach every escaping point (see
-    ``_falsify_ac1`` and ``_falsify_ac2``), so when none escapes, no point of
-    the chosen set does.  ``samples`` is a budget, an upper bound on the
-    probes tried: 8 cover them all for threshold neighbourhoods,
-    2|chosen| + 3|target| for segment ones, and a larger budget changes
-    nothing.  Any candidate is re-verified with exact rational membership
-    before being returned, so a returned point is always a true violation.
-    Returns None when no violation is found.
+    membership would.  The probes provably reach every escaping point
+    (``_ac1_grid`` proves it for threshold neighbourhoods, ``_ac2_grid`` for
+    segment ones), so when none escapes, no point of the chosen set does.
+    ``samples`` is a budget, an upper bound on the probes tried: 8 cover
+    them all for threshold neighbourhoods, 2|chosen| + 3|target| for segment
+    ones, and a larger budget changes nothing.  Any candidate is re-verified
+    with exact rational membership before being returned, so a returned
+    point is always a true violation.  Returns None when no violation is
+    found.
 
     ``seed`` plays no part in the search; it stays so that callers that
     pass one positionally keep working.  A negative seed still raises
@@ -585,10 +575,17 @@ def falsify(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):
-        return _falsify_ac1(side, translator, chosen, target, samples)
-    if isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
-        return _falsify_ac2(side, translator, chosen, target, samples)
-    raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
+        D, probes, escapes = _ac1_grid(side, translator, chosen, target)
+    elif isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
+        D, probes, escapes = _ac2_grid(side, translator, chosen, target)
+    else:
+        raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
+    for xs, ys in probes[:samples]:
+        if escapes(xs, ys):
+            s = _confirm(side, translator, chosen, target, xs, ys, D)
+            if s is not None:
+                return s
+    return None
 
 
 def _confirm(
@@ -600,13 +597,31 @@ def _confirm(
     return s if chosen.member(s) and not target.member(img) else None
 
 
-def _ac1_grid(
-    side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1
-) -> Tuple[int, Tuple[Tuple[int, int], ...], Callable[[int, int], bool]]:
+# The grid denominator D, the probes in the order they are tried, and the
+# escape predicate on grid points (xs, ys).
+Probing = Tuple[int, Sequence[Tuple[int, int]], Callable[[int, int], bool]]
+
+
+def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     """Scale a threshold instance to the grid of its common denominator D.
 
     Returns D, the probes, and the escape predicate: does the grid point
     (xs, ys) lie in the chosen set with its image in the closed target box?
+
+    The probes reach every escaping point, whatever the thresholds.  In the
+    terms of the cut-off comment below, with nc and nt the chosen and target
+    thresholds, let (u, v) escape.
+      u >  nc, u >= p:  (max(nc + 1, p), 0) escapes as well, and it is the
+               probe (nc + 1, 0) or (p, 0).
+      u >  nc, u <  p:  q <= nt and p > u > nc, so (p, 0) escapes:
+               p <= nt - q + p and 0 <= nt.
+      u <= nc:  then v > nc.  Both branches force q <= nt and v <= nt, so
+               nc < nt, and the probe (p, nc + 1) escapes: it is on the
+               u >= p branch with p <= nt - q + p and nc + 1 <= nt, and
+               v = nc + 1 > nc puts it in the chosen set.
+    In (xs, ys) these are (nc + 1, 0), (tb, 0) and (tb, nc + 1) on the left,
+    (0, nc + 1), (0, ta) and (nc + 1, ta) on the right, all among the probes.
+    So when no probe escapes, no grid point does.
     """
     D = math.lcm(t.a.denominator, t.b.denominator, chosen.n.denominator, target.n.denominator)
     ta, tb, nc, nt = (v.numerator * (D // v.denominator) for v in (t.a, t.b, chosen.n, target.n))
@@ -638,38 +653,6 @@ def _ac1_grid(
     return D, probes, escapes
 
 
-def _falsify_ac1(
-    side: Side,
-    t: Elem,
-    chosen: NbhdAc1,
-    target: NbhdAc1,
-    samples: int,
-) -> Optional[Elem]:
-    """Probes only: they reach every escaping point, whatever the thresholds.
-
-    In the terms of the cut-off comment in ``_ac1_grid``, with nc and nt the
-    chosen and target thresholds, let (u, v) escape.
-      u >  nc, u >= p:  (max(nc + 1, p), 0) escapes as well, and it is the
-               probe (nc + 1, 0) or (p, 0).
-      u >  nc, u <  p:  q <= nt and p > u > nc, so (p, 0) escapes:
-               p <= nt - q + p and 0 <= nt.
-      u <= nc:  then v > nc.  Both branches force q <= nt and v <= nt, so
-               nc < nt, and the probe (p, nc + 1) escapes: it is on the
-               u >= p branch with p <= nt - q + p and nc + 1 <= nt, and
-               v = nc + 1 > nc puts it in the chosen set.
-    In (xs, ys) these are (nc + 1, 0), (tb, 0) and (tb, nc + 1) on the left,
-    (0, nc + 1), (0, ta) and (nc + 1, ta) on the right, all among the probes.
-    So when no probe escapes, no grid point does.
-    """
-    D, probes, escapes = _ac1_grid(side, t, chosen, target)
-    for xs, ys in probes[:samples]:
-        if escapes(xs, ys):
-            s = _confirm(side, t, chosen, target, xs, ys, D)
-            if s is not None:
-                return s
-    return None
-
-
 def _furthest(tops: Sequence[Tuple[int, int]]) -> Dict[int, int]:
     """Per diagonal a - b, the largest first coordinate among the tops on it."""
     far: Dict[int, int] = {}
@@ -679,26 +662,24 @@ def _furthest(tops: Sequence[Tuple[int, int]]) -> Dict[int, int]:
     return far
 
 
-def _falsify_ac2(
-    side: Side,
-    t: Elem,
-    chosen: NbhdAc2,
-    target: NbhdAc2,
-    samples: int,
-) -> Optional[Elem]:
-    """Probes only: they reach the least escaping point of every diagonal.
+def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
+    """Scale a segment instance to the grid of its common denominator D.
 
-    Up-segment membership needs a top on the point's diagonal at least as far
-    out.  On diagonal k = xs - ys the image (on k + ta - tb) has first
-    coordinate ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the
-    right, non-decreasing in xs.  With c_far and t_far the furthest chosen and
+    Returns D, the probes, and the escape predicate: does the grid point
+    (xs, ys) lie in the chosen set with its image in a target segment?
+
+    The probes reach the least escaping point of every diagonal.  Up-segment
+    membership needs a top on the point's diagonal at least as far out.  On
+    diagonal k = xs - ys the image (on k + ta - tb) has first coordinate
+    ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the right,
+    non-decreasing in xs.  With c_far and t_far the furthest chosen and
     target tops there, the escaping points of the diagonal are therefore the
     interval c_far < xs <= cut, and only diagonals k = -d, for d in the
     target's pulled-back offsets, have any.  The least grid point of the
     interval is c_far + 1, the probe just past the furthest chosen top, when
     a chosen top lies on k (its first coordinate is at least max(k, 0)), and
     otherwise the diagonal's first point max(k, 0), the probe (x0, x0 + d).
-    So when no probe escapes, no grid point does, whatever the seed.
+    So when no probe escapes, no grid point does.
     """
     D = math.lcm(*(v.denominator for e in (t, *chosen.tops, *target.tops) for v in (e.a, e.b)))
 
@@ -731,10 +712,9 @@ def _falsify_ac2(
             cut = t_far if ta + k <= t_far else -1
         reach[k] = (far_ch.get(k, -1), cut)
     nowhere = (0, -1)
-    for xs, ys in probes[:samples]:
+
+    def escapes(xs: int, ys: int) -> bool:
         c_far, cut = reach.get(xs - ys, nowhere)
-        if c_far < xs <= cut:
-            s = _confirm(side, t, chosen, target, xs, ys, D)
-            if s is not None:
-                return s
-    return None
+        return c_far < xs <= cut
+
+    return D, probes, escapes

@@ -17,7 +17,8 @@ ends in one LF:
     case-id  := [a-z]+ ("-" [a-z]+)*
 
 Blank lines, tabs, carriage returns and leading, trailing or doubled spaces
-are malformed.  ``read_cert`` reads its file in text mode, so a file with
+are malformed, and so is a number with more digits than the interpreter
+converts (``sys.get_int_max_str_digits()``, 4300 by default).  ``read_cert`` reads its file in text mode, so a file with
 CRLF line ends reads as the LF text and validates; ``cert_from_text`` of a
 string with CRLF line ends is malformed.
 
@@ -35,6 +36,7 @@ record that was expected there.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -169,10 +171,20 @@ class _Reader(dict):
             return True
         return False
 
+    def too_long(self) -> MalformedCert:
+        """The error for a number ``int()`` refused.  The patterns admit
+        digits only, so the one refusal is the interpreter's limit on the
+        digits of an integer string, which exists wherever ``int()`` can
+        refuse; the limit is read, never set, for it is process-global."""
+        return self.error(f"a number has more than {sys.get_int_max_str_digits()} digits")
+
     def __missing__(self, token: str) -> Fraction:
         num, _, den = token.partition("/")
-        d = int(den)
-        f = Fraction(int(num), d)
+        try:
+            d = int(den)
+            f = Fraction(int(num), d)
+        except ValueError as exc:
+            raise self.too_long() from exc
         if f.denominator != d:
             raise self.error(f"{token!r} is not in lowest terms")
         self[token] = f
@@ -193,7 +205,10 @@ class _Reader(dict):
         name, value = self.record(_COUNT_LINE, f"the count line {key!r}")
         if name != key:
             raise self.error(f"expected the count line {key!r}")
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise self.too_long() from exc
 
     def segments(self, key: str) -> NbhdAc2:
         """The neighbourhood of the count line ``key`` and its top lines."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -99,15 +99,7 @@ class SuiteReport:
                 "cases": self.cases,
                 "mode": self.mode,
                 "branches": self.branch_counts,
-                "failures": [
-                    {
-                        "check": f.check,
-                        "inputs": f.inputs,
-                        "expected": f.expected,
-                        "got": f.got,
-                    }
-                    for f in self.failures
-                ],
+                "failures": [asdict(f) for f in self.failures],
                 "status": "pass" if self.passed else "fail",
                 "elapsed": round(self.elapsed, 6),
             }

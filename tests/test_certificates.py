@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import math
 import random
+import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction as F
@@ -41,10 +42,36 @@ from realbicyclic import (
 )
 from realbicyclic import certificates
 from realbicyclic.certificates import Interval, _corner_scan_ok, _covers_chosen
+from realbicyclic.cli import main
 
 
 def image(side, t, s):
     return mul(t, s) if side is Side.LEFT else mul(s, t)
+
+
+def _covers(cases, m):
+    """``_covers_chosen`` of the cases' rational boxes and the chosen
+    threshold m, scaled to a grid of doubled common-denominator units as
+    ``validate_cert_ac1`` scales them."""
+    ends = [v for c in cases for iv in (c.a_range, c.b_range) for v in (iv.lo, iv.hi)]
+    G = 2 * math.lcm(m.denominator, *(v.denominator for v in ends if v is not None))
+
+    def closed(iv):
+        lo = iv.lo.numerator * (G // iv.lo.denominator) + iv.lo_strict
+        if iv.hi is None:
+            return lo, None
+        return lo, iv.hi.numerator * (G // iv.hi.denominator) - iv.hi_strict
+
+    boxes = [(closed(c.a_range), closed(c.b_range)) for c in cases]
+    return _covers_chosen(boxes, m.numerator * (G // m.denominator))
+
+
+def _corner_scan(side, t, m, n):
+    """``_corner_scan_ok`` of a rational translator and thresholds, scaled to
+    the grid of their common denominator."""
+    vals = (t.a, t.b, F(m), F(n))
+    D = math.lcm(*(v.denominator for v in vals))
+    return _corner_scan_ok(side is Side.LEFT, *(v.numerator * (D // v.denominator) for v in vals))
 
 
 def assert_violates(side, t, chosen, target, witness):
@@ -128,8 +155,8 @@ def test_ac1_missing_case_breaks_coverage():
     cert = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
     tampered = dataclasses.replace(cert, evidence=cert.evidence[:2])
     assert not validate_cert_ac1(tampered)
-    assert _covers_chosen(cert.evidence, cert.chosen.n) is True
-    assert _covers_chosen(tampered.evidence, cert.chosen.n) is False
+    assert _covers(cert.evidence, cert.chosen.n) is True
+    assert _covers(tampered.evidence, cert.chosen.n) is False
 
 
 @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
@@ -150,10 +177,10 @@ def test_ac1_open_mid_range_caught_by_coverage(side, monkeypatch):
         cert, evidence=(cert.evidence[0], opened, cert.evidence[2])
     )
     assert not validate_cert_ac1(tampered)
-    assert _covers_chosen(tampered.evidence, m) is False
+    assert _covers(tampered.evidence, m) is False
     # the branch checks and the corner scan pass: coverage alone rejects it
-    assert _corner_scan_ok(side, t, m, cert.effective.n)
-    monkeypatch.setattr(certificates, "_covers_chosen", lambda cases, m: True)
+    assert _corner_scan(side, t, m, cert.effective.n)
+    monkeypatch.setattr(certificates, "_covers_chosen", lambda boxes, top: True)
     assert validate_cert_ac1(tampered)
 
 
@@ -193,8 +220,8 @@ def test_ac1_attained_infimum_at_threshold_rejected(side):
     tampered = _widen_mid_case(cert, ne)
     assert cert_from_text(cert_to_text(tampered)) == tampered
     assert not validate_cert_ac1(tampered)
-    assert _covers_chosen(tampered.evidence, m)
-    assert _corner_scan_ok(side, t, m, ne)
+    assert _covers(tampered.evidence, m)
+    assert _corner_scan(side, t, m, ne)
     mutant = _mutant_validate_ac1("if inf_value <= ne:", "if inf_value < ne:")
     assert mutant(cert) and mutant(tampered)
 
@@ -211,10 +238,27 @@ def test_ac1_effective_threshold_denominator_on_the_grid(side):
     tampered = _widen_mid_case(cert, F(4))
     assert cert_from_text(cert_to_text(tampered)) == tampered
     assert not validate_cert_ac1(tampered)
-    assert _covers_chosen(tampered.evidence, cert.chosen.n)
-    assert _corner_scan_ok(side, t, cert.chosen.n, cert.effective.n)
+    assert _covers(tampered.evidence, cert.chosen.n)
+    assert _corner_scan(side, t, cert.chosen.n, cert.effective.n)
     mutant = _mutant_validate_ac1("vals = [t.a, t.b, n_eff]", "vals = [t.a, t.b]")
     assert mutant(cert) and mutant(tampered)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_ac1_chosen_threshold_denominator_on_the_grid(side):
+    # chosen thresholds of denominator 3, which no other value of the
+    # certificate has: 25/3 lies past the case boxes' 8 and validates, 22/3
+    # leaves points beyond it uncovered.  A grid that left the chosen
+    # threshold's denominator out would scale 25/3 to 0.
+    t = Elem(1, 2) if side is Side.LEFT else Elem(2, 1)
+    cert = continuity_cert_ac1(side, t, NbhdAc1(4))
+    assert cert.chosen == NbhdAc1(8)
+    above = dataclasses.replace(cert, chosen=NbhdAc1(F(25, 3)))
+    below = dataclasses.replace(cert, chosen=NbhdAc1(F(22, 3)))
+    assert validate_cert_ac1(above) and _reference_validate_ac1(above)
+    assert not validate_cert_ac1(below) and not _reference_validate_ac1(below)
+    mutant = _mutant_validate_ac1("math.lcm(m.denominator, *", "math.lcm(*")
+    assert mutant(above) != validate_cert_ac1(above)
 
 
 def test_ac1_missing_branch_rejected():
@@ -279,10 +323,10 @@ def test_ac1_wrong_topology_malformed():
 
 def test_corner_scan_helper():
     # the honest doubled threshold clears the scan; the halved one is caught
-    assert _corner_scan_ok(Side.LEFT, Elem(1, 2), F(8), F(4))
-    assert not _corner_scan_ok(Side.LEFT, Elem(1, 2), F(4), F(4))
-    assert _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(8), F(4))
-    assert not _corner_scan_ok(Side.RIGHT, Elem(2, 1), F(4), F(4))
+    assert _corner_scan(Side.LEFT, Elem(1, 2), F(8), F(4))
+    assert not _corner_scan(Side.LEFT, Elem(1, 2), F(4), F(4))
+    assert _corner_scan(Side.RIGHT, Elem(2, 1), F(8), F(4))
+    assert not _corner_scan(Side.RIGHT, Elem(2, 1), F(4), F(4))
     # the integer scan agrees with the Fraction one, also where a corner's
     # image lies on the target box and where the pivot equals m
     rng = random.Random(5150)
@@ -301,7 +345,7 @@ def test_corner_scan_helper():
         img = image(side, t, corner)
         n = rng.choice((q(), img.a, img.b, max(img.a, img.b)))
         expected = _fraction_corner_scan_ok(side, t, m, n)
-        assert _corner_scan_ok(side, t, m, n) == expected, (side, t, m, n)
+        assert _corner_scan(side, t, m, n) == expected, (side, t, m, n)
         verdicts[expected] += 1
     assert min(verdicts.values()) > 1000, verdicts
 
@@ -327,7 +371,7 @@ def test_corner_scan_needs_no_meeting_corner():
         if n == 0:
             continue
         expected = _fraction_corner_scan_ok(side, t, m, n)
-        assert _corner_scan_ok(side, t, m, n) == expected, (side, t, m, n)
+        assert _corner_scan(side, t, m, n) == expected, (side, t, m, n)
         verdicts[expected] += 1
     assert sum(verdicts.values()) >= 10000 and min(verdicts.values()) > 1500, verdicts
 
@@ -394,7 +438,7 @@ def test_coverage_grid_matches_fraction_reference():
             )
         m = cert.chosen.n
         expected = _fraction_grid_covers(cases, m)
-        assert _covers_chosen(cases, m) == expected, (cert, cases)
+        assert _covers(cases, m) == expected, (cert, cases)
         outcomes[expected] += 1
     assert min(outcomes.values()) > 200, outcomes
 
@@ -1469,6 +1513,40 @@ def test_parse_rejects_empty_tops():
     bad = text.replace("chosen-tops 1\ntop 6/1 3/1\n", "chosen-tops 0\n")
     with pytest.raises(MalformedCert):
         cert_from_text(bad)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer string",
+)
+def test_oversized_tokens_are_malformed(capsys, tmp_path):
+    # a number one digit past the interpreter's integer-string limit (4300
+    # by default) is malformed, named at its record's first line, and the
+    # CLI exits 2
+    limit = sys.get_int_max_str_digits()
+    cert = continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1),)))
+    text = cert_to_text(cert)
+    path = tmp_path / "big.cert"
+    # at the limit, a huge offset reads and is invalid; a huge count of
+    # target tops reads, and the second top line it asks for is missing
+    assert not validate_cert(cert_from_text(text.replace("offset -3/1", f"offset -{'7' * limit}/1")))
+    with pytest.raises(MalformedCert, match="^line 7: expected a top line$"):
+        cert_from_text(text.replace("target-tops 1", f"target-tops {'1' * limit}"))
+    for old, new, line in (
+        ("offset -3/1", f"offset -{'7' * (limit + 1)}/1", 10),
+        ("target-tops 1", f"target-tops {'1' * (limit + 1)}", 5),
+    ):
+        assert old in text
+        past = text.replace(old, new)
+        message = f"line {line}: a number has more than {limit} digits"
+        with pytest.raises(MalformedCert) as exc:
+            cert_from_text(past)
+        assert str(exc.value) == message
+        path.write_text(past, encoding="ascii")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed certificate: {message}\n"
 
 
 _FUZZ_TOKENS = (

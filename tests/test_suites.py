@@ -151,6 +151,41 @@ def test_mutant_validator_caught(monkeypatch):
     assert any("counterexample (" in f.got for f in rejects)
 
 
+def test_failing_report_machine_format(monkeypatch):
+    # the machine JSON of a failing report, pinned key for key; only the
+    # elapsed time varies, and the text is exactly the sorted-key dump
+    import json
+
+    monkeypatch.setattr(certificates, "validate_cert_ac1", lambda cert: True)
+    text = run_suite("ac1", GenConfig(seed=11, cases=2)).render(machine=True)
+    doc = json.loads(text)
+    elapsed = doc.pop("elapsed")
+    assert isinstance(elapsed, float) and elapsed >= 0
+    assert doc == {
+        "branches": {"eq": 1, "gt": 1, "lt": 1},
+        "cases": 2,
+        "failures": [
+            {
+                "check": "ac1-corrupt-rejected",
+                "expected": "invalid",
+                "got": "valid despite counterexample (88/3,0)",
+                "inputs": "left (14/3,19) n=29",
+            },
+            {
+                "check": "ac1-corrupt-rejected",
+                "expected": "invalid",
+                "got": "valid despite counterexample (57/8,0)",
+                "inputs": "left (3/8,3) n=7",
+            },
+        ],
+        "mode": "rational 20 8",
+        "seed": 11,
+        "status": "fail",
+        "suite": "ac1",
+    }
+    assert text == json.dumps({**doc, "elapsed": elapsed}, sort_keys=True)
+
+
 def test_mutant_validator_rejecting_everything_caught(monkeypatch):
     monkeypatch.setattr(certificates, "validate_cert_ac2", lambda cert: False)
     report = run_suite("ac2", GenConfig(seed=11, cases=4))
