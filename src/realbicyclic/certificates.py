@@ -488,14 +488,15 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     for ev in cert.evidence:
         points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
     D = math.lcm(
-        *(v.denominator for e in points for v in (e.a, e.b)),
+        *(d for e in points for d in e._q[1::2]),
         *(ev.offset.denominator for ev in cert.evidence),
     )
 
     def grid(e: Optional[Elem]) -> Optional[Tuple[int, int]]:
         if e is None:
             return None
-        return e.a.numerator * (D // e.a.denominator), e.b.numerator * (D // e.b.denominator)
+        an, ad, bn, bd = e._q
+        return an * (D // ad), bn * (D // bd)
 
     ta, tb = grid(cert.translator)
     chosen = [grid(c) for c in cert.chosen.tops]
@@ -623,8 +624,11 @@ def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     (0, nc + 1), (0, ta) and (nc + 1, ta) on the right, all among the probes.
     So when no probe escapes, no grid point does.
     """
-    D = math.lcm(t.a.denominator, t.b.denominator, chosen.n.denominator, target.n.denominator)
-    ta, tb, nc, nt = (v.numerator * (D // v.denominator) for v in (t.a, t.b, chosen.n, target.n))
+    an, ad, bn, bd = t._q
+    cn, cd = chosen.n.numerator, chosen.n.denominator
+    tn, td = target.n.numerator, target.n.denominator
+    D = math.lcm(ad, bd, cd, td)
+    ta, tb, nc, nt = an * (D // ad), bn * (D // bd), cn * (D // cd), tn * (D // td)
     left = side is Side.LEFT
     probes = (
         (nc + 1, 0),
@@ -681,10 +685,11 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     otherwise the diagonal's first point max(k, 0), the probe (x0, x0 + d).
     So when no probe escapes, no grid point does.
     """
-    D = math.lcm(*(v.denominator for e in (t, *chosen.tops, *target.tops) for v in (e.a, e.b)))
+    D = math.lcm(*(d for e in (t, *chosen.tops, *target.tops) for d in e._q[1::2]))
 
     def grid(e: Elem) -> Tuple[int, int]:
-        return e.a.numerator * (D // e.a.denominator), e.b.numerator * (D // e.b.denominator)
+        an, ad, bn, bd = e._q
+        return an * (D // ad), bn * (D // bd)
 
     ta, tb = grid(t)
     ch = [grid(c) for c in chosen.tops]

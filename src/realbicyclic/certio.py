@@ -60,7 +60,7 @@ def _frac(f: Fraction) -> str:
 
 
 def _elem(e: Elem) -> str:
-    return f"{_frac(e.a)} {_frac(e.b)}"
+    return "{}/{} {}/{}".format(*e._q)
 
 
 def _iv(iv: Interval) -> str:
@@ -194,7 +194,7 @@ class _Reader(dict):
         fa, fb = self[a], self[b]
         if a[0] == "-" or b[0] == "-":
             raise self.error(f"negative coordinate: ({fa}, {fb})")
-        return _trusted_elem(fa, fb)
+        return _trusted_elem(fa.numerator, fa.denominator, fb.numerator, fb.denominator)
 
     def interval(self, lo_br: str, lo: str, hi: Optional[str], hi_br: Optional[str]) -> Interval:
         if hi is None:

@@ -21,6 +21,7 @@ before the parser's recursion (four frames a level) reaches Python's limit.
 
 from __future__ import annotations
 
+import sys
 from typing import List, Optional, Tuple, Union
 
 from .semigroup import (
@@ -106,10 +107,16 @@ def _tokenize(text: str) -> List[_Token]:
                 if text[j] == "/":
                     raise ParseError("missing denominator", j)
                 raise ParseError("missing digits after decimal point", j)
+            den = m.group(2)
+            if den is not None and not den.strip("0"):
+                raise ParseError("zero denominator", m.end(1))
             try:
                 value = literal_value(m)
             except ValueError:
-                raise ParseError("zero denominator", m.end(1)) from None
+                # digits only, so the one refusal left is the interpreter's
+                # limit on the digits of an integer string (read, never set)
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"a number has more than {limit} digits", i) from None
             tokens.append(("number", value, i))
             i = j
         else:

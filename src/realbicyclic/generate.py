@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Union
 
 from .semigroup import Elem, _elem
@@ -56,41 +56,54 @@ class GenConfig:
             raise ValueError("cases must be positive")
 
 
-# Fraction(num, den), memoised: grids are small and Fractions immutable
-_grid_scalar = lru_cache(maxsize=4096)(Fraction)
-
-
-def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
-    """Infinite deterministic stream of grid scalars.
+def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
+    """Infinite deterministic stream of quadrant points.
 
     Each draw below n takes ``getrandbits(n.bit_length())`` of
     ``random.Random(cfg.seed)`` until the value is below n.  That is exactly
     how CPython 3.10-3.13 implement ``randrange(n)``, so the stream is the one
-    ``randrange`` gives, without depending on its internals.  A rational
-    scalar draws its numerator below max_num + 1, then its denominator as 1
-    plus a draw below max_den.
+    ``randrange`` gives, without depending on its internals.  A point draws
+    its first coordinate, then its second.  An integer coordinate is a draw
+    below max + 1; a rational one draws its numerator below max_num + 1, then
+    its denominator as 1 plus a draw below max_den, and is reduced to lowest
+    terms.
     """
     getrandbits = random.Random(cfg.seed).getrandbits
     mode = cfg.scalar_mode
-    integer = isinstance(mode, IntegerMode)
-    n = (mode.max if integer else mode.max_num) + 1
-    d = 1 if integer else mode.max_den
+    if isinstance(mode, IntegerMode):
+        n = mode.max + 1
+        k = n.bit_length()
+        while True:
+            a = getrandbits(k)
+            while a >= n:
+                a = getrandbits(k)
+            b = getrandbits(k)
+            while b >= n:
+                b = getrandbits(k)
+            yield _elem(a, 1, b, 1)
+    n, d = mode.max_num + 1, mode.max_den
     kn, kd = n.bit_length(), d.bit_length()
     while True:
-        num = getrandbits(kn)
-        while num >= n:
-            num = getrandbits(kn)
-        if integer:
-            yield _grid_scalar(num, 1)
-            continue
-        den = getrandbits(kd)
-        while den >= d:
-            den = getrandbits(kd)
-        yield _grid_scalar(num, den + 1)
+        an = getrandbits(kn)
+        while an >= n:
+            an = getrandbits(kn)
+        ad = getrandbits(kd)
+        while ad >= d:
+            ad = getrandbits(kd)
+        bn = getrandbits(kn)
+        while bn >= n:
+            bn = getrandbits(kn)
+        bd = getrandbits(kd)
+        while bd >= d:
+            bd = getrandbits(kd)
+        # ad and bd are the denominators less 1
+        ga, gb = gcd(an, ad + 1), gcd(bn, bd + 1)
+        yield _elem(an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb)
 
 
-def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
-    """Infinite deterministic stream of quadrant points."""
-    scalars = gen_scalar(cfg)
-    while True:
-        yield _elem(next(scalars), next(scalars))  # num/den with num >= 0, den >= 1
+def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
+    """Infinite deterministic stream of grid scalars: the coordinates of
+    ``gen_elem(cfg)``, first then second, point by point."""
+    for e in gen_elem(cfg):
+        yield e.a
+        yield e.b

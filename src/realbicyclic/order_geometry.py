@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .semigroup import (
@@ -24,6 +23,7 @@ from .semigroup import (
     Sign,
     _elem,
     _line,
+    _sum,
     inv,
     mul,
     natural_leq,
@@ -77,13 +77,13 @@ class FullLine:
         """Whether ``e`` has the line's signed offset: (b - a) * q, with q the
         product of e's denominators, equals +-alpha * q on integers.  A
         canonical MINUS line has alpha > 0, so only one side can match."""
-        a, b, line = e.a, e.b, self.line
-        q = a.denominator * b.denominator
-        g = b.numerator * a.denominator - a.numerator * b.denominator
+        an, ad, bn, bd = e._q
+        line = self.line
+        g = bn * ad - an * bd
         if line.sign is Sign.MINUS:
             g = -g
-        alpha = line.alpha
-        return g * alpha.denominator == alpha.numerator * q
+        n, d = line._alpha
+        return g * d == n * ad * bd
 
     def __str__(self) -> str:
         return str(self.line)
@@ -105,19 +105,15 @@ def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
     MINUS followed by a PLUS is not a whole line but the down-ray below
     (alpha1, alpha2).
     """
-    a1, a2 = l1.alpha, l2.alpha
+    (n1, d1), (n2, d2) = l1._alpha, l2._alpha
     if l1.sign is l2.sign:
-        return FullLine(_line(l1.sign, a1 + a2))  # a sum of offsets, > 0 if both MINUS
+        return FullLine(_line(l1.sign, *_sum(n1, d1, n2, d2)))  # > 0 if both MINUS
     if l1.sign is Sign.PLUS:
-        q = a1.denominator * a2.denominator
-        g = a1.numerator * a2.denominator - a2.numerator * a1.denominator  # (a1 - a2) * q
-        if g >= 0:
-            return FullLine(_line(Sign.PLUS, Fraction(g, q)))  # a1 >= a2
-        return FullLine(_line(Sign.MINUS, Fraction(-g, q)))  # a2 > a1
-    return DownRay(_elem(a1, a2))  # two offsets, both >= 0
-
-
-_ZERO = Fraction(0)
+        n, d = _sum(n1, d1, -n2, d2)  # a1 - a2
+        if n >= 0:
+            return FullLine(_line(Sign.PLUS, n, d))
+        return FullLine(_line(Sign.MINUS, -n, d))
+    return DownRay(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
 
 
 class NotInProduct(ValueError):
@@ -134,24 +130,28 @@ def factor_in_line_product(target: Elem, l1: LineRef, l2: LineRef) -> Tuple[Elem
     prod = line_product(l1, l2)
     if not prod.member(target):
         raise NotInProduct(f"{target} is not in {l1} * {l2} = {prod}")
-    a1, a2 = l1.alpha, l2.alpha
+    # every factor coordinate is a target coordinate x, an offset, or a sum of
+    # the two, so each is non-negative
+    (n1, d1), (n2, d2) = l1._alpha, l2._alpha
+    an, ad, bn, bd = target._q
     if l1.sign is l2.sign:
-        if l1.sign is Sign.PLUS:
-            x = target.a
-            return _elem(x, x + a1), _elem(_ZERO, a2)  # sums of coordinates and offsets
-        x = target.b
-        return _elem(a1, _ZERO), _elem(x + a2, x)  # sums of coordinates and offsets
+        if l1.sign is Sign.PLUS:  # x = target.a: (x, x + a1), (0, a2)
+            return _elem(an, ad, *_sum(an, ad, n1, d1)), _elem(0, 1, n2, d2)
+        # x = target.b: (a1, 0), (x + a2, x)
+        return _elem(n1, d1, 0, 1), _elem(*_sum(bn, bd, n2, d2), bn, bd)
     if l1.sign is Sign.PLUS:
         # the product's offset: a1 - a2 >= 0 on PLUS, a2 - a1 > 0 on MINUS
-        gap = prod.line.alpha
-        if prod.line.sign is Sign.PLUS:
-            x = target.a
-            return _elem(x, x + a1), _elem(x + a1, x + gap)  # sums of coordinates and offsets
-        x = target.b
-        return _elem(x + gap, x + a2), _elem(x + a2, x)  # sums of coordinates and offsets
-    # target = (a1 + t, a2 + t) lies on the down-ray below (a1, a2), checked above
-    t = target.a - a1
-    return _elem(target.a, t), _elem(t, target.b)  # t >= 0 and target's coordinates
+        gn, gd = prod.line._alpha
+        if prod.line.sign is Sign.PLUS:  # x = target.a: (x, x + a1), (x + a1, x + gap)
+            s = _sum(an, ad, n1, d1)
+            return _elem(an, ad, *s), _elem(*s, *_sum(an, ad, gn, gd))
+        # x = target.b: (x + gap, x + a2), (x + a2, x)
+        s = _sum(bn, bd, n2, d2)
+        return _elem(*_sum(bn, bd, gn, gd), *s), _elem(*s, bn, bd)
+    # target = (a1 + t, a2 + t) lies on the down-ray below (a1, a2), checked
+    # above, so t = target.a - a1 >= 0: (target.a, t), (t, target.b)
+    tn, td = _sum(an, ad, -n1, d1)
+    return _elem(an, ad, tn, td), _elem(tn, td, bn, bd)
 
 
 def shrink_witness(e0: Elem, e1: Elem) -> Elem:
@@ -162,9 +162,11 @@ def shrink_witness(e0: Elem, e1: Elem) -> Elem:
     witness keeps the containment: e0 * s lies below e1 whenever s lies below
     the witness.
     """
-    c = e1.a + e0.a + e0.b
-    d = e0.a + e0.a + e1.b  # d - c = (e0.a - e0.b) + (e1.b - e1.a)
-    return _elem(c, d)  # sums of coordinates
+    an, ad, bn, bd = e0._q
+    cn, cd, dn, dd = e1._q
+    c = _sum(*_sum(cn, cd, an, ad), bn, bd)  # e1.a + e0.a + e0.b
+    d = _sum(*_sum(an, ad, an, ad), dn, dd)  # e0.a + e0.a + e1.b
+    return _elem(*c, *d)  # d - c = (e0.a - e0.b) + (e1.b - e1.a)
 
 
 def shrink_witness_dual(e0: Elem, e1: Elem) -> Elem:
@@ -204,11 +206,14 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
     up-segment, or empty (``None``) when the translator already overshoots the
     segment's top.
     """
-    p, q = u.top.a, u.top.b
+    pn, pd, qn, qd = u.top._q
+    an, ad, bn, bd = t._q
+    # the moved coordinate is non-negative: the overshoot test rules out t.a > p
+    # (left) and t.b > q (right)
     if side is Side.LEFT:
-        if t.a > p:
+        if an * pd > pn * ad:
             return None
-        return UpSegment(Elem(p - t.a + t.b, q))
-    if t.b > q:
+        return UpSegment(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
+    if bn * qd > qn * bd:
         return None
-    return UpSegment(Elem(p, q - t.b + t.a))
+    return UpSegment(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a

@@ -6,8 +6,9 @@ Elements are pairs (a, b) of non-negative rationals with the operation
 
 under which the quadrant is a bisimple inverse monoid with identity (0, 0).
 Restricted to non-negative integers this is the bicyclic monoid.  Every
-coordinate is an exact ``fractions.Fraction``, so equality of values is
-structural equality and no comparison ever touches floating point.
+coordinate is held as a lowest-terms pair of integers (numerator, denominator
+>= 1) and exposed as an exact ``fractions.Fraction``, so equality of values is
+equality of the integer pairs and no comparison ever touches floating point.
 
 Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
@@ -15,16 +16,18 @@ partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
 ``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments; closed
 operations build results that lie in the quadrant by construction with the
-unchecked internal ``_elem`` and ``_line``, and compare rationals as integer
-cross-products.
+unchecked internal ``_elem`` and ``_line`` from integers, compare rationals
+as integer cross-products, and sum them in lowest terms with ``_sum``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Optional, Tuple, Union
 
 Scalar = Fraction
@@ -76,32 +79,76 @@ def scalar(value: ScalarLike) -> Fraction:
 
 def format_scalar(f: Fraction) -> str:
     """Render a rational compactly: ``3`` when integral, else ``3/2``."""
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return _format(f.numerator, f.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class Elem:
-    """A point (a, b) of the quadrant."""
+def _format(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
-    a: Fraction
-    b: Fraction
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+# Fraction(num, den), memoised: coordinates repeat and Fractions are immutable.
+# The one route from the integer representation back to Fractions.
+_fraction = lru_cache(maxsize=4096)(Fraction)
+
+
+class _Frozen:
+    """Immutability as in a frozen dataclass: no attribute can be assigned or
+    deleted.  Constructors set the slots through their descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Elem(_Frozen):
+    """A point (a, b) of the quadrant, immutable and hashable.
+
+    Each coordinate is held as a lowest-terms numerator and denominator
+    (denominator >= 1); ``a`` and ``b`` read them back as Fractions.  Equality
+    compares the integers and the hash is that of ``(a, b)``.
+    """
+
+    __slots__ = ("_q",)  # (a's numerator, a's denominator, b's numerator, b's denominator)
+
+    def __init__(self, a: ScalarLike, b: ScalarLike) -> None:
         if type(a) is not Fraction or type(b) is not Fraction:
             a, b = scalar(a), scalar(b)
         elif a.numerator < 0 or b.numerator < 0:
             raise ValueError(f"negative coordinate: ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_q(self, (a.numerator, a.denominator, b.numerator, b.denominator))
+
+    @property
+    def a(self) -> Fraction:
+        q = self._q
+        return _fraction(q[0], q[1])
+
+    @property
+    def b(self) -> Fraction:
+        q = self._q
+        return _fraction(q[2], q[3])
+
+    def __reduce__(self):
+        return _elem, self._q
+
+    def __eq__(self, other: object):
+        if type(other) is Elem:
+            return self._q == other._q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __str__(self) -> str:
-        return f"({format_scalar(self.a)},{format_scalar(self.b)})"
+        an, ad, bn, bd = self._q
+        return f"({_format(an, ad)},{_format(bn, bd)})"
 
     def __repr__(self) -> str:
-        return f"Elem({format_scalar(self.a)!r}, {format_scalar(self.b)!r})"
+        an, ad, bn, bd = self._q
+        return f"Elem({_format(an, ad)!r}, {_format(bn, bd)!r})"
 
     def __mul__(self, other: "Elem") -> "Elem":
         return mul(self, other)
@@ -120,14 +167,15 @@ class Elem:
         return natural_leq(other, self)
 
 
-_set_a, _set_b = Elem.a.__set__, Elem.b.__set__
+_new = object.__new__
+_set_q = Elem._q.__set__
 
 
-def _elem(a: Fraction, b: Fraction) -> Elem:
-    """Trusted construction: the caller guarantees two non-negative Fractions."""
-    e = object.__new__(Elem)
-    _set_a(e, a)
-    _set_b(e, b)
+def _elem(an: int, ad: int, bn: int, bd: int) -> Elem:
+    """Trusted construction: the caller guarantees the point (an/ad, bn/bd)
+    with non-negative numerators, positive denominators and lowest terms."""
+    e = _new(Elem)
+    _set_q(e, (an, ad, bn, bd))
     return e
 
 
@@ -155,58 +203,94 @@ class Sign(Enum):
     MINUS = "-"
 
 
-@dataclass(frozen=True, slots=True)
-class LineRef:
+class LineRef(_Frozen):
     """Handle for one diagonal line: all (x, x+alpha) for PLUS, (x+alpha, x) for MINUS.
 
     The two lines with alpha = 0 coincide, so that case is canonicalised to PLUS.
+    Like ``Elem`` it is immutable and holds ``alpha`` as a lowest-terms
+    numerator and denominator, read back as a Fraction.
     """
 
-    sign: Sign
-    alpha: Fraction
+    __slots__ = ("sign", "_alpha")  # _alpha: (numerator, denominator)
 
-    def __post_init__(self) -> None:
-        alpha = scalar(self.alpha)
-        sign = self.sign if alpha.numerator else Sign.PLUS
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "sign", sign)
+    def __init__(self, sign: Sign, alpha: ScalarLike) -> None:
+        alpha = scalar(alpha)
+        _set_sign(self, sign if alpha.numerator else Sign.PLUS)
+        _set_alpha(self, (alpha.numerator, alpha.denominator))
+
+    @property
+    def alpha(self) -> Fraction:
+        return _fraction(*self._alpha)
+
+    def __reduce__(self):
+        return _line, (self.sign, *self._alpha)
+
+    def __eq__(self, other: object):
+        if type(other) is LineRef:
+            return self.sign is other.sign and self._alpha == other._alpha
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.alpha))
 
     def __str__(self) -> str:
-        return f"L{self.sign.value}{format_scalar(self.alpha)}"
+        return f"L{self.sign.value}{_format(*self._alpha)}"
+
+    def __repr__(self) -> str:
+        return f"LineRef(sign={self.sign!r}, alpha={self.alpha!r})"
 
 
-_set_sign, _set_alpha = LineRef.sign.__set__, LineRef.alpha.__set__
+_set_sign, _set_alpha = LineRef.sign.__set__, LineRef._alpha.__set__
 
 
-def _line(sign: Sign, alpha: Fraction) -> LineRef:
-    """Trusted construction: the caller guarantees a non-negative Fraction
-    ``alpha``, positive when ``sign`` is MINUS (the canonical form)."""
-    line = object.__new__(LineRef)
+def _line(sign: Sign, num: int, den: int) -> LineRef:
+    """Trusted construction: the caller guarantees a non-negative ``num/den``
+    in lowest terms, positive when ``sign`` is MINUS (the canonical form)."""
+    line = _new(LineRef)
     _set_sign(line, sign)
-    _set_alpha(line, alpha)
+    _set_alpha(line, (num, den))
     return line
+
+
+def _sum(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """an/ad + bn/bd in lowest terms, for summands in lowest terms (numerators
+    of either sign, denominators positive).  As in ``fractions``, only the
+    common factor g of the denominators can cancel."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g = gcd(t, g)
+    return t // g, s * (bd // g)
 
 
 def mul(e1: Elem, e2: Elem) -> Elem:
     """Semigroup product (a+c-min(b,c), b+d-min(b,c)) by its case split on the gap
     c - b = g/q (unreduced): (a + g/q, d), (a, d) or (a, d - g/q) as g > 0, = 0 or
-    < 0.  Each builds at most one Fraction and adds only a positive amount."""
-    a, b, c, d = e1.a, e1.b, e2.a, e2.b
-    q = b.denominator * c.denominator
-    g = c.numerator * b.denominator - b.numerator * c.denominator
-    if g > 0:
-        return _elem(Fraction(a.numerator * q + g * a.denominator, a.denominator * q), d)
+    < 0.  Only the one coordinate that moves is summed, and reduced by one gcd."""
+    an, ad, bn, bd = e1._q
+    cn, cd, dn, dd = e2._q
+    g = cn * bd - bn * cd
     if g == 0:
-        return _elem(a, d)
-    return _elem(a, Fraction(d.numerator * q - g * d.denominator, d.denominator * q))
+        return _elem(an, ad, dn, dd)
+    q = bd * cd
+    if g > 0:
+        n, d = an * q + g * ad, ad * q
+        k = gcd(n, d)
+        return _elem(n // k, d // k, dn, dd)
+    n, d = dn * q - g * dd, dd * q
+    k = gcd(n, d)
+    return _elem(an, ad, n // k, d // k)
 
 
 def mul_branch(e1: Elem, e2: Elem) -> str:
     """Which case of the product's case split applies: ``lt``/``eq``/``gt``
     according as the left factor's second coordinate compares to the right
     factor's first, read off the sign of the same integer gap as ``mul``."""
-    b, c = e1.b, e2.a
-    g = c.numerator * b.denominator - b.numerator * c.denominator
+    _, _, bn, bd = e1._q
+    cn, cd, _, _ = e2._q
+    g = cn * bd - bn * cd
     if g > 0:
         return "lt"
     if g == 0:
@@ -223,7 +307,8 @@ def mul_ext(e1: ExtElem, e2: ExtElem) -> ExtElem:
 
 def inv(e: Elem) -> Elem:
     """The unique inverse: coordinate swap."""
-    return _elem(e.b, e.a)  # the coordinates of a checked element
+    an, ad, bn, bd = e._q
+    return _elem(bn, bd, an, ad)
 
 
 def inv_ext(e: ExtElem) -> ExtElem:
@@ -232,7 +317,8 @@ def inv_ext(e: ExtElem) -> ExtElem:
 
 def is_idempotent(e: Elem) -> bool:
     """True exactly for diagonal points (u, u)."""
-    return e.a == e.b
+    an, ad, bn, bd = e._q
+    return an == bn and ad == bd
 
 
 def natural_leq(e1: Elem, e2: Elem) -> bool:
@@ -241,14 +327,15 @@ def natural_leq(e1: Elem, e2: Elem) -> bool:
     (a, b) lies below (c, d) iff a >= c and a - b = c - d, i.e. e1 is e2
     pushed up the diagonal by a non-negative amount: a - c = b - d >= 0.
     Both gaps are compared as unreduced integer ratios over the products of
-    their denominators, so no Fraction is built.
+    their denominators.
     """
-    a, b, c, d = e1.a, e1.b, e2.a, e2.b
-    x = a.numerator * c.denominator - c.numerator * a.denominator
+    an, ad, bn, bd = e1._q
+    cn, cd, dn, dd = e2._q
+    x = an * cd - cn * ad
     if x < 0:
         return False
-    y = b.numerator * d.denominator - d.numerator * b.denominator
-    return x * b.denominator * d.denominator == y * a.denominator * c.denominator
+    y = bn * dd - dn * bd
+    return x * bd * dd == y * ad * cd
 
 
 def natural_leq_ext(e1: ExtElem, e2: ExtElem) -> bool:
@@ -267,25 +354,27 @@ def leq_witness(e1: Elem, e2: Elem) -> Optional[Elem]:
     """
     if not natural_leq(e1, e2):
         return None
-    return _elem(e1.b, e1.b)  # a coordinate of a checked element
+    _, _, bn, bd = e1._q
+    return _elem(bn, bd, bn, bd)
 
 
 def classify_line(e: Elem) -> Tuple[LineRef, Fraction]:
     """The unique diagonal line through ``e`` and its line parameter x.
 
-    The side is the sign of the integer cross-product g = (b - a) * q with
-    q the product of the denominators; the offset is |g| / q."""
-    a, b = e.a, e.b
-    q = a.denominator * b.denominator
-    g = b.numerator * a.denominator - a.numerator * b.denominator
-    if g >= 0:
-        return _line(Sign.PLUS, Fraction(g, q)), a  # b >= a, so alpha = b - a >= 0
-    return _line(Sign.MINUS, Fraction(-g, q)), b  # a > b, so alpha = a - b > 0
+    The side is the sign of b - a, the offset its absolute value, and x the
+    smaller coordinate."""
+    an, ad, bn, bd = e._q
+    n, d = _sum(bn, bd, -an, ad)
+    if n >= 0:
+        return _line(Sign.PLUS, n, d), _fraction(an, ad)  # b >= a
+    return _line(Sign.MINUS, -n, d), _fraction(bn, bd)  # a > b
 
 
 def line_point(line: LineRef, x: ScalarLike) -> Elem:
     """The point of ``line`` with parameter ``x`` (inverse of classify_line)."""
     x = scalar(x)  # checked here, and alpha was checked by LineRef
+    xn, xd = x.numerator, x.denominator
+    n, d = _sum(xn, xd, *line._alpha)
     if line.sign is Sign.PLUS:
-        return _elem(x, x + line.alpha)
-    return _elem(x + line.alpha, x)
+        return _elem(xn, xd, n, d)
+    return _elem(n, d, xn, xd)

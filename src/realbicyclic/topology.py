@@ -87,7 +87,9 @@ class NbhdAc1:
     def member(self, e: ExtElem) -> bool:
         if e is ZERO:
             return True
-        return e.a > self.n or e.b > self.n
+        nn, nd = self.n.numerator, self.n.denominator
+        an, ad, bn, bd = e._q
+        return an * nd > nn * ad or bn * nd > nn * bd
 
 
 @dataclass(frozen=True)

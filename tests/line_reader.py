@@ -92,7 +92,7 @@ class _Reader:
         a, b = self.frac(tokens[0], where), self.frac(tokens[1], where)
         if tokens[0][0] == "-" or tokens[1][0] == "-":
             raise MalformedCert(f"{where}: negative coordinate: ({a}, {b})")
-        return _trusted_elem(a, b)
+        return _trusted_elem(a.numerator, a.denominator, b.numerator, b.denominator)
 
     def interval(self, key: str) -> Interval:
         text = self.field(key)

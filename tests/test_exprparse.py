@@ -1,10 +1,12 @@
 """Expression grammar, exact literal handling, and error positions."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from realbicyclic import Elem, NegativeScalar, ParseError, ZERO, parse_expr
+from realbicyclic.cli import main
 from realbicyclic.exprparse import MAX_NESTING
 
 
@@ -110,3 +112,34 @@ def test_nesting_limit():
         with pytest.raises(ParseError, match="nested deeper") as info:
             parse_expr(nested(depth))
         assert info.value.pos == MAX_NESTING
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer string",
+)
+def test_oversized_literal_is_not_a_zero_denominator(capsys):
+    # a literal one digit past the interpreter's integer-string limit (4300
+    # by default) is reported as such at the literal's start, never as a
+    # zero denominator, and the CLI exits 2; at the limit it evaluates
+    limit = sys.get_int_max_str_digits()
+    at, past = "7" * limit, "7" * (limit + 1)
+    assert parse_expr(f"(1,{at})") == Elem(1, int(at))
+    message = f"a number has more than {limit} digits"
+    for text, pos in (
+        (f"(1,{past})", 3),
+        (f"({past}/2,1)", 1),
+        (f"(1,2/{past})", 3),
+        (f"(1.{past},0)", 1),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"{message} (at position {pos})"
+    assert main(["eval", f"(1,{'7' * 5000})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (at position 3)\n"
+    assert main(["eval", f"(1,{at})"]) == 0
+    assert capsys.readouterr().out == f"(1,{at})\n"
+    with pytest.raises(ParseError, match=r"^zero denominator \(at position 2\)$"):
+        parse_expr("(1/000,2)")

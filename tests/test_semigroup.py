@@ -1,7 +1,9 @@
 """Core operation tests: worked examples checked against the defining formula
 and the case-table route, plus law checks with hypothesis."""
 
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -331,6 +333,36 @@ def test_str_formats():
     assert str(Elem("1/2", "3/2")) == "(1/2,3/2)"
     assert str(ZERO) == "0"
     assert str(LineRef(Sign.MINUS, F(3, 2))) == "L-3/2"
+
+
+@pytest.mark.parametrize(
+    "value, text, rep",
+    [
+        (Elem(0, 0), "(0,0)", "Elem('0', '0')"),
+        (Elem("3/2", 5), "(3/2,5)", "Elem('3/2', '5')"),
+        (LineRef(Sign.MINUS, 0), "L+0", "LineRef(sign=<Sign.PLUS: '+'>, alpha=Fraction(0, 1))"),
+        (LineRef(Sign.MINUS, "7/2"), "L-7/2", "LineRef(sign=<Sign.MINUS: '-'>, alpha=Fraction(7, 2))"),
+    ],
+)
+def test_point_and_line_contract(value, text, rep):
+    # the contract of the frozen slotted dataclasses these types replaced:
+    # text forms, immutability, keyword construction, the hash of the field
+    # tuple, and copies and pickles that compare and hash equal
+    assert (str(value), repr(value)) == (text, rep)
+    fields = ("a", "b") if type(value) is Elem else ("sign", "alpha")
+    values = tuple(getattr(value, name) for name in fields)
+    assert hash(value) == hash(values)
+    assert type(value)(**dict(zip(fields, values))) == value
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert (str(twin), repr(twin)) == (text, rep)
 
 
 def test_line_layer_matches_fraction_reference():
