@@ -9,6 +9,7 @@ from .semigroup import (
     LineRef,
     Scalar,
     Sign,
+    TooLarge,
     ZERO,
     ZeroType,
     classify_line,

@@ -144,88 +144,56 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     n = target.n if target.n > hyp else hyp + 1
     m = 2 * n
     x, y = translator.a, translator.b
-    if side is Side.LEFT:
-        cases = _cases_left(x, y, n, m)
-    else:
-        cases = _cases_right(x, y, n, m)
     return ContinuityCert(
         topology="ac1",
         side=side,
         translator=translator,
         target=target,
         chosen=NbhdAc1(m),
-        evidence=cases,
+        evidence=_cases(side, x, y, n, m),
         effective=NbhdAc1(n),
     )
 
 
-def _cases_left(x: Fraction, y: Fraction, n: Fraction, m: Fraction) -> Tuple[CaseEvidence, ...]:
-    big = CaseEvidence(
-        "big-a",
-        a_range=Interval(m, True, None, True),
-        b_range=FULL,
-        branches=(
-            BranchEvidence("lt", (F1, F0, x - y), (F0, F1, F0), "a", x - y + m, False),
-        ),
-    )
-    mid = CaseEvidence(
-        "mid-a",
-        a_range=Interval(n, False, m, False),
-        b_range=Interval(m, True, None, True),
-        branches=(
-            BranchEvidence("lt", (F1, F0, x - y), (F0, F1, F0), "b", m, False),
-        ),
-    )
-    low_branches: List[BranchEvidence] = [
-        BranchEvidence("lt", (F1, F0, x - y), (F0, F1, F0), "b", m, False),
-        BranchEvidence("eq", (F0, F0, x), (F0, F1, F0), "b", m, False),
-    ]
-    if y > 0:
-        low_branches.append(
-            BranchEvidence("gt", (F0, F0, x), (-F1, F1, y), "b", m, False)
-        )
-    low = CaseEvidence(
-        "low-a",
-        a_range=Interval(F0, False, n, True),
-        b_range=Interval(m, True, None, True),
-        branches=tuple(low_branches),
-    )
-    return (big, mid, low)
+def _cases(
+    side: Side, x: Fraction, y: Fraction, n: Fraction, m: Fraction
+) -> Tuple[CaseEvidence, ...]:
+    """The big, mid and low boxes of the chosen set for the translator (x, y).
 
+    ``rows`` holds, per branch of the product, the image rows (coefficient of
+    a, of b, constant).  The big box puts the near coordinate (a on the left,
+    b on the right) beyond m; the mid and low boxes put the far one beyond m
+    and the near one in [n, m] or [0, n).  The right side mirrors the left,
+    its big and mid boxes taking the gt branch where the left's take lt."""
+    left = side is Side.LEFT
+    if left:
+        rows = {
+            "lt": ((F1, F0, x - y), (F0, F1, F0)),
+            "eq": ((F0, F0, x), (F0, F1, F0)),
+            "gt": ((F0, F0, x), (-F1, F1, y)),
+        }
+        ids, near, far, tag, big_inf = ("big-a", "mid-a", "low-a"), "a", "b", "lt", x - y + m
+        low_tags = ("lt", "eq", "gt") if y > 0 else ("lt", "eq")
+    else:
+        rows = {
+            "lt": ((F1, -F1, x), (F0, F0, y)),
+            "eq": ((F1, F0, F0), (F0, F0, y)),
+            "gt": ((F1, F0, F0), (F0, F1, y - x)),
+        }
+        ids, near, far, tag, big_inf = ("big-b", "mid-b", "low-b"), "b", "a", "gt", m + y - x
+        low_tags = ("lt", "eq", "gt") if x > 0 else ("eq", "gt")
 
-def _cases_right(x: Fraction, y: Fraction, n: Fraction, m: Fraction) -> Tuple[CaseEvidence, ...]:
-    big = CaseEvidence(
-        "big-b",
-        a_range=FULL,
-        b_range=Interval(m, True, None, True),
-        branches=(
-            BranchEvidence("gt", (F1, F0, F0), (F0, F1, y - x), "b", m + y - x, False),
-        ),
+    def case(case_id, near_range, far_range, tags, witness, inf):
+        ranges = (near_range, far_range) if left else (far_range, near_range)
+        branches = tuple(BranchEvidence(t, *rows[t], witness, inf, False) for t in tags)
+        return CaseEvidence(case_id, *ranges, branches)
+
+    beyond = Interval(m, True, None, True)
+    return (
+        case(ids[0], beyond, FULL, (tag,), near, big_inf),
+        case(ids[1], Interval(n, False, m, False), beyond, (tag,), far, m),
+        case(ids[2], Interval(F0, False, n, True), beyond, low_tags, far, m),
     )
-    mid = CaseEvidence(
-        "mid-b",
-        a_range=Interval(m, True, None, True),
-        b_range=Interval(n, False, m, False),
-        branches=(
-            BranchEvidence("gt", (F1, F0, F0), (F0, F1, y - x), "a", m, False),
-        ),
-    )
-    low_branches: List[BranchEvidence] = []
-    if x > 0:
-        low_branches.append(
-            BranchEvidence("lt", (F1, -F1, x), (F0, F0, y), "a", m, False)
-        )
-    low_branches.append(BranchEvidence("eq", (F1, F0, F0), (F0, F0, y), "a", m, False))
-    low_branches.append(
-        BranchEvidence("gt", (F1, F0, F0), (F0, F1, y - x), "a", m, False)
-    )
-    low = CaseEvidence(
-        "low-b",
-        a_range=Interval(m, True, None, True),
-        b_range=Interval(F0, False, n, True),
-        branches=tuple(low_branches),
-    )
-    return (big, mid, low)
 
 
 def _covers_chosen(boxes: Sequence[Tuple[Tuple[int, Optional[int]], ...]], top: int) -> bool:

@@ -36,11 +36,10 @@ record that was expected there.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .semigroup import Elem, _elem as _trusted_elem
+from .semigroup import Elem, TooLarge, _elem as _trusted_elem
 from .order_geometry import Side
 from .topology import NbhdAc1, NbhdAc2
 from .certificates import (
@@ -72,6 +71,17 @@ def _iv(iv: Interval) -> str:
 
 
 def cert_to_text(cert: ContinuityCert) -> str:
+    """The canonical text of ``cert``.  Raises ``TooLarge`` for a number with
+    more digits than the interpreter converts."""
+    if cert.topology not in ("ac1", "ac2"):
+        raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
+    try:
+        return "\n".join(_lines(cert)) + "\n"
+    except ValueError:  # int to str past the digit limit
+        raise TooLarge() from None
+
+
+def _lines(cert: ContinuityCert) -> List[str]:
     lines: List[str] = [_HEADER, f"kind {cert.topology}", f"side {cert.side.value}"]
     lines.append(f"translator {_elem(cert.translator)}")
     if cert.topology == "ac1":
@@ -90,7 +100,7 @@ def cert_to_text(cert: ContinuityCert) -> str:
                 lines.append(f"inf {_frac(br.inf_value)}")
                 lines.append(f"attained {'yes' if br.inf_attained else 'no'}")
             lines.append("end-case")
-    elif cert.topology == "ac2":
+    else:
         lines.append(f"target-tops {len(cert.target.tops)}")
         for top in cert.target.tops:
             lines.append(f"top {_elem(top)}")
@@ -110,10 +120,8 @@ def cert_to_text(cert: ContinuityCert) -> str:
             else:
                 lines.append(f"covering-top {_elem(ev.covering_top)}")
             lines.append("end-evidence")
-    else:
-        raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
     lines.append("end-cert")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # One rational token, captured; its sign is checked where it must be >= 0.
@@ -176,7 +184,7 @@ class _Reader(dict):
         digits only, so the one refusal is the interpreter's limit on the
         digits of an integer string, which exists wherever ``int()`` can
         refuse; the limit is read, never set, for it is process-global."""
-        return self.error(f"a number has more than {sys.get_int_max_str_digits()} digits")
+        return self.error(str(TooLarge()))
 
     def __missing__(self, token: str) -> Fraction:
         num, _, den = token.partition("/")
@@ -278,8 +286,9 @@ def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
 
 
 def write_cert(cert: ContinuityCert, path: str) -> None:
+    text = cert_to_text(cert)  # before opening: a failure leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(cert_to_text(cert))
+        fh.write(text)
 
 
 def read_cert(path: str) -> ContinuityCert:

@@ -2,10 +2,11 @@
 
 Subcommands: ``eval``, ``order``, ``lines product``, ``certify``, ``validate``,
 ``falsify``, ``suite``.  Exit codes: 0 for pass/true, 1 for fail/false, 2 for
-usage errors; a closed standard output (``... | head``) ends with exit 1 and
-no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII digits only.
-The default seed comes from ``REALBICYCLIC_SEED`` (flags win).  The argument
-parser is built on first use and reused by every later ``main``.
+usage errors and for a result with a number past the interpreter's digit
+limit (``TooLarge``); a closed standard output (``... | head``) ends with
+exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
+digits only.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
+The argument parser is built on first use and reused by every later ``main``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .certio import cert_to_text, read_cert, write_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
 from .order_geometry import Side, line_product
-from .semigroup import Elem, LineRef, Sign, leq_witness, mul, natural_leq, scalar
+from .semigroup import Elem, LineRef, Sign, TooLarge, leq_witness, mul, natural_leq, scalar
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
 
@@ -269,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe fails here rather than at exit
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, UnknownSuite) as exc:
+    except (UsageError, UnknownSuite, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -21,12 +21,12 @@ before the parser's recursion (four frames a level) reaches Python's limit.
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .semigroup import (
     SCALAR_LITERAL,
     Elem,
+    TooLarge,
     ZERO,
     ZeroType,
     inv_ext,
@@ -59,8 +59,12 @@ _Token = Tuple[str, object, int]  # kind, value, position
 
 _DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts '²' and '٣'
 
+# The operators by first character; an operator token's kind is its text.
+_OPERATORS = {"(": "(", ")": ")", ",": ",", "*": "*", "^": "^-1", "<": "<="}
+
 
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of ``text``, closed by an end token at its length."""
     tokens: List[_Token] = []
     i = 0
     n = len(text)
@@ -69,30 +73,12 @@ def _tokenize(text: str) -> List[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c == "(":
-            tokens.append(("lparen", None, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", None, i))
-            i += 1
-        elif c == ",":
-            tokens.append(("comma", None, i))
-            i += 1
-        elif c == "*":
-            tokens.append(("star", None, i))
-            i += 1
-        elif c == "^":
-            if text[i : i + 3] == "^-1":
-                tokens.append(("inv", None, i))
-                i += 3
-            else:
-                raise ParseError("expected ^-1", i)
-        elif c == "<":
-            if text[i : i + 2] == "<=":
-                tokens.append(("leq", None, i))
-                i += 2
-            else:
-                raise ParseError("expected <=", i)
+        op = _OPERATORS.get(c)
+        if op is not None:
+            if not text.startswith(op, i):
+                raise ParseError(f"expected {op}", i)
+            tokens.append((op, None, i))
+            i += len(op)
         elif c == "-":
             j = i + 1
             while j < n and text[j].isspace():
@@ -114,121 +100,100 @@ def _tokenize(text: str) -> List[_Token]:
                 value = literal_value(m)
             except ValueError:
                 # digits only, so the one refusal left is the interpreter's
-                # limit on the digits of an integer string (read, never set)
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(f"a number has more than {limit} digits", i) from None
+                # limit on the digits of an integer string
+                raise ParseError(str(TooLarge()), i) from None
             tokens.append(("number", value, i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", None, n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], length: int) -> None:
+    def __init__(self, tokens: List[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.length = length
         self.depth = 0
 
-    def _peek(self) -> Optional[_Token]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
     def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(f"expected {expected}, found end of input", self.length)
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError(f"expected {expected}, found end of input", tok[2])
         self.pos += 1
         return tok
 
     def parse(self) -> Value:
         value = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError("trailing input", tok[2])
+        kind, _, pos = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError("trailing input", pos)
         return value
 
     def expr(self) -> Value:
         left = self.product()
-        tok = self._peek()
-        if tok is not None and tok[0] == "leq":
-            self.pos += 1
-            right = self.product()
-            if isinstance(left, bool) or isinstance(right, bool):
-                raise ParseError("cannot order booleans", tok[2])
-            return natural_leq_ext(left, right)
-        return left
+        kind, _, pos = self.tokens[self.pos]
+        if kind != "<=":
+            return left
+        self.pos += 1
+        right = self.product()
+        if isinstance(left, bool) or isinstance(right, bool):
+            raise ParseError("cannot order booleans", pos)
+        return natural_leq_ext(left, right)
 
     def product(self) -> Value:
         value = self.postfix()
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "star":
+            kind, _, pos = self.tokens[self.pos]
+            if kind != "*":
                 return value
             self.pos += 1
             right = self.postfix()
             if isinstance(value, bool) or isinstance(right, bool):
-                raise ParseError("cannot multiply booleans", tok[2])
+                raise ParseError("cannot multiply booleans", pos)
             value = mul_ext(value, right)
 
     def postfix(self) -> Value:
         value = self.primary()
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "inv":
+            kind, _, pos = self.tokens[self.pos]
+            if kind != "^-1":
                 return value
             self.pos += 1
             if isinstance(value, bool):
-                raise ParseError("cannot invert a boolean", tok[2])
+                raise ParseError("cannot invert a boolean", pos)
             value = inv_ext(value)
 
     def primary(self) -> Value:
-        tok = self._next("an element, 0, or '('")
-        kind, value, pos = tok
+        kind, value, pos = self._next("an element, 0, or '('")
         if kind == "number":
             if value == 0:
                 return ZERO
             raise ParseError("a bare scalar is not an element (only 0 is)", pos)
-        if kind == "lparen":
-            # element literal "(a, b)" or grouped expression: try the literal
-            saved = self.pos
-            elem = self._try_element(pos)
-            if elem is not None:
-                return elem
-            self.pos = saved
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            closing = self._next("')'")
-            if closing[0] != "rparen":
-                raise ParseError("expected ')'", closing[2])
-            return inner
-        raise ParseError("expected an element, 0, or '('", pos)
-
-    def _try_element(self, open_pos: int) -> Optional[Elem]:
-        tok = self._peek()
-        if tok is None or tok[0] != "number":
-            return None
-        a = tok[1]
-        self.pos += 1
-        tok = self._peek()
-        if tok is None or tok[0] != "comma":
-            return None
-        self.pos += 1
-        tok = self._next("a scalar")
-        if tok[0] != "number":
-            raise ParseError("expected a scalar after ','", tok[2])
-        b = tok[1]
-        closing = self._next("')'")
-        if closing[0] != "rparen":
-            raise ParseError("expected ')' to close the element", closing[2])
-        return Elem(a, b)
+        if kind != "(":
+            raise ParseError("expected an element, 0, or '('", pos)
+        tokens, i = self.tokens, self.pos
+        if tokens[i][0] == "number" and tokens[i + 1][0] == ",":
+            # an element literal "(a, b)"
+            self.pos = i + 2
+            kind, b, b_pos = self._next("a scalar")
+            if kind != "number":
+                raise ParseError("expected a scalar after ','", b_pos)
+            kind, _, close_pos = self._next("')'")
+            if kind != ")":
+                raise ParseError("expected ')' to close the element", close_pos)
+            return Elem(tokens[i][1], b)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        kind, _, close_pos = self._next("')'")
+        if kind != ")":
+            raise ParseError("expected ')'", close_pos)
+        return inner
 
 
 def parse_expr(text: str) -> Value:
     """Parse and exactly evaluate ``text``; see the module grammar."""
-    return _Parser(_tokenize(text), len(text)).parse()
+    return _Parser(_tokenize(text)).parse()

@@ -23,6 +23,7 @@ as integer cross-products, and sum them in lowest terms with ``_sum``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import FrozenInstanceError
 from enum import Enum
 from fractions import Fraction
@@ -82,8 +83,19 @@ def format_scalar(f: Fraction) -> str:
     return _format(f.numerator, f.denominator)
 
 
+class TooLarge(ValueError):
+    """A number has more digits than the interpreter converts between an int
+    and decimal text (``sys.get_int_max_str_digits()``, read and never set)."""
+
+    def __init__(self) -> None:
+        super().__init__(f"a number has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _format(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # int to str past the digit limit
+        raise TooLarge() from None
 
 
 # Fraction(num, den), memoised: coordinates repeat and Fractions are immutable.
@@ -214,6 +226,8 @@ class LineRef(_Frozen):
     __slots__ = ("sign", "_alpha")  # _alpha: (numerator, denominator)
 
     def __init__(self, sign: Sign, alpha: ScalarLike) -> None:
+        if type(sign) is not Sign:
+            raise ValueError(f"not a line sign: {sign!r}")
         alpha = scalar(alpha)
         _set_sign(self, sign if alpha.numerator else Sign.PLUS)
         _set_alpha(self, (alpha.numerator, alpha.denominator))

@@ -321,6 +321,24 @@ def test_ac1_wrong_topology_malformed():
         validate_cert_ac2(cert)
 
 
+def test_structural_faults_malformed():
+    ac1 = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
+    ac2 = continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1),)))
+    unknown = dataclasses.replace(ac1, topology="ac3")
+    kinds = "carries wrong neighbourhood kinds"
+    for check, cert, message in (
+        (validate_cert_ac1, ac2, "not a threshold-neighbourhood certificate"),
+        (validate_cert_ac1, dataclasses.replace(ac1, target=ac2.target), kinds),
+        (validate_cert_ac1, dataclasses.replace(ac1, chosen=ac2.chosen), kinds),
+        (validate_cert_ac1, dataclasses.replace(ac1, effective=None), "missing effective"),
+        (validate_cert_ac2, dataclasses.replace(ac2, target=ac1.target), kinds),
+        (validate_cert_ac2, dataclasses.replace(ac2, chosen=ac1.chosen), kinds),
+        (validate_cert, unknown, "unknown certificate topology 'ac3'"),
+        (cert_to_text, unknown, "unknown certificate topology 'ac3'"),
+    ):
+        with pytest.raises(MalformedCert, match=message):
+            check(cert)
+
 def test_corner_scan_helper():
     # the honest doubled threshold clears the scan; the halved one is caught
     assert _corner_scan(Side.LEFT, Elem(1, 2), F(8), F(4))
@@ -1438,6 +1456,36 @@ def test_ac2_roundtrip(tmp_path):
     path = tmp_path / "b.cert"
     write_cert(cert, str(path))
     assert validate_cert(read_cert(str(path)))
+
+
+def _golden_certs():
+    """2000 seeded ac1 and 2000 ac2 certificates, the sides alternating;
+    every third translator has a = 0 and every fifth b = 0."""
+    rng = random.Random(6871)
+
+    def q(hi=24, den=6):
+        return F(rng.randrange(hi + 1), rng.randrange(1, den + 1))
+
+    for k in range(2000):
+        side = Side.LEFT if k % 2 == 0 else Side.RIGHT
+        t = Elem(q() if k % 3 else 0, q() if k % 5 else 0)
+        yield continuity_cert_ac1(side, t, NbhdAc1(q() + F(1, 7)))
+        tops = tuple(Elem(q(), q()) for _ in range(1 + k % 3))
+        yield continuity_cert_ac2(side, t, NbhdAc2(tops))
+
+
+def test_cert_text_golden():
+    # the emitted text of every generated certificate, pinned by a digest
+    certs = list(_golden_certs())
+    lows = Counter(
+        (c.side, tuple(b.branch for b in c.evidence[2].branches))
+        for c in certs
+        if c.topology == "ac1"
+    )
+    # a zero translator coordinate drops low-a's gt branch and low-b's lt one
+    assert lows[Side.LEFT, ("lt", "eq")] and lows[Side.RIGHT, ("eq", "gt")]
+    digest = hashlib.sha256("".join(map(cert_to_text, certs)).encode()).hexdigest()
+    assert digest == "f6008a2957d7856ad08a680458adf950ea946b0b1c1b575977c19258a3534e5a"
 
 
 def test_parse_rejects_garbage():

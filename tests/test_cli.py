@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import realbicyclic
 from realbicyclic import cli
 from realbicyclic.cli import main
@@ -110,6 +112,42 @@ def test_scalars_outside_the_grammar_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
 
+
+def test_usage_error_messages(capsys, tmp_path):
+    missing = tmp_path / "missing.cert"
+    for argv, start in (
+        (("order", "(1,", "(1,2)"), "error: bad element '(1,': "),
+        (("certify", "ac1", "--side", "left", "--translator", "0", "--target", "4"),
+         "error: '0' is not an element"),
+        (("certify", "ac2", "--side", "left", "--translator", "(1,2)", "--target", ";"),
+         "error: empty top list"),
+        (("validate", str(missing)), f"error: cannot read {missing}: "),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(start), argv
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer-string digits"
+)
+def test_output_past_the_digit_limit_is_usage_error(capsys, tmp_path):
+    # each input is within the interpreter's digit limit, but the result
+    # has a number past it: an error naming the limit and exit 2
+    limit = sys.get_int_max_str_digits()
+    big, bigger = 10 ** (limit - 309) + 1, 10 ** (limit - 309) + 3
+    path = tmp_path / "c.cert"
+    for argv in (
+        ("eval", f"(1/{big},0)*(1/{bigger},0)"),
+        ("lines", "product", f"L+{'9' * limit}", "L+1"),
+        ("certify", "ac2", "--side", "left", "--translator", f"(1/{big},2)",
+         "--target", f"(3,1/{bigger})"),
+        ("certify", "ac2", "--side", "left", "--translator", f"(1/{big},2)",
+         "--target", f"(3,1/{bigger})", "--emit", str(path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv[:2]
+        assert err == f"error: a number has more than {limit} digits\n", argv[:2]
+    assert not path.exists()
 
 def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     path = tmp_path / "c.cert"

@@ -1,10 +1,12 @@
 """Expression grammar, exact literal handling, and error positions."""
 
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+from expr_reference import parse_expr as reference_parse_expr
 from realbicyclic import Elem, NegativeScalar, ParseError, ZERO, parse_expr
 from realbicyclic.cli import main
 from realbicyclic.exprparse import MAX_NESTING
@@ -143,3 +145,82 @@ def test_oversized_literal_is_not_a_zero_denominator(capsys):
     assert capsys.readouterr().out == f"(1,{at})\n"
     with pytest.raises(ParseError, match=r"^zero denominator \(at position 2\)$"):
         parse_expr("(1/000,2)")
+
+
+# Every raise site of the parser, with its exact message and position.
+_ERRORS = [
+    ("(1,2)^2", ParseError, "expected ^-1", 5),
+    ("(1,2) < (1,3)", ParseError, "expected <=", 6),
+    ("(-1, 2)", NegativeScalar, "negative literals are not allowed", 1),
+    ("(1, - \t2)", NegativeScalar, "negative literals are not allowed", 4),
+    ("(1,2) - (1,2)", ParseError, "unexpected '-'", 6),
+    ("(1/, 2)", ParseError, "missing denominator", 2),
+    ("(1., 2)", ParseError, "missing digits after decimal point", 2),
+    ("(1/000,2)", ParseError, "zero denominator", 2),
+    ("(1,x)", ParseError, "unexpected character 'x'", 3),
+    ("(1,\u0663)", ParseError, "unexpected character '\u0663'", 3),
+    ("* x", ParseError, "unexpected character 'x'", 2),  # lexical before syntax
+    ("", ParseError, "expected an element, 0, or '(', found end of input", 0),
+    ("(1,2) * ", ParseError, "expected an element, 0, or '(', found end of input", 8),
+    ("((1,2)", ParseError, "expected ')', found end of input", 6),
+    ("(1,2", ParseError, "expected ')', found end of input", 4),
+    ("(1,", ParseError, "expected a scalar, found end of input", 3),
+    ("(1,2) (3,4)", ParseError, "trailing input", 6),
+    ("((1,2) <= (1,2)) <= (1,2)", ParseError, "cannot order booleans", 17),
+    ("(1,2) <= ((1,2) <= (1,2))", ParseError, "cannot order booleans", 6),
+    ("((1,2) <= (1,2)) * (1,2)", ParseError, "cannot multiply booleans", 17),
+    ("(1,2) * ((1,2) <= (1,2))", ParseError, "cannot multiply booleans", 6),
+    ("((1,2) <= (1,2))^-1", ParseError, "cannot invert a boolean", 16),
+    ("5 * (1,2)", ParseError, "a bare scalar is not an element (only 0 is)", 0),
+    ("(5)", ParseError, "a bare scalar is not an element (only 0 is)", 1),
+    (nested(MAX_NESTING + 1), ParseError, f"parentheses nested deeper than {MAX_NESTING}",
+     MAX_NESTING),
+    ("((1,2) (1,2)", ParseError, "expected ')'", 7),
+    ("*", ParseError, "expected an element, 0, or '('", 0),
+    ("(1,*)", ParseError, "expected a scalar after ','", 3),
+    ("(1,2 3)", ParseError, "expected ')' to close the element", 5),
+]
+
+
+def test_error_messages_and_positions():
+    for text, kind, message, pos in _ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert type(exc.value) is kind, text
+        assert (str(exc.value), exc.value.pos) == (f"{message} (at position {pos})", pos), text
+
+
+# Pieces of the differential corpus and their weights: the grammar's tokens,
+# whitespace (NBSP included) and, more rarely, lexically bad pieces.
+_PIECES = {
+    "(": 12, ")": 12, ",": 8, "*": 6, "^-1": 4, "<=": 4, "0": 4, "1": 4, "12": 2,
+    "1/2": 2, "0.5": 2, "(1,2)": 6, "(0,3/2)": 3, "((1,2)<=(0,1))": 2,
+    " ": 3, "\t": 1, "\u00a0": 1, "^-": 1, "^": 1, "<": 1, "-": 1, "1/": 1, "1.": 1,
+    "3/000": 1, "\u0663": 1, "\u00b2": 1, "x": 1,
+}
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.pos
+    return type(value), value
+
+
+def test_parser_matches_reference():
+    # 100k seeded strings: the same value, or the same exception type,
+    # message and position, as the backtracking parser this one replaced
+    rng = random.Random(1313)
+    pieces, weights = list(_PIECES), list(_PIECES.values())
+    messages = set()
+    values = 0
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, weights, k=rng.randrange(13)))
+        expected = _outcome(reference_parse_expr, text)
+        assert _outcome(parse_expr, text) == expected, text
+        if len(expected) == 3:
+            messages.add(expected[1].split(" (at position")[0])
+        else:
+            values += 1
+    assert values > 1000 and len(messages) > 20

@@ -300,6 +300,15 @@ def test_line_canonicalisation():
     assert LineRef(Sign.MINUS, 0).sign is Sign.PLUS
 
 
+def test_line_sign_checked():
+    # a sign that is not a Sign is refused, also before alpha 0 would
+    # canonicalise it to PLUS
+    for sign in ("x", "+", None):
+        for alpha in (1, 0):
+            with pytest.raises(ValueError, match="not a line sign"):
+                LineRef(sign, alpha)
+
+
 @given(elems)
 def test_line_roundtrip_and_inversion(e):
     line, x = classify_line(e)
