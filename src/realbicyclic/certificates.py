@@ -21,6 +21,12 @@ threshold.  For up-segment-complement neighbourhoods the evidence records, per
 excluded target segment, the preimage segment and the chosen segment covering
 it; inclusion of up-segments lying on one diagonal is decided by comparing
 offsets and furthest points.
+
+The generator computes on the integers of ``Elem._q`` and of the
+thresholds, as the validators do, with its own arithmetic (``semigroup._sum``
+and cross-products; it shares no grid code with the validators).  The
+records stay frozen, slotted dataclasses of Fractions, each built once from
+its integers through ``semigroup._fraction``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, mul
+from .semigroup import Elem, _fraction, _sum, mul
 from .order_geometry import (
     Side,
     preimage_up_segment,
@@ -42,6 +48,7 @@ from .topology import NbhdAc1, NbhdAc2, ZeroNbhd
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+FM1 = Fraction(-1)
 
 Affine = Tuple[Fraction, Fraction, Fraction]  # coefficient of a, of b, constant
 
@@ -50,7 +57,7 @@ class MalformedCert(ValueError):
     """Certificate is structurally broken (unknown ids, mismatched shape)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """One-dimensional constraint lo <(=) var <(=) hi; hi None means unbounded."""
 
@@ -72,7 +79,7 @@ class Interval:
 FULL = Interval(F0, False, None, True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchEvidence:
     """One branch of the product's case split over a case region.
 
@@ -88,7 +95,7 @@ class BranchEvidence:
     inf_attained: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseEvidence:
     case_id: str
     a_range: Interval
@@ -96,7 +103,7 @@ class CaseEvidence:
     branches: Tuple[BranchEvidence, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopEvidence:
     """Per excluded target segment: its preimage and the chosen cover."""
 
@@ -109,7 +116,7 @@ class TopEvidence:
 Evidence = Union[Tuple[CaseEvidence, ...], Tuple[TopEvidence, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuityCert:
     topology: str  # "ac1" | "ac2"
     side: Side
@@ -140,48 +147,59 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     enlarged to max(translator) + 2 (a smaller neighbourhood, so the requested
     inclusion still follows); both thresholds are recorded.
     """
-    hyp = max(translator.a, translator.b) + 1
-    n = target.n if target.n > hyp else hyp + 1
-    m = 2 * n
-    x, y = translator.a, translator.b
+    an, ad, bn, bd = translator._q
+    pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
+    tn, td = target.n.numerator, target.n.denominator
+    if tn * pd > (pn + pd) * td:  # past max + 1
+        effective, nn, nd = target, tn, td
+    else:  # max + 2, in lowest terms as max is
+        nn, nd = pn + 2 * pd, pd
+        effective = NbhdAc1(_fraction(nn, nd))
+    m = _fraction(nn, nd // 2) if nd % 2 == 0 else _fraction(2 * nn, nd)  # 2n
     return ContinuityCert(
         topology="ac1",
         side=side,
         translator=translator,
         target=target,
         chosen=NbhdAc1(m),
-        evidence=_cases(side, x, y, n, m),
-        effective=NbhdAc1(n),
+        evidence=_cases(side, translator, effective.n, m),
+        effective=effective,
     )
 
 
-def _cases(
-    side: Side, x: Fraction, y: Fraction, n: Fraction, m: Fraction
-) -> Tuple[CaseEvidence, ...]:
+def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[CaseEvidence, ...]:
     """The big, mid and low boxes of the chosen set for the translator (x, y).
 
     ``rows`` holds, per branch of the product, the image rows (coefficient of
     a, of b, constant).  The big box puts the near coordinate (a on the left,
     b on the right) beyond m; the mid and low boxes put the far one beyond m
     and the near one in [n, m] or [0, n).  The right side mirrors the left,
-    its big and mid boxes taking the gt branch where the left's take lt."""
+    its big and mid boxes taking the gt branch where the left's take lt.
+    The sums x - y and its negation, and the big box's infimum, are taken on
+    the integers and each built once as a Fraction."""
+    an, ad, bn, bd = translator._q
+    x, y = _fraction(an, ad), _fraction(bn, bd)
+    dn, dd = _sum(an, ad, -bn, bd)  # x - y
+    mn, md = m.numerator, m.denominator
     left = side is Side.LEFT
     if left:
         rows = {
-            "lt": ((F1, F0, x - y), (F0, F1, F0)),
+            "lt": ((F1, F0, _fraction(dn, dd)), (F0, F1, F0)),
             "eq": ((F0, F0, x), (F0, F1, F0)),
-            "gt": ((F0, F0, x), (-F1, F1, y)),
+            "gt": ((F0, F0, x), (FM1, F1, y)),
         }
-        ids, near, far, tag, big_inf = ("big-a", "mid-a", "low-a"), "a", "b", "lt", x - y + m
-        low_tags = ("lt", "eq", "gt") if y > 0 else ("lt", "eq")
+        ids, near, far, tag = ("big-a", "mid-a", "low-a"), "a", "b", "lt"
+        big_inf = _fraction(*_sum(dn, dd, mn, md))  # x - y + m
+        low_tags = ("lt", "eq", "gt") if bn else ("lt", "eq")
     else:
         rows = {
-            "lt": ((F1, -F1, x), (F0, F0, y)),
+            "lt": ((F1, FM1, x), (F0, F0, y)),
             "eq": ((F1, F0, F0), (F0, F0, y)),
-            "gt": ((F1, F0, F0), (F0, F1, y - x)),
+            "gt": ((F1, F0, F0), (F0, F1, _fraction(-dn, dd))),
         }
-        ids, near, far, tag, big_inf = ("big-b", "mid-b", "low-b"), "b", "a", "gt", m + y - x
-        low_tags = ("lt", "eq", "gt") if x > 0 else ("eq", "gt")
+        ids, near, far, tag = ("big-b", "mid-b", "low-b"), "b", "a", "gt"
+        big_inf = _fraction(*_sum(mn, md, -dn, dd))  # m + y - x
+        low_tags = ("lt", "eq", "gt") if an else ("eq", "gt")
 
     def case(case_id, near_range, far_range, tags, witness, inf):
         ranges = (near_range, far_range) if left else (far_range, near_range)
@@ -408,6 +426,8 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     for the translator; the evidence records the exact preimage of each target
     segment and which chosen segment swallows it.
     """
+    an, ad, bn, bd = translator._q
+    kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: List[Elem] = []
     evidence: List[TopEvidence] = []
     for u in target.tops:
@@ -417,7 +437,8 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
             w = shrink_witness_dual(translator, u)
         if w not in chosen_tops:
             chosen_tops.append(w)
-        delta = (translator.a - translator.b) + (u.b - u.a)
+        uan, uad, ubn, ubd = u._q
+        delta = _fraction(*_sum(kn, kd, *_sum(ubn, ubd, -uan, uad)))  # plus the top's b - a
         pre = preimage_up_segment(side, translator, up_set(u))
         if pre is None:
             evidence.append(TopEvidence(u, None, delta, None))

@@ -30,13 +30,16 @@ evidence record, with ``end-case`` and ``end-cert`` between them.  What a
 pattern cannot check is checked on the captured tokens: lowest terms,
 non-negative coordinates, positive thresholds and non-empty top lists.  A
 ``MalformedCert`` names the line where the offending record starts and the
-record that was expected there.
+record that was expected there.  An element's coordinate tokens are read as
+integers, checked in lowest terms by one gcd and handed to ``Elem`` without
+building a Fraction; every other token becomes a Fraction once per text.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .semigroup import Elem, TooLarge, _elem as _trusted_elem
@@ -94,8 +97,8 @@ def _lines(cert: ContinuityCert) -> List[str]:
             lines.append(f"b-range {_iv(case.b_range)}")
             for br in case.branches:
                 lines.append(f"branch {br.branch}")
-                lines.append(f"image-a {' '.join(_frac(c) for c in br.image_a)}")
-                lines.append(f"image-b {' '.join(_frac(c) for c in br.image_b)}")
+                lines.append(f"image-a {' '.join([_frac(c) for c in br.image_a])}")
+                lines.append(f"image-b {' '.join([_frac(c) for c in br.image_b])}")
                 lines.append(f"witness {br.witness}")
                 lines.append(f"inf {_frac(br.inf_value)}")
                 lines.append(f"attained {'yes' if br.inf_attained else 'no'}")
@@ -198,11 +201,24 @@ class _Reader(dict):
         self[token] = f
         return f
 
+    def ints(self, token: str) -> Tuple[int, int]:
+        """A coordinate token's numerator and denominator, checked in lowest
+        terms by one gcd; no Fraction is built."""
+        num, _, den = token.partition("/")
+        try:
+            n, d = int(num), int(den)
+        except ValueError as exc:
+            raise self.too_long() from exc
+        if gcd(n, d) != 1:
+            raise self.error(f"{token!r} is not in lowest terms")
+        return n, d
+
     def elem(self, a: str, b: str) -> Elem:
-        fa, fb = self[a], self[b]
-        if a[0] == "-" or b[0] == "-":
-            raise self.error(f"negative coordinate: ({fa}, {fb})")
-        return _trusted_elem(fa.numerator, fa.denominator, fb.numerator, fb.denominator)
+        an, ad = self.ints(a)
+        bn, bd = self.ints(b)
+        if an < 0 or bn < 0:
+            raise self.error(f"negative coordinate: ({self[a]}, {self[b]})")
+        return _trusted_elem(an, ad, bn, bd)
 
     def interval(self, lo_br: str, lo: str, hi: Optional[str], hi_br: Optional[str]) -> Interval:
         if hi is None:

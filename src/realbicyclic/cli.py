@@ -2,8 +2,9 @@
 
 Subcommands: ``eval``, ``order``, ``lines product``, ``certify``, ``validate``,
 ``falsify``, ``suite``.  Exit codes: 0 for pass/true, 1 for fail/false, 2 for
-usage errors and for a result with a number past the interpreter's digit
-limit (``TooLarge``); a closed standard output (``... | head``) ends with
+usage errors and for an argument or a result with a number past the
+interpreter's digit limit (``TooLarge``, one message that echoes no
+argument); a closed standard output (``... | head``) ends with
 exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
 digits only.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
 The argument parser is built on first use and reused by every later ``main``.
@@ -55,6 +56,8 @@ def _parse_line(text: str) -> LineRef:
     sign = Sign.PLUS if m.group(1) == "+" else Sign.MINUS
     try:
         return LineRef(sign, scalar(m.group(2)))
+    except TooLarge:
+        raise
     except ValueError as exc:
         raise UsageError(f"bad line {text!r}: {exc}") from exc
 
@@ -69,19 +72,24 @@ def _parse_tops(text: str) -> NbhdAc2:
 def _parse_ac1(text: str) -> NbhdAc1:
     try:
         return NbhdAc1(scalar(text))
+    except TooLarge:
+        raise
     except ValueError as exc:
         raise UsageError(f"bad threshold {text!r}: {exc}") from exc
 
 
 def _digits(text: str) -> int:
     """The type of every integer flag: ASCII digits only, where ``int()``
-    would also take signs, spaces, underscores and non-ASCII digits."""
+    would also take signs, spaces, underscores and non-ASCII digits.  Past
+    the digit limit it gives ``TooLarge``'s message, as a ``UsageError``:
+    argparse would report a ``ValueError`` from a type function itself,
+    echoing the argument."""
     if _DIGITS.fullmatch(text) is None:
         raise UsageError(f"expected ASCII digits, got {text!r}")
     try:
         return int(text)
-    except ValueError as exc:  # more digits than int() converts
-        raise UsageError(str(exc)) from exc
+    except ValueError:  # more digits than int() converts
+        raise UsageError(str(TooLarge())) from None
 
 
 def _default_seed() -> int:

@@ -98,10 +98,8 @@ def _tokenize(text: str) -> List[_Token]:
                 raise ParseError("zero denominator", m.end(1))
             try:
                 value = literal_value(m)
-            except ValueError:
-                # digits only, so the one refusal left is the interpreter's
-                # limit on the digits of an integer string
-                raise ParseError(str(TooLarge()), i) from None
+            except TooLarge as exc:
+                raise ParseError(str(exc), i) from None
             tokens.append(("number", value, i))
             i = j
         else:

@@ -42,15 +42,18 @@ SCALAR_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+)|(\.[0-9]+))?")
 
 def literal_value(m: "re.Match[str]") -> Fraction:
     """The exact value of a ``SCALAR_LITERAL`` match (a finite decimal
-    converts exactly).  Raises ``ValueError`` for a zero denominator."""
+    converts exactly).  Raises ``ValueError`` for a zero denominator and
+    ``TooLarge`` for a number past the digit limit."""
     whole, den, decimals = m.groups()
-    if decimals is not None:
-        return Fraction(m.group())
-    if den is None:
-        return Fraction(int(whole))
-    if int(den) == 0:
+    try:
+        if decimals is not None:
+            return Fraction(m.group())
+        num, d = int(whole), 1 if den is None else int(den)
+    except ValueError:  # digits only, so the one refusal is the digit limit
+        raise TooLarge() from None
+    if d == 0:
         raise ValueError(f"zero denominator: {m.group()!r}")
-    return Fraction(int(whole), int(den))
+    return Fraction(num, d)
 
 
 def scalar(value: ScalarLike) -> Fraction:
@@ -60,7 +63,8 @@ def scalar(value: ScalarLike) -> Fraction:
     such as ``"3"``, ``"3/4"`` or ``"1.25"``.  Raises ``ValueError`` for
     negative inputs, for any other string (signs, spaces, exponents,
     underscores, non-ASCII digits), for a zero denominator, and for floats
-    and bools, which are not exact rationals.
+    and bools, which are not exact rationals; its subclass ``TooLarge`` for
+    a string with a number past the digit limit.
     """
     if type(value) is Fraction:
         f = value

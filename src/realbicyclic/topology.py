@@ -75,7 +75,7 @@ class NbhdOrder:
         return line_e == line_c and abs(x_e - x_c) < self.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NbhdAc1:
     """Zero plus every point with a coordinate strictly beyond ``n``."""
 
@@ -92,7 +92,7 @@ class NbhdAc1:
         return an * nd > nn * ad or bn * nd > nn * bd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NbhdAc2:
     """Zero plus every point outside the up-segments of the listed tops."""
 

@@ -1,10 +1,12 @@
 """Certificate generation, independent validation, tampering, falsification,
 and bit-exact serialization."""
 
+import copy
 import dataclasses
 import hashlib
 import inspect
 import math
+import pickle
 import random
 import sys
 import textwrap
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_generator
 from conftest import small_elems
 from line_reader import line_cert_from_text
 from realbicyclic import (
@@ -761,6 +764,118 @@ def test_ac1_generated_certificates_validate(t, extra):
         assert cert.effective == target
         assert validate_cert_ac1(cert)
         assert falsify(side, t, cert.chosen, cert.effective, 400, 11) is None
+
+
+def _generator_instances():
+    """2400 seeded threshold and 2400 segment instances, the sides
+    alternating; every third translator has a zero coordinate.  The
+    threshold targets take turns: exactly max(translator) + 1, a step above
+    it, a step below it, and a free draw."""
+    rng = random.Random(1414)
+
+    def q(hi=12, den=8):
+        return F(rng.randrange(hi + 1), rng.randrange(1, den + 1))
+
+    for k in range(2400):
+        side = Side.LEFT if k % 2 == 0 else Side.RIGHT
+        a, b = q(), q()
+        if k % 3 == 0:
+            a, b = (0, b) if k % 2 else (a, 0)
+        t = Elem(a, b)
+        hyp = max(t.a, t.b) + 1
+        step = F(1, rng.randrange(2, 9))
+        yield side, t, NbhdAc1((hyp, hyp + step, hyp - step, q() + F(1, 7))[k % 4])
+        yield side, t, NbhdAc2(tuple(Elem(q(), q()) for _ in range(1 + k % 3)))
+
+
+def test_integer_generator_matches_fraction_reference():
+    # the integer generator builds the certificate, and the text, of the
+    # Fraction generator it replaced
+    seen = Counter()
+    for side, t, target in _generator_instances():
+        if isinstance(target, NbhdAc1):
+            cert = continuity_cert_ac1(side, t, target)
+            expected = fraction_generator.continuity_cert_ac1(side, t, target)
+            hyp = max(t.a, t.b) + 1
+            # the boundary: a target at max(translator) + 1 is not past it,
+            # so it is enlarged to max + 2; only a target above it is kept
+            kept = cert.effective.n == target.n
+            assert kept == (target.n > hyp), (t, target)
+            assert kept or cert.effective.n == hyp + 1
+            n = cert.effective.n
+            assert cert.chosen.n.denominator == (
+                n.denominator // 2 if n.denominator % 2 == 0 else n.denominator
+            )
+            seen["kept" if kept else "at" if target.n == hyp else "enlarged"] += 1
+            seen["even" if n.denominator % 2 == 0 else "odd"] += 1
+            seen["zero", side, t.a == 0 or t.b == 0] += 1
+        else:
+            cert = continuity_cert_ac2(side, t, target)
+            expected = fraction_generator.continuity_cert_ac2(side, t, target)
+            seen["empty preimage"] += any(ev.preimage_top is None for ev in cert.evidence)
+        assert cert == expected, (side, t, target)
+        assert cert_to_text(cert) == cert_to_text(expected), (side, t, target)
+    assert min(seen.values()) > 100, seen
+
+
+def test_ac1_threshold_enlargement_boundary():
+    # max(3/2, 5/2) + 1 = 7/2: a target there is enlarged to 9/2, one just
+    # above it is kept; the chosen threshold doubles it (halving an even
+    # denominator)
+    t = Elem("3/2", "5/2")
+    for target, effective, chosen in (
+        ("7/2", "9/2", 9),
+        ("15/4", "15/4", "15/2"),
+        ("10/3", "9/2", 9),
+        ("7/3", "9/2", 9),
+    ):
+        cert = continuity_cert_ac1(Side.LEFT, t, NbhdAc1(target))
+        assert (cert.effective.n, cert.chosen.n) == (F(effective), F(chosen)), target
+
+
+def _records(cert):
+    """The certificate and every record it holds, the Elems excepted."""
+    yield cert
+    yield cert.target
+    yield cert.chosen
+    if cert.effective is not None:
+        yield cert.effective
+    for ev in cert.evidence:
+        yield ev
+        if isinstance(ev, certificates.CaseEvidence):
+            yield ev.a_range
+            yield ev.b_range
+            yield from ev.branches
+
+
+def test_slotted_records_copy_pickle_replace_and_stay_frozen():
+    ac1 = continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))
+    ac2 = continuity_cert_ac2(Side.LEFT, Elem(5, 0), NbhdAc2((Elem(3, 1), Elem(7, 2))))
+    kinds = set()
+    for record in (*_records(ac1), *_records(ac2)):
+        kinds.add(type(record))
+        assert not hasattr(record, "__dict__"), type(record)
+        for twin in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert twin == record and hash(twin) == hash(record), type(record)
+        field = dataclasses.fields(record)[0].name
+        assert dataclasses.replace(record) == record
+        value = getattr(record, field)
+        assert getattr(dataclasses.replace(record, **{field: value}), field) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+    assert kinds == {
+        ContinuityCert,
+        NbhdAc1,
+        NbhdAc2,
+        Interval,
+        certificates.CaseEvidence,
+        BranchEvidence,
+        certificates.TopEvidence,
+    }
 
 
 def test_ac1_soundness_ten_seeds():
@@ -1595,6 +1710,39 @@ def test_oversized_tokens_are_malformed(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: malformed certificate: {message}\n"
+
+
+def test_element_reader_messages():
+    # a coordinate token is checked in lowest terms and within the digit
+    # limit, both tokens before their signs, and reported at its record's
+    # first line in the words of the Fraction reader it replaced
+    ac1 = cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4)))
+    ac2 = cert_to_text(
+        continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))
+    )
+    cases = [
+        (ac1, "translator 1/1 2/1", "translator -1/1 2/1", "line 1: negative coordinate: (-1, 2)"),
+        (ac1, "translator 1/1 2/1", "translator -2/2 2/1", "line 1: '-2/2' is not in lowest terms"),
+        (ac1, "translator 1/1 2/1", "translator -1/1 4/2", "line 1: '4/2' is not in lowest terms"),
+        (ac2, "top 3/1 1/1", "top 6/2 1/1", "line 6: '6/2' is not in lowest terms"),
+        (ac2, "top 3/1 1/1", "top 3/1 -5/3", "line 6: negative coordinate: (3, -5/3)"),
+        (ac2, "preimage-top 4/1 1/1", "preimage-top -4/1 1/1",
+         "line 12: negative coordinate: (-4, 1)"),
+    ]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        past = "7" * (limit + 1)
+        message = f"line 6: a number has more than {limit} digits"
+        cases += [
+            (ac2, "top 3/1 1/1", f"top 3/1 {past}/1", message),
+            (ac2, "top 3/1 1/1", f"top -{past}/1 1/1", message),
+            (ac2, "top 3/1 1/1", f"top 3/1 1/{past}", message),
+        ]
+    for text, old, new, message in cases:
+        assert old in text
+        with pytest.raises(MalformedCert) as exc:
+            cert_from_text(text.replace(old, new, 1))
+        assert str(exc.value) == message, new[:40]
 
 
 _FUZZ_TOKENS = (

@@ -149,6 +149,41 @@ def test_output_past_the_digit_limit_is_usage_error(capsys, tmp_path):
         assert err == f"error: a number has more than {limit} digits\n", argv[:2]
     assert not path.exists()
 
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer string",
+)
+def test_input_past_the_digit_limit_is_usage_error(capsys, monkeypatch):
+    # a number one digit past the limit, as a threshold, a line offset, a
+    # seed flag or the seed variable, is one error naming the limit, exit 2,
+    # without the argument echoed; at the limit the number reads
+    monkeypatch.delenv("REALBICYCLIC_SEED", raising=False)
+    limit = sys.get_int_max_str_digits()
+    at, past = "1" * limit, "1" * (limit + 1)
+    too_large = f"error: a number has more than {limit} digits\n"
+    certify = ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target")
+    code, out, err = run_cli(capsys, *certify, at)
+    assert code == 0 and f"target-n {at}/1\n" in out and err == ""
+    code, out, err = run_cli(capsys, "lines", "product", f"L+{at}", "L-1")
+    assert code == 0 and out == f"L+{at[:-1]}0\n" and err == ""
+    # a seed that reads is then refused for its range, not its digits
+    seed_range = "error: seed must be an unsigned 64-bit integer\n"
+    assert run_cli(capsys, "suite", "axioms", "--seed", at) == (2, "", seed_range)
+    for argv in (
+        (*certify, past),
+        ("lines", "product", f"L+{past}", "L-1"),
+        ("suite", "axioms", "--seed", past),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", too_large), argv[:2]
+    monkeypatch.setenv("REALBICYCLIC_SEED", at)
+    assert run_cli(capsys, "suite", "axioms") == (2, "", seed_range)
+    monkeypatch.setenv("REALBICYCLIC_SEED", past)
+    code, out, err = run_cli(capsys, "suite", "axioms")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad REALBICYCLIC_SEED value: {too_large[len('error: '):]}"
+
+
 def test_certify_validate_falsify_roundtrip(capsys, tmp_path):
     path = tmp_path / "c.cert"
     code, out, _ = run_cli(

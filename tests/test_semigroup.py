@@ -5,6 +5,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from realbicyclic import (
     Elem,
     LineRef,
     Sign,
+    TooLarge,
     ZERO,
     classify_line,
     inv,
@@ -148,6 +150,24 @@ def test_scalar_strings_outside_the_grammar_rejected(value):
         scalar(value)
     with pytest.raises(ValueError, match="not a scalar"):
         Elem(value, 1)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer string",
+)
+def test_scalar_past_the_digit_limit_is_too_large():
+    # at the limit a literal reads; one digit past it is TooLarge, a
+    # ValueError that names the limit and echoes nothing
+    limit = sys.get_int_max_str_digits()
+    assert scalar("7" * limit) == F(int("7" * limit))
+    assert scalar(f"1/{'7' * limit}") == F(1, int("7" * limit))
+    message = f"^a number has more than {limit} digits$"
+    for text in ("7" * (limit + 1), f"1/{'7' * (limit + 1)}", f"0.{'7' * (limit + 1)}"):
+        with pytest.raises(TooLarge, match=message):
+            scalar(text)
+        with pytest.raises(TooLarge, match=message):
+            Elem(1, text)
 
 
 def test_exact_scalars_accepted():
