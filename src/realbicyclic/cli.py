@@ -7,7 +7,10 @@ interpreter's digit limit (``TooLarge``, one message that echoes no
 argument); a closed standard output (``... | head``) ends with
 exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
 digits only.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
-The argument parser is built on first use and reused by every later ``main``.
+The parsers are built on first use and reused by every later ``main``, which
+hands each argv to the parser of the command its leading words name; extra
+arguments are reported with that command's usage (``usage: realbicyclic
+eval [-h] expr``), not the top-level one.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import functools
 import os
 import re
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import certificates as certs
 from .certio import cert_to_text, read_cert, write_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
 from .order_geometry import Side, line_product
-from .semigroup import Elem, LineRef, Sign, TooLarge, leq_witness, mul, natural_leq, scalar
+from .semigroup import Elem, LineRef, Sign, TooLarge, leq_witness, mul, scalar
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
 
@@ -111,7 +114,8 @@ def _gen_config(args) -> GenConfig:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser keyed by its words."""
     ap = argparse.ArgumentParser(
         prog="realbicyclic",
         description="Exact pair-semigroup calculator, order geometry, and continuity certificates",
@@ -175,7 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true", help="machine-readable JSON report")
     p.set_defaults(run=_cmd_suite)
 
-    return ap
+    routes = {(name,): parser for name, parser in sub.choices.items()}
+    routes.update({("lines", name): parser for name, parser in lines_sub.choices.items()})
+    return ap, routes
 
 
 def _cmd_eval(args) -> int:
@@ -194,12 +200,13 @@ def _cmd_eval(args) -> int:
 def _cmd_order(args) -> int:
     e1 = _parse_element(args.e1)
     e2 = _parse_element(args.e2)
-    if natural_leq(e1, e2):
-        print("true")
-        print(f"witness {leq_witness(e1, e2)}")
-        return 0
-    print("false")
-    return 1
+    witness = leq_witness(e1, e2)
+    if witness is None:
+        print("false")
+        return 1
+    print("true")
+    print(f"witness {witness}")
+    return 0
 
 
 def _cmd_lines_product(args) -> int:
@@ -271,9 +278,22 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
+    """The most specific parser that argv's leading words name, and the rest
+    of argv; the top-level parser, with all of argv, when they name none."""
+    top, routes = _build_parser()
+    for n in (2, 1):
+        parser = routes.get(tuple(argv[:n]))
+        if parser is not None:
+            return parser, argv[n:]
+    return top, argv
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser, rest = _route(argv)
+        args = parser.parse_args(rest)
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe fails here rather than at exit
     except SystemExit as exc:

@@ -410,6 +410,73 @@ def test_parser_built_once_per_process(capsys):
     assert (info.misses, info.hits) == (1, 1)
 
 
+# Each argv is parsed by the parser of the command its leading words name.
+ROUTED = (
+    # the README's commands
+    ("eval", "(1,3)*(2,5)"), ("eval", "((1,6))^-1"), ("eval", "(3,5) <= (1,3)"),
+    ("order", "(3,5)", "(1,3)"), ("lines", "product", "L+1", "L+2"),
+    ("lines", "product", "L-2", "L+3"),
+    ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", "4",
+     "--emit", "c.cert"),
+    ("validate", "c.cert"),
+    ("falsify", "ac1", "--side", "left", "--translator", "(1,2)", "--chosen", "4",
+     "--target", "4", "--seed", "7", "--cases", "10000"),
+    ("certify", "ac2", "--side", "left", "--translator", "(1,2)", "--target", "(3,1);(2,5)"),
+    ("suite", "products", "--seed", "42", "--cases", "1000"),
+    ("suite", "order", "--seed", "1", "--cases", "500", "--machine"),
+    # flags left at their defaults, flags given, "--" and a negative-number look-alike
+    ("certify", "ac2", "--side", "right", "--translator", "(1,2)", "--target", "(3,1)"),
+    ("falsify", "ac2", "--side", "right", "--translator", "(1,2)", "--chosen", "(3,1)",
+     "--target", "(3,1)"),
+    ("suite", "axioms"),
+    ("suite", "ac1", "--integer-mode", "--max-num", "7", "--max-den", "3", "--cases", "5",
+     "--seed", "9", "--machine"),
+    ("eval", "--", "(1,2)"), ("eval", "-1"), ("order", "--", "(1,2)", "(1,3)"),
+)
+
+# Argvs that name no command, or fail or ask for help inside one
+TOP_LEVEL_ALIKE = (
+    (), ("-h",), ("nosuch",), ("eval",), ("eval", "-h"), ("lines",), ("lines", "-h"),
+    ("lines", "nosuch"), ("lines", "product"), ("lines", "product", "-h"),
+    ("suite", "nosuch"), ("falsify", "ac1", "--side", "up"),
+)
+
+
+def test_routed_namespace_matches_top_level():
+    top, _ = cli._build_parser()
+    for argv in ROUTED:
+        parser, rest = cli._route(list(argv))
+        assert parser is not top, argv
+        expected = vars(top.parse_args(list(argv)))
+        del expected["command"]
+        expected.pop("lines_command", None)
+        assert vars(parser.parse_args(rest)) == expected, argv
+
+
+def test_routed_errors_and_help_match_top_level(capsys, monkeypatch):
+    top, _ = cli._build_parser()
+    for argv in TOP_LEVEL_ALIKE:
+        routed = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_route", lambda argv: (top, argv))
+            assert run_cli(capsys, *argv) == routed, argv
+
+
+def test_extra_arguments_name_the_command(capsys):
+    code, out, err = run_cli(capsys, "eval", "(1,2)", "x")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: realbicyclic eval [-h] expr\n"
+        "realbicyclic eval: error: unrecognized arguments: x\n"
+    )
+    code, out, err = run_cli(capsys, "lines", "product", "L+1", "L+2", "L+3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: realbicyclic lines product [-h] l1 l2\n"
+        "realbicyclic lines product: error: unrecognized arguments: L+3\n"
+    )
+
+
 def test_import_builds_no_parser():
     env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
     probe = "import realbicyclic.cli as c; print(c._build_parser.cache_info().misses)"
