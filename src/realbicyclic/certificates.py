@@ -25,18 +25,23 @@ offsets and furthest points.
 The generator computes on the integers of ``Elem._q`` and of the
 thresholds, as the validators do, with its own arithmetic (``semigroup._sum``
 and cross-products; it shares no grid code with the validators).  The
-records stay frozen, slotted dataclasses of Fractions, each built once from
-its integers through ``semigroup._fraction``.
+records stay frozen, slotted dataclasses of Fractions, each value built once
+from its integers through ``semigroup._fraction``.  Their public constructors
+are unchanged; the generator and the ``certio`` reader, which have already
+checked what they hold, build them through the trusted constructors
+``_interval``, ``_branch``, ``_case``, ``_top_evidence`` and ``_cert``, which
+set the slots directly as ``semigroup._elem`` does.  Every public entry point
+takes a ``Side`` and raises ``TypeError`` for anything else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, _fraction, _sum, mul
+from .semigroup import Elem, _fraction, _new, _sum, mul
 from .order_geometry import (
     Side,
     preimage_up_segment,
@@ -44,7 +49,7 @@ from .order_geometry import (
     shrink_witness_dual,
     up_set,
 )
-from .topology import NbhdAc1, NbhdAc2, ZeroNbhd
+from .topology import NbhdAc1, NbhdAc2, ZeroNbhd, _ac1, _ac2
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -55,6 +60,18 @@ Affine = Tuple[Fraction, Fraction, Fraction]  # coefficient of a, of b, constant
 
 class MalformedCert(ValueError):
     """Certificate is structurally broken (unknown ids, mismatched shape)."""
+
+
+# Each record class is followed by its trusted constructor, which takes the
+# fields in order and sets the slots through their descriptors, skipping the
+# frozen dataclass's per-field ``object.__setattr__``: the caller guarantees
+# fields of the declared types (Fractions, not ints).  The records are equal,
+# and hash equally, to the ones the public constructors build.
+
+
+def _setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
+    """The slot setters of a slotted dataclass, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +93,18 @@ class Interval:
         return True
 
 
+_set_lo, _set_lo_strict, _set_hi, _set_hi_strict = _setters(Interval)
+
+
+def _interval(lo: Fraction, lo_strict: bool, hi: Optional[Fraction], hi_strict: bool) -> Interval:
+    iv = _new(Interval)
+    _set_lo(iv, lo)
+    _set_lo_strict(iv, lo_strict)
+    _set_hi(iv, hi)
+    _set_hi_strict(iv, hi_strict)
+    return iv
+
+
 FULL = Interval(F0, False, None, True)
 
 
@@ -95,12 +124,49 @@ class BranchEvidence:
     inf_attained: bool
 
 
+_set_branch, _set_image_a, _set_image_b, _set_witness, _set_inf, _set_attained = _setters(
+    BranchEvidence
+)
+
+
+def _branch(
+    branch: str,
+    image_a: Affine,
+    image_b: Affine,
+    witness: str,
+    inf_value: Fraction,
+    inf_attained: bool,
+) -> BranchEvidence:
+    br = _new(BranchEvidence)
+    _set_branch(br, branch)
+    _set_image_a(br, image_a)
+    _set_image_b(br, image_b)
+    _set_witness(br, witness)
+    _set_inf(br, inf_value)
+    _set_attained(br, inf_attained)
+    return br
+
+
 @dataclass(frozen=True, slots=True)
 class CaseEvidence:
     case_id: str
     a_range: Interval
     b_range: Interval
     branches: Tuple[BranchEvidence, ...]
+
+
+_set_case_id, _set_a_range, _set_b_range, _set_branches = _setters(CaseEvidence)
+
+
+def _case(
+    case_id: str, a_range: Interval, b_range: Interval, branches: Tuple[BranchEvidence, ...]
+) -> CaseEvidence:
+    case = _new(CaseEvidence)
+    _set_case_id(case, case_id)
+    _set_a_range(case, a_range)
+    _set_b_range(case, b_range)
+    _set_branches(case, branches)
+    return case
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +177,20 @@ class TopEvidence:
     preimage_top: Optional[Elem]  # None when the preimage is empty
     offset: Fraction  # diagonal offset (b - a) of the preimage line
     covering_top: Optional[Elem]
+
+
+_set_target_top, _set_preimage_top, _set_offset, _set_covering_top = _setters(TopEvidence)
+
+
+def _top_evidence(
+    target_top: Elem, preimage_top: Optional[Elem], offset: Fraction, covering_top: Optional[Elem]
+) -> TopEvidence:
+    ev = _new(TopEvidence)
+    _set_target_top(ev, target_top)
+    _set_preimage_top(ev, preimage_top)
+    _set_offset(ev, offset)
+    _set_covering_top(ev, covering_top)
+    return ev
 
 
 Evidence = Union[Tuple[CaseEvidence, ...], Tuple[TopEvidence, ...]]
@@ -125,6 +205,44 @@ class ContinuityCert:
     chosen: ZeroNbhd
     evidence: Evidence
     effective: Optional[NbhdAc1] = None  # ac1 only: target after threshold adjustment
+
+
+(
+    _set_topology,
+    _set_side,
+    _set_translator,
+    _set_target,
+    _set_chosen,
+    _set_evidence,
+    _set_effective,
+) = _setters(ContinuityCert)
+
+
+def _cert(
+    topology: str,
+    side: Side,
+    translator: Elem,
+    target: ZeroNbhd,
+    chosen: ZeroNbhd,
+    evidence: Evidence,
+    effective: Optional[NbhdAc1] = None,
+) -> ContinuityCert:
+    cert = _new(ContinuityCert)
+    _set_topology(cert, topology)
+    _set_side(cert, side)
+    _set_translator(cert, translator)
+    _set_target(cert, target)
+    _set_chosen(cert, chosen)
+    _set_evidence(cert, evidence)
+    _set_effective(cert, effective)
+    return cert
+
+
+def _check_side(side: object) -> None:
+    """The one side check of the public entry points: ``Side`` members are
+    compared by identity, so anything else would act as the right side."""
+    if type(side) is not Side:
+        raise TypeError(f"side must be a Side, not {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +265,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     enlarged to max(translator) + 2 (a smaller neighbourhood, so the requested
     inclusion still follows); both thresholds are recorded.
     """
+    _check_side(side)
     an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
     tn, td = target.n.numerator, target.n.denominator
@@ -154,17 +273,10 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
         effective, nn, nd = target, tn, td
     else:  # max + 2, in lowest terms as max is
         nn, nd = pn + 2 * pd, pd
-        effective = NbhdAc1(_fraction(nn, nd))
+        effective = _ac1(_fraction(nn, nd))
     m = _fraction(nn, nd // 2) if nd % 2 == 0 else _fraction(2 * nn, nd)  # 2n
-    return ContinuityCert(
-        topology="ac1",
-        side=side,
-        translator=translator,
-        target=target,
-        chosen=NbhdAc1(m),
-        evidence=_cases(side, translator, effective.n, m),
-        effective=effective,
-    )
+    evidence = _cases(side, translator, effective.n, m)
+    return _cert("ac1", side, translator, target, _ac1(m), evidence, effective)
 
 
 def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[CaseEvidence, ...]:
@@ -203,14 +315,14 @@ def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[Case
 
     def case(case_id, near_range, far_range, tags, witness, inf):
         ranges = (near_range, far_range) if left else (far_range, near_range)
-        branches = tuple(BranchEvidence(t, *rows[t], witness, inf, False) for t in tags)
-        return CaseEvidence(case_id, *ranges, branches)
+        branches = tuple([_branch(t, *rows[t], witness, inf, False) for t in tags])
+        return _case(case_id, *ranges, branches)
 
-    beyond = Interval(m, True, None, True)
+    beyond = _interval(m, True, None, True)
     return (
         case(ids[0], beyond, FULL, (tag,), near, big_inf),
-        case(ids[1], Interval(n, False, m, False), beyond, (tag,), far, m),
-        case(ids[2], Interval(F0, False, n, True), beyond, low_tags, far, m),
+        case(ids[1], _interval(n, False, m, False), beyond, (tag,), far, m),
+        case(ids[2], _interval(F0, False, n, True), beyond, low_tags, far, m),
     )
 
 
@@ -289,15 +401,19 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     affine images and infima, coverage of the chosen set by the case boxes,
     and a corner scan of the chosen set's boundary.
 
-    Every check after the threshold relation runs on one integer grid: each
-    value read, the chosen threshold included, is scaled once by
-    G = 2 * (their common denominator), so each endpoint is an even grid point,
-    and a range becomes the closed integer range of its grid points, a strict
-    end moved one step inwards (odd).  Meets are then max/min of ends and a
-    range is empty exactly when lo > hi.  Coverage reads the closed ranges
-    the branch checks built, and the corner scan the scaled translator and
-    thresholds.
+    Every check after the threshold relation runs on one integer grid.  One
+    pass reads each value's numerator and denominator once, in the order the
+    branch loop reads them: the translator, then per case its four range ends
+    (an unbounded end reads 0 and is never used) and per branch record its
+    image rows and infimum.  Each value, the thresholds included, is then
+    scaled once by G = 2 * (their common denominator), so each endpoint is an
+    even grid point, and a range becomes the closed integer range of its grid
+    points, a strict end moved one step inwards (odd).  Meets are then
+    max/min of ends and a range is empty exactly when lo > hi.  Coverage reads
+    the closed ranges the branch checks built, and the corner scan the scaled
+    translator and thresholds.
     """
+    _check_side(cert.side)
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
     if not isinstance(cert.target, NbhdAc1) or not isinstance(cert.chosen, NbhdAc1):
@@ -312,34 +428,30 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if len(set(seen_ids)) != len(seen_ids):
         raise MalformedCert("duplicate case id")
 
-    n_req = cert.target.n
     n_eff = cert.effective.n
     m = cert.chosen.n
-    if n_eff < n_req:
+    if n_eff < cert.target.n:
         return False
 
     left = cert.side is Side.LEFT
-    t = cert.translator
-    vals = [t.a, t.b, n_eff]
+    an, ad, bn, bd = cert.translator._q
+    ratios = [(an, ad), (bn, bd)]
     for case in cert.evidence:
         for iv in (case.a_range, case.b_range):
-            vals.append(iv.lo)
-            if iv.hi is not None:
-                vals.append(iv.hi)
+            ratios.append(iv.lo.as_integer_ratio())
+            ratios.append((0, 1) if iv.hi is None else iv.hi.as_integer_ratio())
         for br in case.branches:
-            vals += br.image_a
-            vals += br.image_b
-            vals.append(br.inf_value)
-    G = 2 * math.lcm(m.denominator, *(v.denominator for v in vals))
+            ratios += [v.as_integer_ratio() for v in (*br.image_a, *br.image_b, br.inf_value)]
+    ne_num, ne_den = n_eff.as_integer_ratio()
+    top_num, top_den = m.as_integer_ratio()
+    G = 2 * math.lcm(top_den, ne_den, *[d for _, d in ratios])
+    grid = [n * (G // d) for n, d in ratios]
+    x, y, ne, top = grid[0], grid[1], ne_num * (G // ne_den), top_num * (G // top_den)
 
-    def grid(v: Fraction) -> int:
-        return v.numerator * (G // v.denominator)
+    def closed(iv: Interval, i: int) -> Tuple[int, Optional[int]]:
+        lo = grid[i] + (1 if iv.lo_strict else 0)
+        return lo, None if iv.hi is None else grid[i + 1] - (1 if iv.hi_strict else 0)
 
-    def closed(iv: Interval) -> Tuple[int, Optional[int]]:
-        lo = grid(iv.lo) + (1 if iv.lo_strict else 0)
-        return lo, None if iv.hi is None else grid(iv.hi) - (1 if iv.hi_strict else 0)
-
-    x, y, ne, top = grid(t.a), grid(t.b), grid(n_eff), grid(m)
     boxes = []
     # Per branch tag: the range the branch allows the driving coordinate (the
     # input's a on the left, its b on the right, compared with the pivot, the
@@ -348,39 +460,44 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if left:
         below, at, above = (0, y - 1), (y, y), (y + 1, None)
         expected = (
-            ("lt", above, (G, 0, x - y), (0, G, 0)),
-            ("eq", at, (0, 0, x), (0, G, 0)),
-            ("gt", below, (0, 0, x), (-G, G, y)),
+            ("lt", above, [G, 0, x - y], [0, G, 0]),
+            ("eq", at, [0, 0, x], [0, G, 0]),
+            ("gt", below, [0, 0, x], [-G, G, y]),
         )
     else:
         below, at, above = (0, x - 1), (x, x), (x + 1, None)
         expected = (
-            ("lt", below, (G, -G, x), (0, 0, y)),
-            ("eq", at, (G, 0, 0), (0, 0, y)),
-            ("gt", above, (G, 0, 0), (0, G, y - x)),
+            ("lt", below, [G, -G, x], [0, 0, y]),
+            ("eq", at, [G, 0, 0], [0, 0, y]),
+            ("gt", above, [G, 0, 0], [0, G, y - x]),
         )
+    i = 2  # the grid index of the next value to read
     for case in cert.evidence:
-        records = {b.branch: b for b in case.branches}
+        a_iv, b_iv = closed(case.a_range, i), closed(case.b_range, i + 2)
+        i += 4
+        records = {}  # branch tag -> (record, grid index of its first value)
+        for br in case.branches:
+            records[br.branch] = br, i
+            i += len(br.image_a) + len(br.image_b) + 1
         for tag in records:
             if tag not in _BRANCH_ORDER:
                 raise MalformedCert(f"unknown branch tag {tag!r}")
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
-        a_iv, b_iv = closed(case.a_range), closed(case.b_range)
         boxes.append((a_iv, b_iv))
         d_lo, d_hi = a_iv if left else b_iv
         for tag, (br_lo, br_hi), exp_a, exp_b in expected:
             lo = max(d_lo, br_lo)
             hi = br_hi if d_hi is None else d_hi if br_hi is None else min(d_hi, br_hi)
-            record = records.get(tag)
-            if (hi is None or lo <= hi) != (record is not None):
+            entry = records.get(tag)
+            if (hi is None or lo <= hi) != (entry is not None):
                 return False
-            if record is None:
+            if entry is None:
                 continue
-            if (
-                tuple(map(grid, record.image_a)) != exp_a
-                or tuple(map(grid, record.image_b)) != exp_b
-            ):
+            record, j = entry
+            k = j + len(record.image_a)
+            end = k + len(record.image_b)
+            if grid[j:k] != exp_a or grid[k:end] != exp_b:
                 return False
             if record.witness not in ("a", "b"):
                 raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
@@ -400,7 +517,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                         return False
                     inf_value -= c_hi + (c_hi & 1)
                     attained = attained and not c_hi & 1
-            if inf_value != grid(record.inf_value) or attained != record.inf_attained:
+            if inf_value != grid[end] or attained != record.inf_attained:
                 return False
             if attained:
                 if inf_value <= ne:
@@ -426,6 +543,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     for the translator; the evidence records the exact preimage of each target
     segment and which chosen segment swallows it.
     """
+    _check_side(side)
     an, ad, bn, bd = translator._q
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: List[Elem] = []
@@ -441,17 +559,10 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
         delta = _fraction(*_sum(kn, kd, *_sum(ubn, ubd, -uan, uad)))  # plus the top's b - a
         pre = preimage_up_segment(side, translator, up_set(u))
         if pre is None:
-            evidence.append(TopEvidence(u, None, delta, None))
+            evidence.append(_top_evidence(u, None, delta, None))
         else:
-            evidence.append(TopEvidence(u, pre.top, delta, w))
-    return ContinuityCert(
-        topology="ac2",
-        side=side,
-        translator=translator,
-        target=target,
-        chosen=NbhdAc2(tuple(chosen_tops)),
-        evidence=tuple(evidence),
-    )
+            evidence.append(_top_evidence(u, pre.top, delta, w))
+    return _cert("ac2", side, translator, target, _ac2(tuple(chosen_tops)), tuple(evidence))
 
 
 def validate_cert_ac2(cert: ContinuityCert) -> bool:
@@ -465,6 +576,7 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     all reach the same boundary point, so the one below (ca, cb) contains the
     one below (pa, pb) exactly when ca - cb == pa - pb and ca >= pa.
     """
+    _check_side(cert.side)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
     if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
@@ -558,8 +670,12 @@ def falsify(
     ``ValueError``: no seed input of the library accepts one (``GenConfig``
     and the CLI reject it too), and a caller's bad seed is better reported
     than silently ignored.  So does ``samples < 1``, which would report a
-    miss without trying a point.
+    miss without trying a point.  A ``side`` that is not a ``Side``, and a
+    ``samples`` that is not an int (or is a bool), raise ``TypeError``.
     """
+    _check_side(side)
+    if type(samples) is bool or not isinstance(samples, int):
+        raise TypeError(f"samples must be an int, not {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:

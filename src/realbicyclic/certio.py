@@ -22,17 +22,25 @@ converts (``sys.get_int_max_str_digits()``, 4300 by default).  ``read_cert`` rea
 CRLF line ends reads as the LF text and validates; ``cert_from_text`` of a
 string with CRLF line ends is malformed.
 
+``cert_to_text`` writes each record with one format call over the integers
+of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
+
 ``cert_from_text`` reads the text as a sequence of records, each matched
 whole, LF included, by one compiled pattern at its offset: the header block
 (header, kind, side, translator), the three thresholds, a case head with both
-ranges, a six-line branch record, a count line, a top line, and a five-line
-evidence record, with ``end-case`` and ``end-cert`` between them.  What a
-pattern cannot check is checked on the captured tokens: lowest terms,
-non-negative coordinates, positive thresholds and non-empty top lists.  A
-``MalformedCert`` names the line where the offending record starts and the
-record that was expected there.  An element's coordinate tokens are read as
-integers, checked in lowest terms by one gcd and handed to ``Elem`` without
-building a Fraction; every other token becomes a Fraction once per text.
+ranges (or ``end-cert``), a six-line branch record (or ``end-case``), a count
+line, a top line, and a five-line evidence record, with ``end-cert`` after
+it.  Every rational token is captured as two groups, numerator and
+denominator, and read as ints.  What a pattern cannot check is checked on
+those ints: lowest terms, non-negative coordinates, positive thresholds and
+non-empty top lists.  A ``MalformedCert`` names the line where the
+offending record starts and the record that was expected there.  An
+element's coordinates are checked in lowest terms by one gcd per token and
+handed to ``Elem`` without building a Fraction; every other token becomes a
+Fraction once per text, through the ``semigroup._fraction`` memo, and is in
+lowest terms exactly when that Fraction keeps its denominator.  The records
+are then built by the trusted constructors of ``certificates`` and
+``topology``, which repeat none of these checks.
 """
 
 from __future__ import annotations
@@ -42,40 +50,60 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .semigroup import Elem, TooLarge, _elem as _trusted_elem
+from .semigroup import Elem, TooLarge, _elem as _trusted_elem, _fraction
 from .order_geometry import Side
-from .topology import NbhdAc1, NbhdAc2
+from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
-    BranchEvidence,
-    CaseEvidence,
     ContinuityCert,
     Interval,
     MalformedCert,
-    TopEvidence,
+    _branch,
+    _case,
+    _cert,
+    _interval,
+    _top_evidence,
 )
 
 _HEADER = "realbicyclic-cert 1"
 
-
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _elem(e: Elem) -> str:
-    return "{}/{} {}/{}".format(*e._q)
+# The writer's templates: one format call per record, over the integers of
+# its rationals (``as_integer_ratio``) and of its elements (``Elem._q``).
+_HEADER_TEXT = (_HEADER + "\nkind {}\nside {}\ntranslator {}/{} {}/{}").format
+_THRESHOLDS_TEXT = "target-n {}/{}\neffective-n {}/{}\nchosen-n {}/{}".format
+_CASE_TEXT = "case {}\na-range {}\nb-range {}".format
+_BRANCH_TEXT = (
+    "branch {}\nimage-a {}/{} {}/{} {}/{}\nimage-b {}/{} {}/{} {}/{}\n"
+    "witness {}\ninf {}/{}\nattained {}"
+).format
+_TOP_TEXT = "top {}/{} {}/{}".format
+# an evidence record, by whether it has a preimage top and a covering top
+_EVIDENCE_TEXT = {
+    (pre, cover): (
+        "target-top {}/{} {}/{}\n"
+        + ("preimage-top {}/{} {}/{}" if pre else "preimage empty")
+        + "\noffset {}/{}\n"
+        + ("covering-top {}/{} {}/{}" if cover else "covering none")
+        + "\nend-evidence"
+    ).format
+    for pre in (False, True)
+    for cover in (False, True)
+}
 
 
 def _iv(iv: Interval) -> str:
     lo_br = "(" if iv.lo_strict else "["
     if iv.hi is None:
-        return f"{lo_br}{_frac(iv.lo)} inf)"
+        return "{}{}/{} inf)".format(lo_br, *iv.lo.as_integer_ratio())
     hi_br = ")" if iv.hi_strict else "]"
-    return f"{lo_br}{_frac(iv.lo)} {_frac(iv.hi)}{hi_br}"
+    lo, hi = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+    return "{}{}/{} {}/{}{}".format(lo_br, *lo, *hi, hi_br)
 
 
 def cert_to_text(cert: ContinuityCert) -> str:
     """The canonical text of ``cert``.  Raises ``TooLarge`` for a number with
-    more digits than the interpreter converts."""
+    more digits than the interpreter converts, and ``MalformedCert`` for an
+    unknown topology or an image row of other than three coefficients, which
+    the format cannot hold."""
     if cert.topology not in ("ac1", "ac2"):
         raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
     try:
@@ -85,56 +113,66 @@ def cert_to_text(cert: ContinuityCert) -> str:
 
 
 def _lines(cert: ContinuityCert) -> List[str]:
-    lines: List[str] = [_HEADER, f"kind {cert.topology}", f"side {cert.side.value}"]
-    lines.append(f"translator {_elem(cert.translator)}")
+    lines = [_HEADER_TEXT(cert.topology, cert.side.value, *cert.translator._q)]
     if cert.topology == "ac1":
-        lines.append(f"target-n {_frac(cert.target.n)}")
-        lines.append(f"effective-n {_frac(cert.effective.n)}")
-        lines.append(f"chosen-n {_frac(cert.chosen.n)}")
+        lines.append(
+            _THRESHOLDS_TEXT(
+                *cert.target.n.as_integer_ratio(),
+                *cert.effective.n.as_integer_ratio(),
+                *cert.chosen.n.as_integer_ratio(),
+            )
+        )
         for case in cert.evidence:
-            lines.append(f"case {case.case_id}")
-            lines.append(f"a-range {_iv(case.a_range)}")
-            lines.append(f"b-range {_iv(case.b_range)}")
+            lines.append(_CASE_TEXT(case.case_id, _iv(case.a_range), _iv(case.b_range)))
             for br in case.branches:
-                lines.append(f"branch {br.branch}")
-                lines.append(f"image-a {' '.join([_frac(c) for c in br.image_a])}")
-                lines.append(f"image-b {' '.join([_frac(c) for c in br.image_b])}")
-                lines.append(f"witness {br.witness}")
-                lines.append(f"inf {_frac(br.inf_value)}")
-                lines.append(f"attained {'yes' if br.inf_attained else 'no'}")
+                if len(br.image_a) != 3 or len(br.image_b) != 3:
+                    raise MalformedCert("an image row must have three coefficients")
+                (a0, a1, a2), (b0, b1, b2) = br.image_a, br.image_b
+                lines.append(
+                    _BRANCH_TEXT(
+                        br.branch,
+                        *a0.as_integer_ratio(),
+                        *a1.as_integer_ratio(),
+                        *a2.as_integer_ratio(),
+                        *b0.as_integer_ratio(),
+                        *b1.as_integer_ratio(),
+                        *b2.as_integer_ratio(),
+                        br.witness,
+                        *br.inf_value.as_integer_ratio(),
+                        "yes" if br.inf_attained else "no",
+                    )
+                )
             lines.append("end-case")
     else:
-        lines.append(f"target-tops {len(cert.target.tops)}")
-        for top in cert.target.tops:
-            lines.append(f"top {_elem(top)}")
-        lines.append(f"chosen-tops {len(cert.chosen.tops)}")
-        for top in cert.chosen.tops:
-            lines.append(f"top {_elem(top)}")
+        for key, nbhd in (("target-tops", cert.target), ("chosen-tops", cert.chosen)):
+            lines.append(f"{key} {len(nbhd.tops)}")
+            lines += [_TOP_TEXT(*top._q) for top in nbhd.tops]
         lines.append(f"evidence {len(cert.evidence)}")
         for ev in cert.evidence:
-            lines.append(f"target-top {_elem(ev.target_top)}")
-            if ev.preimage_top is None:
-                lines.append("preimage empty")
-            else:
-                lines.append(f"preimage-top {_elem(ev.preimage_top)}")
-            lines.append(f"offset {_frac(ev.offset)}")
-            if ev.covering_top is None:
-                lines.append("covering none")
-            else:
-                lines.append(f"covering-top {_elem(ev.covering_top)}")
-            lines.append("end-evidence")
+            pre, cover = ev.preimage_top, ev.covering_top
+            lines.append(
+                _EVIDENCE_TEXT[pre is not None, cover is not None](
+                    *ev.target_top._q,
+                    *(() if pre is None else pre._q),
+                    *ev.offset.as_integer_ratio(),
+                    *(() if cover is None else cover._q),
+                )
+            )
     lines.append("end-cert")
     return lines
 
 
-# One rational token, captured; its sign is checked where it must be >= 0.
-_Q = r"((?:-?[1-9][0-9]*|0)/[1-9][0-9]*)"
+# One rational token as two captured groups, numerator and denominator; its
+# sign is checked where it must be >= 0.
+_Q = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
 _IV = rf"([(\[]){_Q} (?:{_Q}([)\]])|inf\))"
 _HEADER_BLOCK = re.compile(rf"{_HEADER}\nkind (ac1|ac2)\nside (left|right)\ntranslator {_Q} {_Q}\n")
 _THRESHOLDS = re.compile(rf"target-n {_Q}\neffective-n {_Q}\nchosen-n {_Q}\n")
-_CASE_HEAD = re.compile(rf"case ([a-z]+(?:-[a-z]+)*)\na-range {_IV}\nb-range {_IV}\n")
+# a case head or the end-cert that follows the last case; all groups None
+# for the end line (so for a branch record and end-case)
+_CASE_HEAD = re.compile(rf"end-cert\n|case ([a-z]+(?:-[a-z]+)*)\na-range {_IV}\nb-range {_IV}\n")
 _BRANCH = re.compile(
-    rf"branch (lt|eq|gt)\nimage-a {_Q} {_Q} {_Q}\nimage-b {_Q} {_Q} {_Q}\n"
+    rf"end-case\n|branch (lt|eq|gt)\nimage-a {_Q} {_Q} {_Q}\nimage-b {_Q} {_Q} {_Q}\n"
     rf"witness (a|b)\ninf {_Q}\nattained (yes|no)\n"
 )
 _COUNT_LINE = re.compile(r"([a-z]+(?:-[a-z]+)*) (0|[1-9][0-9]*)\n")
@@ -143,14 +181,16 @@ _EVIDENCE = re.compile(
     rf"target-top {_Q} {_Q}\n(?:preimage empty|preimage-top {_Q} {_Q})\n"
     rf"offset {_Q}\n(?:covering none|covering-top {_Q} {_Q})\nend-evidence\n"
 )
+_SIDES = {side.value: side for side in Side}
 
 
 class _Reader(dict):
     """One pass over a certificate text, one pattern match per record.
 
     The reader is also the token cache of one ``cert_from_text`` call:
-    ``r[token]`` is the token's rational, parsed and checked on its first
-    lookup, so a token repeated in the text is parsed once."""
+    ``r[num, den]`` is the rational of the token's two groups, parsed and
+    checked on its first lookup, so a token repeated in the text is parsed
+    once."""
 
     __slots__ = ("text", "pos", "mark")
 
@@ -189,41 +229,52 @@ class _Reader(dict):
         refuse; the limit is read, never set, for it is process-global."""
         return self.error(str(TooLarge()))
 
-    def __missing__(self, token: str) -> Fraction:
-        num, _, den = token.partition("/")
+    def __missing__(self, token: Tuple[str, str]) -> Fraction:
+        """The rational ``num/den`` through the ``semigroup._fraction`` memo,
+        in lowest terms exactly when its denominator is the token's: one gcd
+        at most, none when the memo holds it."""
+        num, den = token
         try:
             d = int(den)
-            f = Fraction(int(num), d)
+            f = _fraction(int(num), d)
         except ValueError as exc:
             raise self.too_long() from exc
         if f.denominator != d:
-            raise self.error(f"{token!r} is not in lowest terms")
+            raise self.error(f"{num + '/' + den!r} is not in lowest terms")
         self[token] = f
         return f
 
-    def ints(self, token: str) -> Tuple[int, int]:
+    def ints(self, num: str, den: str) -> Tuple[int, int]:
         """A coordinate token's numerator and denominator, checked in lowest
         terms by one gcd; no Fraction is built."""
-        num, _, den = token.partition("/")
         try:
             n, d = int(num), int(den)
         except ValueError as exc:
             raise self.too_long() from exc
         if gcd(n, d) != 1:
-            raise self.error(f"{token!r} is not in lowest terms")
+            raise self.error(f"{num + '/' + den!r} is not in lowest terms")
         return n, d
 
-    def elem(self, a: str, b: str) -> Elem:
-        an, ad = self.ints(a)
-        bn, bd = self.ints(b)
-        if an < 0 or bn < 0:
-            raise self.error(f"negative coordinate: ({self[a]}, {self[b]})")
-        return _trusted_elem(an, ad, bn, bd)
+    def elem(self, an: str, ad: str, bn: str, bd: str) -> Elem:
+        """The element of two coordinate tokens: four ints, one gcd per
+        token and the signs.  On a fault, ``ints`` reports the first token's
+        before the second's, and both come before the signs."""
+        try:
+            q = int(an), int(ad), int(bn), int(bd)
+            if gcd(q[0], q[1]) == 1 == gcd(q[2], q[3]) and q[0] >= 0 and q[2] >= 0:
+                return _trusted_elem(*q)
+        except ValueError:
+            pass
+        self.ints(an, ad)
+        self.ints(bn, bd)
+        raise self.error(f"negative coordinate: ({self[an, ad]}, {self[bn, bd]})")
 
-    def interval(self, lo_br: str, lo: str, hi: Optional[str], hi_br: Optional[str]) -> Interval:
-        if hi is None:
-            return Interval(self[lo], lo_br == "(", None, True)
-        return Interval(self[lo], lo_br == "(", self[hi], hi_br == ")")
+    def interval(
+        self, lo_br: str, lo_n: str, lo_d: str, hi_n: Optional[str], hi_d: str, hi_br: str
+    ) -> Interval:
+        if hi_n is None:
+            return _interval(self[lo_n, lo_d], lo_br == "(", None, True)
+        return _interval(self[lo_n, lo_d], lo_br == "(", self[hi_n, hi_d], hi_br == ")")
 
     def count(self, key: str) -> int:
         name, value = self.record(_COUNT_LINE, f"the count line {key!r}")
@@ -236,21 +287,22 @@ class _Reader(dict):
 
     def segments(self, key: str) -> NbhdAc2:
         """The neighbourhood of the count line ``key`` and its top lines."""
-        tops = [self.elem(*self.record(_TOP, "a top line")) for _ in range(self.count(key))]
-        try:
-            return NbhdAc2(tuple(tops))
-        except ValueError as exc:  # no tops: reported at the count line
-            raise self.error(f"{key}: {exc}") from exc
+        tops = tuple([self.elem(*self.record(_TOP, "a top line")) for _ in range(self.count(key))])
+        if not tops:  # reported at the count line, in the constructor's words
+            try:
+                NbhdAc2(tops)
+            except ValueError as exc:
+                raise self.error(f"{key}: {exc}") from exc
+        return _ac2(tops)
 
 
 def cert_from_text(text: str) -> ContinuityCert:
     r = _Reader(text)
-    kind, side, ta, tb = r.record(
+    kind, side, *translator = r.record(
         _HEADER_BLOCK, f"the header block ({_HEADER!r}, kind, side, translator)"
     )
-    translator = r.elem(ta, tb)
     body = _ac1_body if kind == "ac1" else _ac2_body
-    cert = body(r, Side(side), translator)
+    cert = body(r, _SIDES[side], r.elem(*translator))
     if r.pos != len(text):
         raise r.error("trailing content after end-cert", r.pos)
     return cert
@@ -260,45 +312,59 @@ def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
     keys = ("target-n", "effective-n", "chosen-n")
     tokens = r.record(_THRESHOLDS, f"the three thresholds ({', '.join(keys)})")
     thresholds = []
-    for key, token in zip(keys, tokens):
-        n = r[token]
-        try:
-            thresholds.append(NbhdAc1(n))
-        except ValueError as exc:
-            raise r.error(f"{key}: {exc}") from exc
-    cases: List[CaseEvidence] = []
-    while not r.at("end-cert\n"):
+    for key, num, den in zip(keys, tokens[::2], tokens[1::2]):
+        n = r[num, den]
+        if num[0] in "-0":  # not positive: reported in the constructor's words
+            try:
+                NbhdAc1(n)
+            except ValueError as exc:
+                raise r.error(f"{key}: {exc}") from exc
+        thresholds.append(_ac1(n))
+    cases = []
+    while True:
         head = r.record(_CASE_HEAD, "a case head (case, a-range, b-range) or end-cert")
-        a_range, b_range = r.interval(*head[1:5]), r.interval(*head[5:9])
-        branches: List[BranchEvidence] = []
-        while not r.at("end-case\n"):
-            tag, a0, a1, a2, b0, b1, b2, witness, inf, attained = r.record(
+        if head[0] is None:  # end-cert
+            break
+        a_range, b_range = r.interval(*head[1:7]), r.interval(*head[7:13])
+        branches = []
+        while True:
+            (
+                tag, a0, a0d, a1, a1d, a2, a2d, b0, b0d, b1, b1d, b2, b2d,
+                witness, inf, inf_d, attained,
+            ) = r.record(
                 _BRANCH,
                 "a branch record (branch, image-a, image-b, witness, inf, attained) or end-case",
             )
-            image_a, image_b = (r[a0], r[a1], r[a2]), (r[b0], r[b1], r[b2])
+            if tag is None:  # end-case
+                break
+            image_a = (r[a0, a0d], r[a1, a1d], r[a2, a2d])
+            image_b = (r[b0, b0d], r[b1, b1d], r[b2, b2d])
             branches.append(
-                BranchEvidence(tag, image_a, image_b, witness, r[inf], attained == "yes")
+                _branch(tag, image_a, image_b, witness, r[inf, inf_d], attained == "yes")
             )
-        cases.append(CaseEvidence(head[0], a_range, b_range, tuple(branches)))
+        cases.append(_case(head[0], a_range, b_range, tuple(branches)))
     target, effective, chosen = thresholds
-    return ContinuityCert("ac1", side, translator, target, chosen, tuple(cases), effective)
+    return _cert("ac1", side, translator, target, chosen, tuple(cases), effective)
 
 
 def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
     target = r.segments("target-tops")
     chosen = r.segments("chosen-tops")
-    records: List[TopEvidence] = []
+    records = []
     for _ in range(r.count("evidence")):
-        ua, ub, pa, pb, offset, ca, cb = r.record(
+        (
+            ua, uad, ub, ubd, pa, pad, pb, pbd, off, off_d, ca, cad, cb, cbd,
+        ) = r.record(
             _EVIDENCE, "an evidence record (target-top, preimage, offset, covering, end-evidence)"
         )
-        preimage = None if pa is None else r.elem(pa, pb)
-        covering = None if ca is None else r.elem(ca, cb)
-        records.append(TopEvidence(r.elem(ua, ub), preimage, r[offset], covering))
+        preimage = None if pa is None else r.elem(pa, pad, pb, pbd)
+        covering = None if ca is None else r.elem(ca, cad, cb, cbd)
+        records.append(
+            _top_evidence(r.elem(ua, uad, ub, ubd), preimage, r[off, off_d], covering)
+        )
     if not r.at("end-cert\n"):
         raise r.error("expected end-cert", r.pos)
-    return ContinuityCert("ac2", side, translator, target, chosen, tuple(records))
+    return _cert("ac2", side, translator, target, chosen, tuple(records))
 
 
 def write_cert(cert: ContinuityCert, path: str) -> None:

@@ -227,7 +227,9 @@ def _cmd_certify(args) -> int:
     if args.emit:
         try:
             write_cert(cert, args.emit)
-        except OSError as exc:
+        except TooLarge:
+            raise  # the text, not the path: reported by main
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             print(f"error: cannot write {args.emit}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote certificate to {args.emit} (valid)")
@@ -239,11 +241,11 @@ def _cmd_certify(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         ok = certs.validate_cert(read_cert(args.certfile))
-    except OSError as exc:
-        print(f"error: cannot read {args.certfile}: {exc}", file=sys.stderr)
-        return 2
     except certs.MalformedCert as exc:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        print(f"error: cannot read {args.certfile}: {exc}", file=sys.stderr)
         return 2
     print("valid" if ok else "invalid")
     return 0 if ok else 1

@@ -12,6 +12,10 @@ Four basic-neighbourhood shapes, all with exact rational membership:
   threshold;
 * ``NbhdAc2`` -- zero neighbourhood in the one-point compactification of the
   order topology: the complement of a finite union of up-segments.
+
+The two zero-neighbourhood classes check their arguments; ``_ac1`` and
+``_ac2`` build them unchecked for callers that hold checked values (the
+certificate generator and reader).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
+    _new,
     classify_line,
     inv,
     natural_leq,
@@ -108,6 +113,23 @@ class NbhdAc2:
         if e is ZERO:
             return True
         return all(not natural_leq(top, e) for top in self.tops)
+
+
+_set_n, _set_tops = NbhdAc1.n.__set__, NbhdAc2.tops.__set__
+
+
+def _ac1(n: Fraction) -> NbhdAc1:
+    """Trusted construction: the caller guarantees a positive Fraction."""
+    nbhd = _new(NbhdAc1)
+    _set_n(nbhd, n)
+    return nbhd
+
+
+def _ac2(tops: Tuple[Elem, ...]) -> NbhdAc2:
+    """Trusted construction: the caller guarantees a non-empty tuple of Elems."""
+    nbhd = _new(NbhdAc2)
+    _set_tops(nbhd, tops)
+    return nbhd
 
 
 ZeroNbhd = Union[NbhdAc1, NbhdAc2]

@@ -3,6 +3,7 @@ and bit-exact serialization."""
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import inspect
 import math
@@ -44,7 +45,19 @@ from realbicyclic import (
     write_cert,
 )
 from realbicyclic import certificates
-from realbicyclic.certificates import Interval, _corner_scan_ok, _covers_chosen
+from realbicyclic.certificates import (
+    CaseEvidence,
+    Interval,
+    TopEvidence,
+    _branch,
+    _case,
+    _cert,
+    _corner_scan_ok,
+    _covers_chosen,
+    _interval,
+    _top_evidence,
+)
+from realbicyclic.topology import _ac1, _ac2
 from realbicyclic.cli import main
 
 
@@ -243,7 +256,7 @@ def test_ac1_effective_threshold_denominator_on_the_grid(side):
     assert not validate_cert_ac1(tampered)
     assert _covers(tampered.evidence, cert.chosen.n)
     assert _corner_scan(side, t, cert.chosen.n, cert.effective.n)
-    mutant = _mutant_validate_ac1("vals = [t.a, t.b, n_eff]", "vals = [t.a, t.b]")
+    mutant = _mutant_validate_ac1("ne_den, *[", "*[")
     assert mutant(cert) and mutant(tampered)
 
 
@@ -260,7 +273,7 @@ def test_ac1_chosen_threshold_denominator_on_the_grid(side):
     below = dataclasses.replace(cert, chosen=NbhdAc1(F(22, 3)))
     assert validate_cert_ac1(above) and _reference_validate_ac1(above)
     assert not validate_cert_ac1(below) and not _reference_validate_ac1(below)
-    mutant = _mutant_validate_ac1("math.lcm(m.denominator, *", "math.lcm(*")
+    mutant = _mutant_validate_ac1("math.lcm(top_den, ", "math.lcm(")
     assert mutant(above) != validate_cert_ac1(above)
 
 
@@ -849,10 +862,14 @@ def _records(cert):
 
 
 def test_slotted_records_copy_pickle_replace_and_stay_frozen():
+    # the generator's records and the reader's, both built by the trusted
+    # constructors
     ac1 = continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))
     ac2 = continuity_cert_ac2(Side.LEFT, Elem(5, 0), NbhdAc2((Elem(3, 1), Elem(7, 2))))
+    read1, read2 = (cert_from_text(cert_to_text(c)) for c in (ac1, ac2))
+    assert (read1, read2) == (ac1, ac2)
     kinds = set()
-    for record in (*_records(ac1), *_records(ac2)):
+    for record in (*_records(ac1), *_records(ac2), *_records(read1), *_records(read2)):
         kinds.add(type(record))
         assert not hasattr(record, "__dict__"), type(record)
         for twin in (
@@ -876,6 +893,94 @@ def test_slotted_records_copy_pickle_replace_and_stay_frozen():
         BranchEvidence,
         certificates.TopEvidence,
     }
+
+
+def test_trusted_constructors_match_public_ones():
+    # each trusted constructor builds the record its public constructor
+    # builds from the same fields: equal, equally hashed, of the same type,
+    # holding the very same field values
+    iv = (F(7, 2), True, None, True)
+    br = ("lt", (F(1), F(0), F(-1, 2)), (F(0), F(1), F(0)), "a", F(9, 2), False)
+    case = ("big-a", Interval(*iv), Interval(F(0), False, F(3), True), (BranchEvidence(*br),))
+    top = (Elem(3, 1), None, F(-3), None)
+    ac1 = ("ac1", Side.LEFT, Elem(1, 2), NbhdAc1(4), NbhdAc1(8), (CaseEvidence(*case),))
+    ac1 += (NbhdAc1(4),)
+    ac2 = ("ac2", Side.RIGHT, Elem(1, 2), NbhdAc2((Elem(3, 1),)), NbhdAc2((Elem(6, 3),)))
+    ac2 += ((TopEvidence(*top),),)
+    for trusted, public, fields in (
+        (_interval, Interval, iv),
+        (_interval, Interval, (F(0), False, F(5, 3), False)),
+        (_branch, BranchEvidence, br),
+        (_case, CaseEvidence, case),
+        (_top_evidence, TopEvidence, top),
+        (_top_evidence, TopEvidence, (Elem(3, 1), Elem(2, 1), F(1, 2), Elem(4, 3))),
+        (_cert, ContinuityCert, ac1),
+        (_cert, ContinuityCert, ac2),
+        (_ac1, NbhdAc1, (F(9, 2),)),
+        (_ac2, NbhdAc2, ((Elem(3, 1), Elem(7, 2)),)),
+    ):
+        built, expected = trusted(*fields), public(*fields)
+        assert type(built) is public
+        assert built == expected and hash(built) == hash(expected), public
+        names = [f.name for f in dataclasses.fields(public)]
+        assert all(getattr(built, n) is v for n, v in zip(names, fields)), public
+    # _cert leaves an ac2 certificate's effective threshold at its default
+    assert _cert(*ac2).effective is None
+
+
+_BAD_SIDES = ("left", "right", 0, None, Side)
+
+
+def _api_calls(side):
+    """One call per public certificate entry point that takes a side."""
+    t, nb1, nb2 = Elem(1, 2), NbhdAc1(3), NbhdAc2((Elem(3, 1),))
+    honest1 = continuity_cert_ac1(Side.LEFT, t, nb1)
+    honest2 = continuity_cert_ac2(Side.LEFT, t, nb2)
+    return {
+        "continuity_cert_ac1": lambda: continuity_cert_ac1(side, t, nb1),
+        "continuity_cert_ac2": lambda: continuity_cert_ac2(side, t, nb2),
+        "validate_cert ac1": lambda: validate_cert(dataclasses.replace(honest1, side=side)),
+        "validate_cert ac2": lambda: validate_cert(dataclasses.replace(honest2, side=side)),
+        "validate_cert_ac1": lambda: validate_cert_ac1(dataclasses.replace(honest1, side=side)),
+        "validate_cert_ac2": lambda: validate_cert_ac2(dataclasses.replace(honest2, side=side)),
+        "falsify ac1": lambda: falsify(side, t, nb1, NbhdAc1(4), 100),
+        "falsify ac2": lambda: falsify(side, t, nb2, nb2, 100),
+    }
+
+
+def test_bad_arguments_are_typed_errors(tmp_path, capsys):
+    # a side that is not a Side (a string used to act as the right side) and
+    # a falsifier budget that is not an int (True used to run one probe) are
+    # TypeErrors naming the parameter, never a verdict; a NUL byte in a CLI
+    # path is exit 2 with the usual message, never a traceback
+    nb = NbhdAc1(4)
+    table = [(call, "side") for side in _BAD_SIDES for call in _api_calls(side).values()]
+    table += [
+        (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb, nb, samples), "samples")
+        for samples in (True, False, 1.5, F(8), "8", None)
+    ]
+    for call, param in table:
+        with pytest.raises(TypeError, match=param):
+            call()
+    # the same calls with a Side: the left side's witness (4,0), not the
+    # right side's (4,1) that "left" used to give
+    results = {name: call() for name, call in _api_calls(Side.LEFT).items()}
+    assert results["falsify ac1"] == Elem(4, 0)
+    assert all(results[name] is True for name in results if name.startswith("validate"))
+
+    cert = tmp_path / "a.cert"
+    honest = ["certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", "4"]
+    assert main(honest + ["--emit", str(cert)]) == 0
+    capsys.readouterr()
+    for argv, verb, path in (
+        (["validate", "\x00"], "read", "\x00"),
+        (["validate", str(cert) + "\x00"], "read", str(cert) + "\x00"),
+        (honest + ["--emit", "a\x00b"], "write", "a\x00b"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot {verb} {path}: embedded null byte\n", argv
 
 
 def test_ac1_soundness_ten_seeds():
