@@ -37,11 +37,11 @@ takes a ``Side`` and raises ``TypeError`` for anything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, _fraction, _new, _sum, mul
+from .semigroup import Elem, _check_int, _fraction, _new, _setters, _sum, mul
 from .order_geometry import (
     Side,
     preimage_up_segment,
@@ -67,11 +67,6 @@ class MalformedCert(ValueError):
 # frozen dataclass's per-field ``object.__setattr__``: the caller guarantees
 # fields of the declared types (Fractions, not ints).  The records are equal,
 # and hash equally, to the ones the public constructors build.
-
-
-def _setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
-    """The slot setters of a slotted dataclass, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -674,8 +669,7 @@ def falsify(
     ``samples`` that is not an int (or is a bool), raise ``TypeError``.
     """
     _check_side(side)
-    if type(samples) is bool or not isinstance(samples, int):
-        raise TypeError(f"samples must be an int, not {samples!r}")
+    _check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:

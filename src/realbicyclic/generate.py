@@ -1,7 +1,9 @@
 """Seeded deterministic sample generators for the test harness.
 
 Identical configuration (seed, mode, counts) always reproduces the identical
-stream, which keeps every suite and report replayable.
+stream, which keeps every suite and report replayable.  The configurations
+check their field types: a seed, count or bound that is not an int (or is a
+bool), and a mode that is not a mode, are ``TypeError``s naming the field.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Union
 
-from .semigroup import Elem, _elem
+from .semigroup import Elem, _check_int, _new, _set_q
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,8 @@ class RationalMode:
     max_den: int = 8
 
     def __post_init__(self) -> None:
+        _check_int("max_num", self.max_num)
+        _check_int("max_den", self.max_den)
         if self.max_num < 0:
             raise ValueError("max_num must be non-negative")
         if self.max_den < 1:
@@ -36,6 +40,7 @@ class IntegerMode:
     max: int = 20
 
     def __post_init__(self) -> None:
+        _check_int("max", self.max)
         if self.max < 0:
             raise ValueError("max must be non-negative")
 
@@ -50,6 +55,12 @@ class GenConfig:
     cases: int = 1000
 
     def __post_init__(self) -> None:
+        _check_int("seed", self.seed)
+        _check_int("cases", self.cases)
+        if not isinstance(self.scalar_mode, (RationalMode, IntegerMode)):
+            raise TypeError(
+                f"scalar_mode must be a RationalMode or an IntegerMode, not {self.scalar_mode!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.cases < 1:
@@ -80,7 +91,9 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
             b = getrandbits(k)
             while b >= n:
                 b = getrandbits(k)
-            yield _elem(a, 1, b, 1)
+            e = _new(Elem)
+            _set_q(e, (a, 1, b, 1))
+            yield e
     n, d = mode.max_num + 1, mode.max_den
     kn, kd = n.bit_length(), d.bit_length()
     while True:
@@ -98,7 +111,9 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
             bd = getrandbits(kd)
         # ad and bd are the denominators less 1
         ga, gb = gcd(an, ad + 1), gcd(bn, bd + 1)
-        yield _elem(an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb)
+        e = _new(Elem)
+        _set_q(e, (an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb))
+        yield e
 
 
 def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:

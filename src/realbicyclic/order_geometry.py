@@ -23,6 +23,8 @@ from .semigroup import (
     Sign,
     _elem,
     _line,
+    _new,
+    _setters,
     _sum,
     inv,
     mul,
@@ -35,7 +37,7 @@ class Side(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DownRay:
     """All points lying below ``base``:  {base + (t, t) : t >= 0}.
 
@@ -55,7 +57,7 @@ class DownRay:
         return f"down{mark}{self.base}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpSegment:
     """All points lying above ``top``: the segment from ``top`` to the boundary,
     {top - (t, t) : 0 <= t <= min(top.a, top.b)}."""
@@ -69,7 +71,7 @@ class UpSegment:
         return f"up{self.top}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullLine:
     line: LineRef
 
@@ -89,12 +91,30 @@ class FullLine:
         return str(self.line)
 
 
+# ``down_set``, ``up_set`` and ``_full`` build the records as trusted
+# constructors do in ``certificates``: they set the slots of a bare instance,
+# and the record equals the one the public constructor builds.
+_set_base, _set_punctured = _setters(DownRay)
+(_set_top,), (_set_line,) = _setters(UpSegment), _setters(FullLine)
+
+
 def down_set(e: Elem, punctured: bool = False) -> DownRay:
-    return DownRay(e, punctured)
+    ray = _new(DownRay)
+    _set_base(ray, e)
+    _set_punctured(ray, punctured)
+    return ray
 
 
 def up_set(e: Elem) -> UpSegment:
-    return UpSegment(e)
+    seg = _new(UpSegment)
+    _set_top(seg, e)
+    return seg
+
+
+def _full(line: LineRef) -> FullLine:
+    full = _new(FullLine)
+    _set_line(full, line)
+    return full
 
 
 def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
@@ -107,13 +127,13 @@ def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
     """
     (n1, d1), (n2, d2) = l1._alpha, l2._alpha
     if l1.sign is l2.sign:
-        return FullLine(_line(l1.sign, *_sum(n1, d1, n2, d2)))  # > 0 if both MINUS
+        return _full(_line(l1.sign, *_sum(n1, d1, n2, d2)))  # > 0 if both MINUS
     if l1.sign is Sign.PLUS:
         n, d = _sum(n1, d1, -n2, d2)  # a1 - a2
         if n >= 0:
-            return FullLine(_line(Sign.PLUS, n, d))
-        return FullLine(_line(Sign.MINUS, -n, d))
-    return DownRay(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
+            return _full(_line(Sign.PLUS, n, d))
+        return _full(_line(Sign.MINUS, -n, d))
+    return down_set(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
 
 
 class NotInProduct(ValueError):
@@ -194,7 +214,7 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     else:
         base = mul(r.base, t)
         collapsed = t.a > r.base.b
-    return DownRay(base, punctured=r.punctured and not collapsed)
+    return down_set(base, r.punctured and not collapsed)
 
 
 def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment]:
@@ -213,7 +233,7 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
     if side is Side.LEFT:
         if an * pd > pn * ad:
             return None
-        return UpSegment(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
+        return up_set(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
     if bn * qd > qn * bd:
         return None
-    return UpSegment(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a
+    return up_set(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a

@@ -14,22 +14,26 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
-``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments; closed
-operations build results that lie in the quadrant by construction with the
-unchecked internal ``_elem`` and ``_line`` from integers, compare rationals
-as integer cross-products, and sum them in lowest terms with ``_sum``.
+``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments.  ``Elem``
+stores two non-negative plain ints as they are and reads two Fractions with
+one ``as_integer_ratio`` each; every other argument goes through ``scalar``.
+Closed operations build results that lie in the quadrant by construction,
+without checks, from integers: ``mul`` and ``inv`` (and ``gen_elem``) set the
+slot of a bare instance in place with ``_new`` and ``_set_q``, and the other
+callers use ``_elem`` and ``_line``.  Rationals are compared as integer
+cross-products and summed in lowest terms with ``_sum``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -131,11 +135,17 @@ class Elem(_Frozen):
     __slots__ = ("_q",)  # (a's numerator, a's denominator, b's numerator, b's denominator)
 
     def __init__(self, a: ScalarLike, b: ScalarLike) -> None:
-        if type(a) is not Fraction or type(b) is not Fraction:
+        if type(a) is int and type(b) is int and a >= 0 and b >= 0:
+            _set_q(self, (a, 1, b, 1))
+        elif type(a) is Fraction and type(b) is Fraction:
+            an, ad = a.as_integer_ratio()
+            bn, bd = b.as_integer_ratio()
+            if an < 0 or bn < 0:
+                raise ValueError(f"negative coordinate: ({a}, {b})")
+            _set_q(self, (an, ad, bn, bd))
+        else:  # also a negative int, for scalar's message
             a, b = scalar(a), scalar(b)
-        elif a.numerator < 0 or b.numerator < 0:
-            raise ValueError(f"negative coordinate: ({a}, {b})")
-        _set_q(self, (a.numerator, a.denominator, b.numerator, b.denominator))
+            _set_q(self, (a.numerator, a.denominator, b.numerator, b.denominator))
 
     @property
     def a(self) -> Fraction:
@@ -187,6 +197,19 @@ _new = object.__new__
 _set_q = Elem._q.__set__
 
 
+def _check_int(name: str, value: object) -> None:
+    """Refuse a count or bound that is not an int, or is a bool."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+
+
+def _setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
+    """The slot setters of a slotted dataclass, in field order: with ``_new``
+    they build a record without the frozen dataclass's per-field
+    ``object.__setattr__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
 def _elem(an: int, ad: int, bn: int, bd: int) -> Elem:
     """Trusted construction: the caller guarantees the point (an/ad, bn/bd)
     with non-negative numerators, positive denominators and lowest terms."""
@@ -232,9 +255,13 @@ class LineRef(_Frozen):
     def __init__(self, sign: Sign, alpha: ScalarLike) -> None:
         if type(sign) is not Sign:
             raise ValueError(f"not a line sign: {sign!r}")
-        alpha = scalar(alpha)
-        _set_sign(self, sign if alpha.numerator else Sign.PLUS)
-        _set_alpha(self, (alpha.numerator, alpha.denominator))
+        if type(alpha) is not Fraction:
+            alpha = scalar(alpha)
+        n, d = alpha.as_integer_ratio()
+        if n < 0:  # scalar's refusal, for a Fraction that skipped it
+            raise ValueError(f"negative scalar: {alpha!r}")
+        _set_sign(self, sign if n else Sign.PLUS)
+        _set_alpha(self, (n, d))
 
     @property
     def alpha(self) -> Fraction:
@@ -290,16 +317,20 @@ def mul(e1: Elem, e2: Elem) -> Elem:
     an, ad, bn, bd = e1._q
     cn, cd, dn, dd = e2._q
     g = cn * bd - bn * cd
+    e = _new(Elem)
     if g == 0:
-        return _elem(an, ad, dn, dd)
+        _set_q(e, (an, ad, dn, dd))
+        return e
     q = bd * cd
     if g > 0:
         n, d = an * q + g * ad, ad * q
         k = gcd(n, d)
-        return _elem(n // k, d // k, dn, dd)
+        _set_q(e, (n // k, d // k, dn, dd))
+        return e
     n, d = dn * q - g * dd, dd * q
     k = gcd(n, d)
-    return _elem(an, ad, n // k, d // k)
+    _set_q(e, (an, ad, n // k, d // k))
+    return e
 
 
 def mul_branch(e1: Elem, e2: Elem) -> str:
@@ -326,7 +357,9 @@ def mul_ext(e1: ExtElem, e2: ExtElem) -> ExtElem:
 def inv(e: Elem) -> Elem:
     """The unique inverse: coordinate swap."""
     an, ad, bn, bd = e._q
-    return _elem(bn, bd, an, ad)
+    r = _new(Elem)
+    _set_q(r, (bn, bd, an, ad))
+    return r
 
 
 def inv_ext(e: ExtElem) -> ExtElem:

@@ -107,6 +107,9 @@ class NbhdAc2:
         tops = tuple(self.tops)
         if not tops:
             raise ValueError("neighbourhood needs at least one excluded up-segment")
+        for top in tops:
+            if not isinstance(top, Elem):
+                raise TypeError(f"tops must be Elems, not {top!r}")
         object.__setattr__(self, "tops", tops)
 
     def member(self, e: ExtElem) -> bool:

@@ -24,16 +24,23 @@ from line_reader import line_cert_from_text
 from realbicyclic import (
     BranchEvidence,
     ContinuityCert,
+    DownRay,
     Elem,
+    FullLine,
+    LineRef,
     MalformedCert,
     NbhdAc1,
     NbhdAc2,
     Side,
+    Sign,
+    UpSegment,
     cert_from_text,
     cert_to_text,
     continuity_cert_ac1,
     continuity_cert_ac2,
+    down_set,
     falsify,
+    line_product,
     mul,
     preimage_up_segment,
     read_cert,
@@ -57,6 +64,7 @@ from realbicyclic.certificates import (
     _interval,
     _top_evidence,
 )
+from realbicyclic.order_geometry import _full
 from realbicyclic.topology import _ac1, _ac2
 from realbicyclic.cli import main
 
@@ -863,13 +871,23 @@ def _records(cert):
 
 def test_slotted_records_copy_pickle_replace_and_stay_frozen():
     # the generator's records and the reader's, both built by the trusted
-    # constructors
+    # constructors, and the region records of the order geometry, built by
+    # its trusted constructors
     ac1 = continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))
     ac2 = continuity_cert_ac2(Side.LEFT, Elem(5, 0), NbhdAc2((Elem(3, 1), Elem(7, 2))))
     read1, read2 = (cert_from_text(cert_to_text(c)) for c in (ac1, ac2))
     assert (read1, read2) == (ac1, ac2)
+    regions = (
+        down_set(Elem(2, 3), True),
+        line_product(LineRef(Sign.MINUS, 2), LineRef(Sign.PLUS, 3)),
+        up_set(Elem(1, 2)),
+        preimage_up_segment(Side.LEFT, Elem(1, 2), up_set(Elem(3, 1))),
+        line_product(LineRef(Sign.PLUS, 1), LineRef(Sign.MINUS, 2)),
+    )
     kinds = set()
-    for record in (*_records(ac1), *_records(ac2), *_records(read1), *_records(read2)):
+    for record in (
+        *_records(ac1), *_records(ac2), *_records(read1), *_records(read2), *regions
+    ):
         kinds.add(type(record))
         assert not hasattr(record, "__dict__"), type(record)
         for twin in (
@@ -892,6 +910,9 @@ def test_slotted_records_copy_pickle_replace_and_stay_frozen():
         certificates.CaseEvidence,
         BranchEvidence,
         certificates.TopEvidence,
+        DownRay,
+        UpSegment,
+        FullLine,
     }
 
 
@@ -918,6 +939,10 @@ def test_trusted_constructors_match_public_ones():
         (_cert, ContinuityCert, ac2),
         (_ac1, NbhdAc1, (F(9, 2),)),
         (_ac2, NbhdAc2, ((Elem(3, 1), Elem(7, 2)),)),
+        (down_set, DownRay, (Elem(2, 3), False)),
+        (down_set, DownRay, (Elem(0, F(7, 2)), True)),
+        (up_set, UpSegment, (Elem(F(1, 2), 4),)),
+        (_full, FullLine, (LineRef(Sign.MINUS, F(1, 2)),)),
     ):
         built, expected = trusted(*fields), public(*fields)
         assert type(built) is public

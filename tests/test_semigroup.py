@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bicyclic_reference import word_mul
 from conftest import elems, nonneg_scalars
 from realbicyclic import (
     Elem,
@@ -50,17 +51,6 @@ def table_mul(e1: Elem, e2: Elem) -> Elem:
     if e1.b == e2.a:
         return Elem(e1.a, e2.b)
     return Elem(e1.a, e1.b + e2.b - e2.a)
-
-
-def word_mul(k: int, l: int, m: int, n: int):
-    """Multiply q^k p^l and q^m p^n as literal words with pq = 1."""
-    stack = []
-    for g in ["q"] * k + ["p"] * l + ["q"] * m + ["p"] * n:
-        if g == "q" and stack and stack[-1] == "p":
-            stack.pop()
-        else:
-            stack.append(g)
-    return stack.count("q"), stack.count("p")
 
 
 @pytest.mark.parametrize(
@@ -175,6 +165,76 @@ def test_exact_scalars_accepted():
     assert scalar("0.1") == F(1, 10)
     assert scalar(F(7, 2)) == F(7, 2)
     assert Elem("1.25", 0) == Elem(F(5, 4), 0)
+
+
+class _Int(int):
+    pass
+
+
+# one value per row, spelled as an int (None when it is not one), an int
+# subclass, a Fraction and a string
+_SPELLINGS = [
+    (0, _Int(0), F(0), "0"),
+    (3, _Int(3), F(3), "3"),
+    (10**30, _Int(10**30), F(10**30), "1" + "0" * 30),
+    (None, None, F(3, 2), "3/2"),
+    (None, None, F(5, 4), "1.25"),
+    (None, None, F(1, 3), "2/6"),
+]
+
+
+def test_constructors_agree_on_every_spelling():
+    # Elem has an int path, a Fraction path and the scalar path, and LineRef
+    # a Fraction path and the scalar path: every spelling of a value, mixed
+    # or not, holds the same lowest-terms plain ints
+    for row1, row2 in itertools.product(_SPELLINGS, repeat=2):
+        f1, f2 = row1[2], row2[2]
+        want = (f1.numerator, f1.denominator, f2.numerator, f2.denominator)
+        for a, b in (*zip(row1, row2), (row1[2], row2[3]), (row1[0], row2[2])):
+            if a is None or b is None:
+                continue
+            q = Elem(a, b)._q
+            assert q == want and all(type(x) is int for x in q), (a, b)
+    for row in _SPELLINGS:
+        f = row[2]
+        for sign in Sign:
+            for alpha in row:
+                if alpha is None:
+                    continue
+                line = LineRef(sign, alpha)
+                assert line.sign is (sign if f else Sign.PLUS), alpha
+                assert line._alpha == (f.numerator, f.denominator), alpha
+                assert all(type(x) is int for x in line._alpha)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (Elem, (True, 1), "not an exact scalar: True"),
+        (Elem, (1, False), "not an exact scalar: False"),
+        (Elem, (-1, 2), "negative scalar: -1"),
+        (Elem, (2, -1), "negative scalar: -1"),
+        (Elem, (_Int(-1), 2), "negative scalar: -1"),
+        (Elem, (1.5, 2), "not an exact scalar: 1.5"),
+        (Elem, (2, 0.5), "not an exact scalar: 0.5"),
+        (Elem, (F(-1, 2), 1), "negative scalar: Fraction(-1, 2)"),
+        (Elem, (1, F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
+        (Elem, (F(-1, 2), F(-3)), "negative coordinate: (-1/2, -3)"),
+        (Elem, (F(1, 2), F(-3)), "negative coordinate: (1/2, -3)"),
+        (Elem, (F(1, 2), 1.5), "not an exact scalar: 1.5"),
+        (LineRef, (Sign.PLUS, True), "not an exact scalar: True"),
+        (LineRef, (Sign.MINUS, -1), "negative scalar: -1"),
+        (LineRef, (Sign.MINUS, 1.5), "not an exact scalar: 1.5"),
+        (LineRef, (Sign.PLUS, F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
+        (LineRef, (Sign.MINUS, F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
+    ],
+)
+def test_rejected_constructor_arguments_keep_their_messages(cls, args, message):
+    # the int and Fraction paths refuse what the scalar path refuses, with
+    # the same type and message
+    with pytest.raises(ValueError) as info:
+        cls(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 @given(elems, elems)
@@ -345,8 +405,7 @@ def test_line_roundtrip_and_inversion(e):
 @given(st.integers(0, 25), st.integers(0, 25), st.integers(0, 25), st.integers(0, 25))
 def test_bicyclic_specialisation(k, l, m, n):
     got = mul(Elem(k, l), Elem(m, n))
-    qs, ps = word_mul(k, l, m, n)
-    assert got == Elem(qs, ps)
+    assert got == word_mul(k, l, m, n)
     lo = min(l, m)
     assert got == Elem(k + m - lo, l + n - lo)
 

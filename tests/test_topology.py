@@ -58,6 +58,14 @@ def test_positive_parameters_required():
         NbhdAc2(())
 
 
+def test_segment_tops_must_be_elems():
+    # a top that is not an Elem is a TypeError at construction, not an
+    # AttributeError at the first membership test
+    for tops in ((1,), (Elem(1, 2), "(3,1)"), (ZERO,), ((1, 2),)):
+        with pytest.raises(TypeError, match="^tops must be Elems"):
+            NbhdAc2(tops)
+
+
 def test_usual_box_membership():
     nb = NbhdUsual(Elem(2, 3), F(1, 2))
     assert nb.member(Elem("9/4", "13/4"))
