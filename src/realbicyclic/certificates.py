@@ -31,7 +31,8 @@ are unchanged; the generator and the ``certio`` reader, which have already
 checked what they hold, build them through the trusted constructors
 ``_interval``, ``_branch``, ``_case``, ``_top_evidence`` and ``_cert``, which
 set the slots directly as ``semigroup._elem`` does.  Every public entry point
-takes a ``Side`` and raises ``TypeError`` for anything else.
+takes a ``Side`` and raises ``TypeError`` for anything else; so do the
+generators for a target of the other neighbourhood kind.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .semigroup import Elem, _check_int, _fraction, _new, _setters, _sum, mul
 from .order_geometry import (
     Side,
+    _check_side,
     preimage_up_segment,
     shrink_witness,
     shrink_witness_dual,
@@ -233,13 +235,6 @@ def _cert(
     return cert
 
 
-def _check_side(side: object) -> None:
-    """The one side check of the public entry points: ``Side`` members are
-    compared by identity, so anything else would act as the right side."""
-    if type(side) is not Side:
-        raise TypeError(f"side must be a Side, not {side!r}")
-
-
 # ---------------------------------------------------------------------------
 # threshold-neighbourhood certificates
 # ---------------------------------------------------------------------------
@@ -261,6 +256,8 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     inclusion still follows); both thresholds are recorded.
     """
     _check_side(side)
+    if not isinstance(target, NbhdAc1):
+        raise TypeError(f"target must be an NbhdAc1, not {target!r}")
     an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
     tn, td = target.n.numerator, target.n.denominator
@@ -539,6 +536,8 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     segment and which chosen segment swallows it.
     """
     _check_side(side)
+    if not isinstance(target, NbhdAc2):
+        raise TypeError(f"target must be an NbhdAc2, not {target!r}")
     an, ad, bn, bd = translator._q
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: List[Elem] = []

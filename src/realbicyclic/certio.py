@@ -51,7 +51,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .semigroup import Elem, TooLarge, _elem as _trusted_elem, _fraction
-from .order_geometry import Side
+from .order_geometry import Side, _check_side
 from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
     ContinuityCert,
@@ -101,11 +101,13 @@ def _iv(iv: Interval) -> str:
 
 def cert_to_text(cert: ContinuityCert) -> str:
     """The canonical text of ``cert``.  Raises ``TooLarge`` for a number with
-    more digits than the interpreter converts, and ``MalformedCert`` for an
+    more digits than the interpreter converts, ``MalformedCert`` for an
     unknown topology or an image row of other than three coefficients, which
-    the format cannot hold."""
+    the format cannot hold, and ``TypeError`` for a side that is not a
+    ``Side``."""
     if cert.topology not in ("ac1", "ac2"):
         raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
+    _check_side(cert.side)
     try:
         return "\n".join(_lines(cert)) + "\n"
     except ValueError:  # int to str past the digit limit

@@ -7,10 +7,16 @@ interpreter's digit limit (``TooLarge``, one message that echoes no
 argument); a closed standard output (``... | head``) ends with
 exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
 digits only.  The default seed comes from ``REALBICYCLIC_SEED`` (flags win).
-The parsers are built on first use and reused by every later ``main``, which
-hands each argv to the parser of the command its leading words name; extra
-arguments are reported with that command's usage (``usage: realbicyclic
-eval [-h] expr``), not the top-level one.
+``_POSITIONAL`` lists the commands that take only plain positional strings
+(``eval``, ``order``, ``lines product``, ``validate``) with their argument
+names, handler and help; their subparsers are declared from it.  An argv
+naming one of them with exactly its arity and no argument starting with '-'
+gets its namespace without argparse.  Every other argv (``-h``, ``--``,
+``-1``, a missing or extra argument, a command with flags) goes to the
+parser of the command its leading words name; the parsers are built on first
+such use and reused by every later ``main``.  Extra arguments are reported
+with that command's usage (``usage: realbicyclic eval [-h] expr``), not the
+top-level one.
 """
 
 from __future__ import annotations
@@ -122,21 +128,18 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argp
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate an expression such as '(1,3)*(2,5)'")
-    p.add_argument("expr")
-    p.set_defaults(run=_cmd_eval)
+    def positional(sub, words: Tuple[str, ...]) -> None:
+        names, run, help_text = _POSITIONAL[words]
+        p = sub.add_parser(words[-1], help=help_text)
+        for name in names:
+            p.add_argument(name)
+        p.set_defaults(run=run)
 
-    p = sub.add_parser("order", help="compare two elements in the natural partial order")
-    p.add_argument("e1")
-    p.add_argument("e2")
-    p.set_defaults(run=_cmd_order)
-
+    positional(sub, ("eval",))
+    positional(sub, ("order",))
     p = sub.add_parser("lines", help="line operations")
     lines_sub = p.add_subparsers(dest="lines_command", required=True)
-    lp = lines_sub.add_parser("product", help="product set of two diagonal lines")
-    lp.add_argument("l1")
-    lp.add_argument("l2")
-    lp.set_defaults(run=_cmd_lines_product)
+    positional(lines_sub, ("lines", "product"))
 
     p = sub.add_parser("certify", help="generate a continuity certificate")
     p.add_argument("kind", choices=("ac1", "ac2"))
@@ -150,9 +153,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argp
     p.add_argument("--emit", metavar="FILE", help="write the certificate to FILE")
     p.set_defaults(run=_cmd_certify)
 
-    p = sub.add_parser("validate", help="validate a stored certificate")
-    p.add_argument("certfile")
-    p.set_defaults(run=_cmd_validate)
+    positional(sub, ("validate",))
 
     p = sub.add_parser("falsify", help="search for a counterexample to an inclusion")
     p.add_argument("kind", choices=("ac1", "ac2"))
@@ -280,6 +281,16 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+# The commands that take only plain positional strings, by their words: the
+# names of their arguments, their handler and their help.
+_POSITIONAL = {
+    ("eval",): (("expr",), _cmd_eval, "evaluate an expression such as '(1,3)*(2,5)'"),
+    ("order",): (("e1", "e2"), _cmd_order, "compare two elements in the natural partial order"),
+    ("lines", "product"): (("l1", "l2"), _cmd_lines_product, "product set of two diagonal lines"),
+    ("validate",): (("certfile",), _cmd_validate, "validate a stored certificate"),
+}
+
+
 def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
     """The most specific parser that argv's leading words name, and the rest
     of argv; the top-level parser, with all of argv, when they name none."""
@@ -291,11 +302,28 @@ def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
     return top, argv
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv's namespace.  A positional command with exactly its arity and no
+    argument that starts with '-' gets the namespace argparse would build
+    for it, without argparse; every other argv goes through its parser."""
+    for n in (1, 2):
+        entry = _POSITIONAL.get(tuple(argv[:n]))
+        if entry is not None:
+            names, run, _ = entry
+            rest = argv[n:]
+            if len(rest) == len(names) and "-" not in [a[:1] for a in rest]:
+                args = argparse.Namespace(run=run)
+                vars(args).update(zip(names, rest))
+                return args
+            break
+    parser, rest = _route(argv)
+    return parser.parse_args(rest)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser, rest = _route(argv)
-        args = parser.parse_args(rest)
+        args = _parse(argv)
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe fails here rather than at exit
     except SystemExit as exc:

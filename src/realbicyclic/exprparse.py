@@ -21,6 +21,7 @@ before the parser's recursion (four frames a level) reaches Python's limit.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import List, Tuple, Union
 
 from .semigroup import (
@@ -29,6 +30,7 @@ from .semigroup import (
     TooLarge,
     ZERO,
     ZeroType,
+    _elem,
     inv_ext,
     literal_value,
     mul_ext,
@@ -55,7 +57,10 @@ class NegativeScalar(ParseError):
         ParseError.__init__(self, "negative literals are not allowed", pos)
 
 
-_Token = Tuple[str, object, int]  # kind, value, position
+# kind, value, position; a number's value is its (numerator, denominator) in
+# lowest terms, and an element literal hands both pairs to the trusted
+# ``_elem``: the grammar has no sign, so they are non-negative.
+_Token = Tuple[str, object, int]
 
 _DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts '²' and '٣'
 
@@ -97,9 +102,14 @@ def _tokenize(text: str) -> List[_Token]:
             if den is not None and not den.strip("0"):
                 raise ParseError("zero denominator", m.end(1))
             try:
-                value = literal_value(m)
-            except TooLarge as exc:
-                raise ParseError(str(exc), i) from None
+                if m.group(3) is None:
+                    num, d = int(m.group(1)), int(den or 1)
+                    g = gcd(num, d)
+                    value = (num // g, d // g)
+                else:
+                    value = literal_value(m).as_integer_ratio()
+            except ValueError:  # digits only, so the one refusal is the digit limit
+                raise ParseError(str(TooLarge()), i) from None
             tokens.append(("number", value, i))
             i = j
         else:
@@ -165,7 +175,7 @@ class _Parser:
     def primary(self) -> Value:
         kind, value, pos = self._next("an element, 0, or '('")
         if kind == "number":
-            if value == 0:
+            if value[0] == 0:
                 return ZERO
             raise ParseError("a bare scalar is not an element (only 0 is)", pos)
         if kind != "(":
@@ -180,7 +190,7 @@ class _Parser:
             kind, _, close_pos = self._next("')'")
             if kind != ")":
                 raise ParseError("expected ')' to close the element", close_pos)
-            return Elem(tokens[i][1], b)
+            return _elem(*tokens[i][1], *b)
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
         self.depth += 1

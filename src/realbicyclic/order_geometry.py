@@ -9,6 +9,8 @@ The operations compute, in exact rational arithmetic: products of lines with
 constructive factorisations, the right/left shrink witnesses that squeeze a
 translated down-ray below a prescribed point, exact translation images of
 down-rays, and exact preimages of up-segments under one-sided multiplication.
+A field of the wrong type in a public region-record constructor, and a side
+that is not a ``Side``, is a ``TypeError`` naming the field or the side.
 """
 
 from __future__ import annotations
@@ -37,6 +39,20 @@ class Side(Enum):
     RIGHT = "right"
 
 
+def _check_side(side: object) -> None:
+    """The one side check of the public entry points: ``Side`` members are
+    compared by identity, so anything else would act as the right side."""
+    if type(side) is not Side:
+        raise TypeError(f"side must be a Side, not {side!r}")
+
+
+def _check_field(name: str, value: object, kind: type) -> None:
+    """The public record constructors' one check per field."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class DownRay:
     """All points lying below ``base``:  {base + (t, t) : t >= 0}.
@@ -46,6 +62,10 @@ class DownRay:
 
     base: Elem
     punctured: bool = False
+
+    def __post_init__(self) -> None:
+        _check_field("base", self.base, Elem)
+        _check_field("punctured", self.punctured, bool)
 
     def member(self, e: Elem) -> bool:
         if self.punctured and e == self.base:
@@ -64,6 +84,9 @@ class UpSegment:
 
     top: Elem
 
+    def __post_init__(self) -> None:
+        _check_field("top", self.top, Elem)
+
     def member(self, e: Elem) -> bool:
         return natural_leq(self.top, e)
 
@@ -74,6 +97,9 @@ class UpSegment:
 @dataclass(frozen=True, slots=True)
 class FullLine:
     line: LineRef
+
+    def __post_init__(self) -> None:
+        _check_field("line", self.line, LineRef)
 
     def member(self, e: Elem) -> bool:
         """Whether ``e`` has the line's signed offset: (b - a) * q, with q the
@@ -93,7 +119,7 @@ class FullLine:
 
 # ``down_set``, ``up_set`` and ``_full`` build the records as trusted
 # constructors do in ``certificates``: they set the slots of a bare instance,
-# and the record equals the one the public constructor builds.
+# check nothing, and the record equals the one the public constructor builds.
 _set_base, _set_punctured = _setters(DownRay)
 (_set_top,), (_set_line,) = _setters(UpSegment), _setters(FullLine)
 
@@ -212,6 +238,7 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
         base = mul(t, r.base)
         collapsed = t.b > r.base.a
     else:
+        _check_side(side)
         base = mul(r.base, t)
         collapsed = t.a > r.base.b
     return down_set(base, r.punctured and not collapsed)
@@ -234,6 +261,7 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
         if an * pd > pn * ad:
             return None
         return up_set(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
+    _check_side(side)
     if bn * qd > qn * bd:
         return None
     return up_set(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import inspect
 import math
+import os
 import pickle
 import random
 import sys
@@ -34,6 +35,7 @@ from realbicyclic import (
     Side,
     Sign,
     UpSegment,
+    ZERO,
     cert_from_text,
     cert_to_text,
     continuity_cert_ac1,
@@ -45,6 +47,7 @@ from realbicyclic import (
     preimage_up_segment,
     read_cert,
     shrink_witness,
+    translate_down_ray,
     up_set,
     validate_cert,
     validate_cert_ac1,
@@ -902,6 +905,11 @@ def test_slotted_records_copy_pickle_replace_and_stay_frozen():
         assert getattr(dataclasses.replace(record, **{field: value}), field) == value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, value)
+        if type(record) in (DownRay, UpSegment, FullLine):
+            # the public constructor, which replace goes through, checks
+            # what the trusted ones were handed
+            with pytest.raises(TypeError, match=f"^{field} must be"):
+                dataclasses.replace(record, **{field: str(value)})
     assert kinds == {
         ContinuityCert,
         NbhdAc1,
@@ -957,11 +965,16 @@ _BAD_SIDES = ("left", "right", 0, None, Side)
 
 
 def _api_calls(side):
-    """One call per public certificate entry point that takes a side."""
+    """One call per public entry point that takes a side."""
     t, nb1, nb2 = Elem(1, 2), NbhdAc1(3), NbhdAc2((Elem(3, 1),))
     honest1 = continuity_cert_ac1(Side.LEFT, t, nb1)
     honest2 = continuity_cert_ac2(Side.LEFT, t, nb2)
     return {
+        "translate_down_ray": lambda: translate_down_ray(side, t, down_set(Elem(3, 1))),
+        "preimage_up_segment": lambda: preimage_up_segment(side, t, up_set(Elem(3, 1))),
+        "cert_to_text ac1": lambda: cert_to_text(dataclasses.replace(honest1, side=side)),
+        "cert_to_text ac2": lambda: cert_to_text(dataclasses.replace(honest2, side=side)),
+        "write_cert": lambda: write_cert(dataclasses.replace(honest1, side=side), os.devnull),
         "continuity_cert_ac1": lambda: continuity_cert_ac1(side, t, nb1),
         "continuity_cert_ac2": lambda: continuity_cert_ac2(side, t, nb2),
         "validate_cert ac1": lambda: validate_cert(dataclasses.replace(honest1, side=side)),
@@ -984,8 +997,29 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb, nb, samples), "samples")
         for samples in (True, False, 1.5, F(8), "8", None)
     ]
+    # a generator's target of the other kind, and a region record's field of
+    # the wrong type, used to fail later with an AttributeError
+    nb2 = NbhdAc2((Elem(3, 1),))
+    table += [
+        (functools.partial(continuity_cert_ac1, Side.LEFT, Elem(1, 2), target), "target")
+        for target in (nb2, 4, F(4), None)
+    ]
+    table += [
+        (functools.partial(continuity_cert_ac2, Side.LEFT, Elem(1, 2), target), "target")
+        for target in (nb, (Elem(3, 1),), Elem(3, 1), None)
+    ]
+    table += [
+        (functools.partial(DownRay, (1, 2)), "base"),
+        (functools.partial(DownRay, ZERO), "base"),
+        (functools.partial(DownRay, Elem(1, 2), 1), "punctured"),
+        (functools.partial(DownRay, Elem(1, 2), None), "punctured"),
+        (functools.partial(UpSegment, 3), "top"),
+        (functools.partial(UpSegment, "(1,2)"), "top"),
+        (functools.partial(FullLine, "L+1"), "line"),
+        (functools.partial(FullLine, (Sign.PLUS, 1)), "line"),
+    ]
     for call, param in table:
-        with pytest.raises(TypeError, match=param):
+        with pytest.raises(TypeError, match=f"^{param} must be"):
             call()
     # the same calls with a Side: the left side's witness (4,0), not the
     # right side's (4,1) that "left" used to give

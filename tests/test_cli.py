@@ -1,7 +1,10 @@
-"""CLI behaviour: subcommands, exit codes, file round trips, seeding, and
-reuse of the one argument parser across calls in a process."""
+"""CLI behaviour: subcommands, exit codes, file round trips, seeding, reuse
+of the one argument parser across calls in a process, the positional fast
+path against argparse, and the help text."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -404,8 +407,14 @@ def test_seed_flag_not_kept(capsys, monkeypatch):
 
 def test_parser_built_once_per_process(capsys):
     cli._build_parser.cache_clear()
+    # a positional-only argv builds no parser
     run_cli(capsys, "eval", "(1,3)*(2,5)")
     run_cli(capsys, "order", "(3,5)", "(1,3)")
+    run_cli(capsys, "lines", "product", "L+1", "L+2")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    run_cli(capsys, "eval", "--", "(1,2)")
+    run_cli(capsys, "suite", "products", "--cases", "1")
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -462,6 +471,63 @@ def test_routed_errors_and_help_match_top_level(capsys, monkeypatch):
             assert run_cli(capsys, *argv) == routed, argv
 
 
+def _timeless(result):
+    """A run's exit code, stdout and stderr, a suite's elapsed time dropped."""
+    code, out, err = result
+    return code, re.sub(r'elapsed"?[: ]+[0-9.]+', "elapsed", out), err
+
+
+class _Routed(Exception):
+    pass
+
+
+def _refuse_to_route(argv):
+    raise _Routed  # only an argv that argparse parses is routed
+
+
+def _argparse_only(argv):
+    parser, rest = cli._route(argv)
+    return parser.parse_args(rest)
+
+
+def _positional_corpus(count=400):
+    """Seeded argvs naming a positional command, with 0-3 arguments drawn
+    from strings argparse might read other than as plain positionals."""
+    rng = random.Random(2718)
+    pool = ("", "-", "--", "-1", "-h", " (1,2)", "(1,2)", "L+1", "c.cert", "\u0663")
+    words = (("eval",), ("order",), ("lines", "product"), ("validate",))
+    return [
+        (*rng.choice(words), *(rng.choice(pool) for _ in range(rng.randrange(4))))
+        for _ in range(count)
+    ]
+
+
+def test_fast_path_matches_argparse(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # ROUTED writes and validates c.cert
+    top, _ = cli._build_parser()
+    fast = set()
+    for argv in (*ROUTED, *TOP_LEVEL_ALIKE, *_positional_corpus()):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_route", _refuse_to_route)
+            try:
+                args = cli._parse(list(argv))
+            except _Routed:
+                args = None
+        if args is not None:
+            fast.add(argv)
+            expected = vars(top.parse_args(list(argv)))
+            del expected["command"]
+            expected.pop("lines_command", None)
+            assert vars(args) == expected, argv
+        result = _timeless(run_cli(capsys, *argv))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", _argparse_only)
+            assert _timeless(run_cli(capsys, *argv)) == result, argv
+    assert {("eval", "(1,3)*(2,5)"), ("order", "(3,5)", "(1,3)"),
+            ("lines", "product", "L+1", "L+2"), ("validate", "c.cert")} <= fast
+    assert not fast & {("eval", "--", "(1,2)"), ("eval", "-1"), ("eval",), ("eval", "-h")}
+
+
 def test_extra_arguments_name_the_command(capsys):
     code, out, err = run_cli(capsys, "eval", "(1,2)", "x")
     assert (code, out) == (2, "")
@@ -475,6 +541,136 @@ def test_extra_arguments_name_the_command(capsys):
         "usage: realbicyclic lines product [-h] l1 l2\n"
         "realbicyclic lines product: error: unrecognized arguments: L+3\n"
     )
+
+
+# `-h` of the top level and of every command, as argparse prints it at 80
+# columns: the subparsers are declared from a table, so this is pinned.
+HELP = {
+    ('-h',): """\
+usage: realbicyclic [-h] {eval,order,lines,certify,validate,falsify,suite} ...
+
+Exact pair-semigroup calculator, order geometry, and continuity certificates
+
+positional arguments:
+  {eval,order,lines,certify,validate,falsify,suite}
+    eval                evaluate an expression such as '(1,3)*(2,5)'
+    order               compare two elements in the natural partial order
+    lines               line operations
+    certify             generate a continuity certificate
+    validate            validate a stored certificate
+    falsify             search for a counterexample to an inclusion
+    suite               run a property suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ('eval', '-h'): """\
+usage: realbicyclic eval [-h] expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ('order', '-h'): """\
+usage: realbicyclic order [-h] e1 e2
+
+positional arguments:
+  e1
+  e2
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ('lines', '-h'): """\
+usage: realbicyclic lines [-h] {product} ...
+
+positional arguments:
+  {product}
+    product   product set of two diagonal lines
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ('lines', 'product', '-h'): """\
+usage: realbicyclic lines product [-h] l1 l2
+
+positional arguments:
+  l1
+  l2
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ('certify', '-h'): """\
+usage: realbicyclic certify [-h] --side {left,right} --translator TRANSLATOR
+                            --target TARGET [--emit FILE]
+                            {ac1,ac2}
+
+positional arguments:
+  {ac1,ac2}
+
+options:
+  -h, --help            show this help message and exit
+  --side {left,right}
+  --translator TRANSLATOR
+  --target TARGET       ac1: threshold like 4 or 9/2; ac2: tops like
+                        '(3,1);(2,5)'
+  --emit FILE           write the certificate to FILE
+""",
+    ('validate', '-h'): """\
+usage: realbicyclic validate [-h] certfile
+
+positional arguments:
+  certfile
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ('falsify', '-h'): """\
+usage: realbicyclic falsify [-h] --side {left,right} --translator TRANSLATOR
+                            --chosen CHOSEN --target TARGET [--seed SEED]
+                            [--cases CASES]
+                            {ac1,ac2}
+
+positional arguments:
+  {ac1,ac2}
+
+options:
+  -h, --help            show this help message and exit
+  --side {left,right}
+  --translator TRANSLATOR
+  --chosen CHOSEN
+  --target TARGET
+  --seed SEED           checked like every seed (default $REALBICYCLIC_SEED or
+                        0); the search does not depend on it
+  --cases CASES
+""",
+    ('suite', '-h'): """\
+usage: realbicyclic suite [-h] [--seed SEED] [--cases CASES] [--integer-mode]
+                          [--max-num MAX_NUM] [--max-den MAX_DEN] [--machine]
+                          {axioms,order,lines,products,translations,witnesses,ac1,ac2,bicyclic}
+
+positional arguments:
+  {axioms,order,lines,products,translations,witnesses,ac1,ac2,bicyclic}
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           seed (default $REALBICYCLIC_SEED or 0)
+  --cases CASES
+  --integer-mode        integer grid instead of rationals
+  --max-num MAX_NUM     largest numerator (or integer)
+  --max-den MAX_DEN     largest denominator
+  --machine             machine-readable JSON report
+""",
+}
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, text in HELP.items():
+        assert run_cli(capsys, *argv) == (0, text, ""), argv
 
 
 def test_import_builds_no_parser():
