@@ -26,11 +26,10 @@ The generator computes on the integers of ``Elem._q`` and of the
 thresholds, as the validators do, with its own arithmetic (``semigroup._sum``
 and cross-products; it shares no grid code with the validators).  The
 records stay frozen, slotted dataclasses of Fractions, each value built once
-from its integers through ``semigroup._fraction``.  Their public constructors
-are unchanged; the generator and the ``certio`` reader, which have already
-checked what they hold, build them through the trusted constructors
-``_interval``, ``_branch``, ``_case``, ``_top_evidence`` and ``_cert``, which
-set the slots directly as ``semigroup._elem`` does.  Every public entry point
+from its integers through ``semigroup._fraction``.  The generator and the
+``certio`` reader, which have already checked what they hold, build them
+through the trusted constructors ``_interval``, ``_branch``, ``_case``,
+``_top_evidence`` and ``_cert`` (see ``semigroup``).  Every public entry point
 takes a ``Side`` and raises ``TypeError`` for anything else; so do the
 generators for a target of the other neighbourhood kind.
 """
@@ -42,9 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, _check_int, _fraction, _new, _setters, _sum, mul
+from .semigroup import Elem, _check_int, _fraction, _sum, _trusted, mul
 from .order_geometry import (
     Side,
+    _check_field,
     _check_side,
     preimage_up_segment,
     shrink_witness,
@@ -62,13 +62,6 @@ Affine = Tuple[Fraction, Fraction, Fraction]  # coefficient of a, of b, constant
 
 class MalformedCert(ValueError):
     """Certificate is structurally broken (unknown ids, mismatched shape)."""
-
-
-# Each record class is followed by its trusted constructor, which takes the
-# fields in order and sets the slots through their descriptors, skipping the
-# frozen dataclass's per-field ``object.__setattr__``: the caller guarantees
-# fields of the declared types (Fractions, not ints).  The records are equal,
-# and hash equally, to the ones the public constructors build.
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,18 +83,7 @@ class Interval:
         return True
 
 
-_set_lo, _set_lo_strict, _set_hi, _set_hi_strict = _setters(Interval)
-
-
-def _interval(lo: Fraction, lo_strict: bool, hi: Optional[Fraction], hi_strict: bool) -> Interval:
-    iv = _new(Interval)
-    _set_lo(iv, lo)
-    _set_lo_strict(iv, lo_strict)
-    _set_hi(iv, hi)
-    _set_hi_strict(iv, hi_strict)
-    return iv
-
-
+_interval = _trusted(Interval)
 FULL = Interval(F0, False, None, True)
 
 
@@ -121,27 +103,7 @@ class BranchEvidence:
     inf_attained: bool
 
 
-_set_branch, _set_image_a, _set_image_b, _set_witness, _set_inf, _set_attained = _setters(
-    BranchEvidence
-)
-
-
-def _branch(
-    branch: str,
-    image_a: Affine,
-    image_b: Affine,
-    witness: str,
-    inf_value: Fraction,
-    inf_attained: bool,
-) -> BranchEvidence:
-    br = _new(BranchEvidence)
-    _set_branch(br, branch)
-    _set_image_a(br, image_a)
-    _set_image_b(br, image_b)
-    _set_witness(br, witness)
-    _set_inf(br, inf_value)
-    _set_attained(br, inf_attained)
-    return br
+_branch = _trusted(BranchEvidence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,18 +114,7 @@ class CaseEvidence:
     branches: Tuple[BranchEvidence, ...]
 
 
-_set_case_id, _set_a_range, _set_b_range, _set_branches = _setters(CaseEvidence)
-
-
-def _case(
-    case_id: str, a_range: Interval, b_range: Interval, branches: Tuple[BranchEvidence, ...]
-) -> CaseEvidence:
-    case = _new(CaseEvidence)
-    _set_case_id(case, case_id)
-    _set_a_range(case, a_range)
-    _set_b_range(case, b_range)
-    _set_branches(case, branches)
-    return case
+_case = _trusted(CaseEvidence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,19 +127,7 @@ class TopEvidence:
     covering_top: Optional[Elem]
 
 
-_set_target_top, _set_preimage_top, _set_offset, _set_covering_top = _setters(TopEvidence)
-
-
-def _top_evidence(
-    target_top: Elem, preimage_top: Optional[Elem], offset: Fraction, covering_top: Optional[Elem]
-) -> TopEvidence:
-    ev = _new(TopEvidence)
-    _set_target_top(ev, target_top)
-    _set_preimage_top(ev, preimage_top)
-    _set_offset(ev, offset)
-    _set_covering_top(ev, covering_top)
-    return ev
-
+_top_evidence = _trusted(TopEvidence)
 
 Evidence = Union[Tuple[CaseEvidence, ...], Tuple[TopEvidence, ...]]
 
@@ -204,35 +143,7 @@ class ContinuityCert:
     effective: Optional[NbhdAc1] = None  # ac1 only: target after threshold adjustment
 
 
-(
-    _set_topology,
-    _set_side,
-    _set_translator,
-    _set_target,
-    _set_chosen,
-    _set_evidence,
-    _set_effective,
-) = _setters(ContinuityCert)
-
-
-def _cert(
-    topology: str,
-    side: Side,
-    translator: Elem,
-    target: ZeroNbhd,
-    chosen: ZeroNbhd,
-    evidence: Evidence,
-    effective: Optional[NbhdAc1] = None,
-) -> ContinuityCert:
-    cert = _new(ContinuityCert)
-    _set_topology(cert, topology)
-    _set_side(cert, side)
-    _set_translator(cert, translator)
-    _set_target(cert, target)
-    _set_chosen(cert, chosen)
-    _set_evidence(cert, evidence)
-    _set_effective(cert, effective)
-    return cert
+_cert = _trusted(ContinuityCert)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +167,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     inclusion still follows); both thresholds are recorded.
     """
     _check_side(side)
-    if not isinstance(target, NbhdAc1):
-        raise TypeError(f"target must be an NbhdAc1, not {target!r}")
+    _check_field("target", target, NbhdAc1)
     an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
     tn, td = target.n.numerator, target.n.denominator
@@ -536,8 +446,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     segment and which chosen segment swallows it.
     """
     _check_side(side)
-    if not isinstance(target, NbhdAc2):
-        raise TypeError(f"target must be an NbhdAc2, not {target!r}")
+    _check_field("target", target, NbhdAc2)
     an, ad, bn, bd = translator._q
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: List[Elem] = []
@@ -665,10 +574,12 @@ def falsify(
     and the CLI reject it too), and a caller's bad seed is better reported
     than silently ignored.  So does ``samples < 1``, which would report a
     miss without trying a point.  A ``side`` that is not a ``Side``, and a
-    ``samples`` that is not an int (or is a bool), raise ``TypeError``.
+    ``samples`` or ``seed`` that is not an int (or is a bool), raise
+    ``TypeError``.
     """
     _check_side(side)
     _check_int("samples", samples)
+    _check_int("seed", seed)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:

@@ -40,7 +40,7 @@ handed to ``Elem`` without building a Fraction; every other token becomes a
 Fraction once per text, through the ``semigroup._fraction`` memo, and is in
 lowest terms exactly when that Fraction keeps its denominator.  The records
 are then built by the trusted constructors of ``certificates`` and
-``topology``, which repeat none of these checks.
+``topology`` (see ``semigroup``), which repeat none of these checks.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ translated down-ray below a prescribed point, exact translation images of
 down-rays, and exact preimages of up-segments under one-sided multiplication.
 A field of the wrong type in a public region-record constructor, and a side
 that is not a ``Side``, is a ``TypeError`` naming the field or the side.
+``down_set``, ``up_set`` and ``_full`` are the records' trusted constructors
+(see ``semigroup``).
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .semigroup import (
     Sign,
     _elem,
     _line,
-    _new,
-    _setters,
     _sum,
+    _trusted,
     inv,
     mul,
     natural_leq,
@@ -117,30 +118,7 @@ class FullLine:
         return str(self.line)
 
 
-# ``down_set``, ``up_set`` and ``_full`` build the records as trusted
-# constructors do in ``certificates``: they set the slots of a bare instance,
-# check nothing, and the record equals the one the public constructor builds.
-_set_base, _set_punctured = _setters(DownRay)
-(_set_top,), (_set_line,) = _setters(UpSegment), _setters(FullLine)
-
-
-def down_set(e: Elem, punctured: bool = False) -> DownRay:
-    ray = _new(DownRay)
-    _set_base(ray, e)
-    _set_punctured(ray, punctured)
-    return ray
-
-
-def up_set(e: Elem) -> UpSegment:
-    seg = _new(UpSegment)
-    _set_top(seg, e)
-    return seg
-
-
-def _full(line: LineRef) -> FullLine:
-    full = _new(FullLine)
-    _set_line(full, line)
-    return full
+down_set, up_set, _full = _trusted(DownRay), _trusted(UpSegment), _trusted(FullLine)
 
 
 def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:

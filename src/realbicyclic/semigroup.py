@@ -17,23 +17,30 @@ All values are immutable and all operations are pure functions.
 ``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments.  ``Elem``
 stores two non-negative plain ints as they are and reads two Fractions with
 one ``as_integer_ratio`` each; every other argument goes through ``scalar``.
-Closed operations build results that lie in the quadrant by construction,
-without checks, from integers: ``mul`` and ``inv`` (and ``gen_elem``) set the
-slot of a bare instance in place with ``_new`` and ``_set_q``, and the other
-callers use ``_elem`` and ``_line``.  Rationals are compared as integer
-cross-products and summed in lowest terms with ``_sum``.
+Rationals are compared as integer cross-products and summed in lowest terms
+with ``_sum``.
+
+Trusted construction.  Code holding checked values skips the public
+constructors' checks: a trusted constructor sets the slots of a bare instance
+(``_new``) through their descriptors and runs no ``__init__`` or
+``__post_init__``.  Its caller guarantees all that those checks establish
+(declared types, Fractions in lowest terms, a canonical line sign, a positive
+threshold, a non-empty tuple), and the record is then the one the public
+constructor builds: same type, equal, equally hashed.  ``_elem`` and ``_line``
+build points and lines (``mul``, ``inv`` and ``gen_elem`` set ``Elem._q`` with
+``_set_q``); ``_trusted(cls)`` generates one for a frozen slotted dataclass.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Type, TypeVar, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -203,11 +210,23 @@ def _check_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int, not {value!r}")
 
 
-def _setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
-    """The slot setters of a slotted dataclass, in field order: with ``_new``
-    they build a record without the frozen dataclass's per-field
-    ``object.__setattr__``."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+_R = TypeVar("_R")
+
+
+def _trusted(cls: Type[_R]) -> Callable[..., _R]:
+    """The trusted constructor of the frozen slotted dataclass ``cls``, its
+    fields (with their defaults) as parameters.  Its code is generated, as
+    ``dataclasses`` generates ``__init__``, to run as fast as one written out."""
+    names = [f.name for f in fields(cls)]
+    ns = {"__name__": cls.__module__, "__new": _new, "__cls": cls}
+    ns.update((f"__set_{n}", getattr(cls, n).__set__) for n in names)
+    sets = "".join(f"    __set_{n}(__self, {n})\n" for n in names)
+    src = f"def trusted({', '.join(names)}):\n    __self = __new(__cls)\n{sets}    return __self\n"
+    exec(compile(src, f"<trusted {cls.__qualname__}>", "exec"), ns)
+    fn = ns["trusted"]
+    fn.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    fn.__doc__ = f"Trusted constructor of {cls.__name__} (see ``semigroup._trusted``)."
+    return fn
 
 
 def _elem(an: int, ad: int, bn: int, bd: int) -> Elem:

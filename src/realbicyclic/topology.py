@@ -14,8 +14,8 @@ Four basic-neighbourhood shapes, all with exact rational membership:
   order topology: the complement of a finite union of up-segments.
 
 The two zero-neighbourhood classes check their arguments; ``_ac1`` and
-``_ac2`` build them unchecked for callers that hold checked values (the
-certificate generator and reader).
+``_ac2`` are their trusted constructors (see ``semigroup``), for the
+certificate generator and reader.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
-    _new,
+    _trusted,
     classify_line,
     inv,
     natural_leq,
@@ -118,22 +118,7 @@ class NbhdAc2:
         return all(not natural_leq(top, e) for top in self.tops)
 
 
-_set_n, _set_tops = NbhdAc1.n.__set__, NbhdAc2.tops.__set__
-
-
-def _ac1(n: Fraction) -> NbhdAc1:
-    """Trusted construction: the caller guarantees a positive Fraction."""
-    nbhd = _new(NbhdAc1)
-    _set_n(nbhd, n)
-    return nbhd
-
-
-def _ac2(tops: Tuple[Elem, ...]) -> NbhdAc2:
-    """Trusted construction: the caller guarantees a non-empty tuple of Elems."""
-    nbhd = _new(NbhdAc2)
-    _set_tops(nbhd, tops)
-    return nbhd
-
+_ac1, _ac2 = _trusted(NbhdAc1), _trusted(NbhdAc2)
 
 ZeroNbhd = Union[NbhdAc1, NbhdAc2]
 

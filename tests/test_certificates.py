@@ -5,10 +5,12 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import importlib
 import inspect
 import math
 import os
 import pickle
+import pkgutil
 import random
 import sys
 import textwrap
@@ -54,6 +56,7 @@ from realbicyclic import (
     validate_cert_ac2,
     write_cert,
 )
+import realbicyclic
 from realbicyclic import certificates
 from realbicyclic.certificates import (
     CaseEvidence,
@@ -924,6 +927,23 @@ def test_slotted_records_copy_pickle_replace_and_stay_frozen():
     }
 
 
+def _frozen_slotted_records():
+    """Every frozen slotted dataclass defined in the package's modules."""
+    for info in pkgutil.iter_modules(realbicyclic.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"realbicyclic.{info.name}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and dataclasses.is_dataclass(cls)
+                and cls.__module__ == module.__name__
+                and cls.__dataclass_params__.frozen
+                and "__slots__" in vars(cls)
+            ):
+                yield cls
+
+
 def test_trusted_constructors_match_public_ones():
     # each trusted constructor builds the record its public constructor
     # builds from the same fields: equal, equally hashed, of the same type,
@@ -936,7 +956,7 @@ def test_trusted_constructors_match_public_ones():
     ac1 += (NbhdAc1(4),)
     ac2 = ("ac2", Side.RIGHT, Elem(1, 2), NbhdAc2((Elem(3, 1),)), NbhdAc2((Elem(6, 3),)))
     ac2 += ((TopEvidence(*top),),)
-    for trusted, public, fields in (
+    table = (
         (_interval, Interval, iv),
         (_interval, Interval, (F(0), False, F(5, 3), False)),
         (_branch, BranchEvidence, br),
@@ -951,7 +971,8 @@ def test_trusted_constructors_match_public_ones():
         (down_set, DownRay, (Elem(0, F(7, 2)), True)),
         (up_set, UpSegment, (Elem(F(1, 2), 4),)),
         (_full, FullLine, (LineRef(Sign.MINUS, F(1, 2)),)),
-    ):
+    )
+    for trusted, public, fields in table:
         built, expected = trusted(*fields), public(*fields)
         assert type(built) is public
         assert built == expected and hash(built) == hash(expected), public
@@ -959,6 +980,19 @@ def test_trusted_constructors_match_public_ones():
         assert all(getattr(built, n) is v for n, v in zip(names, fields)), public
     # _cert leaves an ac2 certificate's effective threshold at its default
     assert _cert(*ac2).effective is None
+    # the table covers every frozen slotted dataclass of the package, and
+    # each trusted constructor's parameters are its record's fields, in
+    # order, with their defaults
+    assert {public for _, public, _ in table} == set(_frozen_slotted_records())
+    for trusted, public, _ in table:
+        params = inspect.signature(trusted).parameters.values()
+        got = [(p.name, dataclasses.MISSING if p.default is p.empty else p.default) for p in params]
+        assert got == [(f.name, f.default) for f in dataclasses.fields(public)], public
+    assert down_set(Elem(2, 3)) == DownRay(Elem(2, 3))
+    # a trusted constructor runs no __post_init__, so it skips the checks
+    assert _ac1(F(0)).n == 0
+    with pytest.raises(ValueError):
+        NbhdAc1(0)
 
 
 _BAD_SIDES = ("left", "right", 0, None, Side)
@@ -987,8 +1021,9 @@ def _api_calls(side):
 
 
 def test_bad_arguments_are_typed_errors(tmp_path, capsys):
-    # a side that is not a Side (a string used to act as the right side) and
-    # a falsifier budget that is not an int (True used to run one probe) are
+    # a side that is not a Side (a string used to act as the right side), a
+    # falsifier budget that is not an int (True used to run one probe) and a
+    # seed that is not an int (1.5 and True used to run silently) are
     # TypeErrors naming the parameter, never a verdict; a NUL byte in a CLI
     # path is exit 2 with the usual message, never a traceback
     nb = NbhdAc1(4)
@@ -996,6 +1031,10 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     table += [
         (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb, nb, samples), "samples")
         for samples in (True, False, 1.5, F(8), "8", None)
+    ]
+    table += [
+        (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb, nb, 8, seed), "seed")
+        for seed in (1.5, True, "x", None)
     ]
     # a generator's target of the other kind, and a region record's field of
     # the wrong type, used to fail later with an AttributeError
@@ -1046,8 +1085,9 @@ def test_ac1_soundness_ten_seeds():
     t = Elem("3/2", "7/4")
     cert = continuity_cert_ac1(Side.LEFT, t, NbhdAc1("15/4"))
     assert validate_cert_ac1(cert)
-    for seed in range(10):
-        assert falsify(Side.LEFT, t, cert.chosen, cert.effective, 10**4, seed) is None
+    # the falsifier reads no seed (test_falsify_probes_are_exhaustive pins
+    # that), so one call tries everything ten seeds would
+    assert falsify(Side.LEFT, t, cert.chosen, cert.effective, 10**4, 9) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1125,8 +1165,8 @@ def test_ac2_soundness_ten_seeds():
     target = NbhdAc2((Elem(3, 1), Elem("5/2", 2)))
     cert = continuity_cert_ac2(Side.LEFT, t, target)
     assert validate_cert_ac2(cert)
-    for seed in range(10):
-        assert falsify(Side.LEFT, t, cert.chosen, target, 10**4, seed) is None
+    # one call: the falsifier reads no seed, as in test_ac1_soundness_ten_seeds
+    assert falsify(Side.LEFT, t, cert.chosen, target, 10**4, 9) is None
 
 
 def test_ac2_witness_shrink_consistency():
