@@ -13,7 +13,6 @@ from .semigroup import (
     ZERO,
     ZeroType,
     classify_line,
-    format_scalar,
     inv,
     inv_ext,
     is_idempotent,
@@ -64,7 +63,7 @@ from .certificates import (
     validate_cert_ac2,
 )
 from .certio import cert_from_text, cert_to_text, read_cert, write_cert
-from .generate import GenConfig, IntegerMode, RationalMode, gen_elem, gen_scalar
+from .generate import GenConfig, IntegerMode, RationalMode, gen_elem
 from .exprparse import NegativeScalar, ParseError, parse_expr
 from .suites import SUITE_NAMES, Failure, SuiteReport, UnknownSuite, run_suite
 

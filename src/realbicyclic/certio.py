@@ -18,20 +18,18 @@ ends in one LF:
 
 Blank lines, tabs, carriage returns and leading, trailing or doubled spaces
 are malformed, and so is a number with more digits than the interpreter
-converts (``sys.get_int_max_str_digits()``, 4300 by default).  ``read_cert`` reads its file in text mode, so a file with
-CRLF line ends reads as the LF text and validates; ``cert_from_text`` of a
-string with CRLF line ends is malformed.
+converts (``sys.get_int_max_str_digits()``, 4300 by default).  ``read_cert``
+reads its file in text mode, so a file with CRLF line ends reads as the LF
+text and validates; ``cert_from_text`` of a string with CRLF line ends is
+malformed.
 
-``cert_to_text`` writes each record with one format call over the integers
-of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
-
-``cert_from_text`` reads the text as a sequence of records, each matched
-whole, LF included, by one compiled pattern at its offset: the header block
-(header, kind, side, translator), the three thresholds, a case head with both
-ranges (or ``end-cert``), a six-line branch record (or ``end-case``), a count
-line, a top line, and a five-line evidence record, with ``end-cert`` after
-it.  Every rational token is captured as two groups, numerator and
-denominator, and read as ints.  What a pattern cannot check is checked on
+Each record is one spec, which ``_record`` turns into both the writer's
+template and the reader's pattern at import; the final ``end-cert`` is a
+record too.  ``cert_to_text`` writes each record with one format call over
+the integers of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
+``cert_from_text`` matches each record whole, LF included, with its pattern
+at its offset, and captures every rational token as two groups, numerator
+and denominator, read as ints.  What a pattern cannot check is checked on
 those ints: lowest terms, non-negative coordinates, positive thresholds and
 non-empty top lists.  A ``MalformedCert`` names the line where the
 offending record starts and the record that was expected there.  An
@@ -48,7 +46,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .semigroup import Elem, TooLarge, _elem as _trusted_elem, _fraction
 from .order_geometry import Side, _check_side
@@ -64,30 +62,63 @@ from .certificates import (
     _top_evidence,
 )
 
-_HEADER = "realbicyclic-cert 1"
+_HEADER, _END_CASE, _END_CERT = "realbicyclic-cert 1", "end-case", "end-cert"
+# One rational token as two captured groups, numerator and denominator; its
+# sign is checked where it must be >= 0.
+_Q = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
+_IV = rf"([(\[]){_Q} (?:{_Q}([)\]])|inf\))"
+_SLOT = re.compile(r"\{(\w+)\}")
 
-# The writer's templates: one format call per record, over the integers of
-# its rationals (``as_integer_ratio``) and of its elements (``Elem._q``).
-_HEADER_TEXT = (_HEADER + "\nkind {}\nside {}\ntranslator {}/{} {}/{}").format
-_THRESHOLDS_TEXT = "target-n {}/{}\neffective-n {}/{}\nchosen-n {}/{}".format
-_CASE_TEXT = "case {}\na-range {}\nb-range {}".format
-_BRANCH_TEXT = (
-    "branch {}\nimage-a {}/{} {}/{} {}/{}\nimage-b {}/{} {}/{} {}/{}\n"
-    "witness {}\ninf {}/{}\nattained {}"
-).format
-_TOP_TEXT = "top {}/{} {}/{}".format
-# an evidence record, by whether it has a preimage top and a covering top
-_EVIDENCE_TEXT = {
-    (pre, cover): (
-        "target-top {}/{} {}/{}\n"
-        + ("preimage-top {}/{} {}/{}" if pre else "preimage empty")
-        + "\noffset {}/{}\n"
-        + ("covering-top {}/{} {}/{}" if cover else "covering none")
-        + "\nend-evidence"
-    ).format
-    for pre in (False, True)
-    for cover in (False, True)
+
+def _template(spec: str) -> Callable[..., str]:
+    """The writer's template of the record ``spec``: a rational ``{q}`` is
+    written ``{}/{}`` from its integers, any other slot as given."""
+    return _SLOT.sub(lambda m: "{}/{}" if m[1] == "q" else "{}", spec).format
+
+
+def _record(spec: str, end: str = "", **words: str) -> Tuple[Callable[..., str], re.Pattern[str]]:
+    """The writer's template and the reader's pattern of the record ``spec``:
+    its lines, literal words but for slots.  The pattern reads a rational
+    ``{q}`` as ``_Q``, an interval ``{iv}`` (written from ``_iv``) as
+    ``_IV``, and any other ``{word}`` as one group over its alternatives in
+    ``words``, which may hold ``{q}`` slots.  It matches the whole record,
+    LF included, or the line ``end`` instead."""
+
+    def slot(m: re.Match[str]) -> str:
+        return {"q": _Q, "iv": _IV}.get(m[1]) or "(" + _SLOT.sub(slot, words[m[1]]) + ")"
+
+    body = _SLOT.sub(slot, spec) + "\n"
+    return _template(spec), re.compile(f"{end}\n|{body}" if end else body)
+
+
+# One spec per record; an end line read in a record's place leaves its groups None.
+_HEADER_TEXT, _HEADER_BLOCK = _record(
+    _HEADER + "\nkind {kind}\nside {side}\ntranslator {q} {q}", kind="ac1|ac2", side="left|right"
+)
+_THRESHOLDS_TEXT, _THRESHOLDS = _record("target-n {q}\neffective-n {q}\nchosen-n {q}")
+_CASE_TEXT, _CASE_HEAD = _record(
+    "case {id}\na-range {iv}\nb-range {iv}", _END_CERT, id="[a-z]+(?:-[a-z]+)*"
+)
+_BRANCH_TEXT, _BRANCH = _record(
+    "branch {tag}\nimage-a {q} {q} {q}\nimage-b {q} {q} {q}\nwitness {w}\ninf {q}\nattained {att}",
+    _END_CASE, tag="lt|eq|gt", w="a|b", att="yes|no",
+)
+_COUNT_LINES = {
+    key: _record(key + " {n}", n="0|[1-9][0-9]*")
+    for key in ("target-tops", "chosen-tops", "evidence")
 }
+_TOP_TEXT, _TOP = _record("top {q} {q}")
+_PREIMAGE = ("preimage empty", "preimage-top {q} {q}")
+_COVERING = ("covering none", "covering-top {q} {q}")
+_EVIDENCE_SPEC = "target-top {q} {q}\n{pre}\noffset {q}\n{cover}\nend-evidence"
+_, _EVIDENCE = _record(_EVIDENCE_SPEC, pre="|".join(_PREIMAGE), cover="|".join(_COVERING))
+_EVIDENCE_TEXT = {  # by whether its optional lines, preimage and covering top, are present
+    (pre, cover): _template(_EVIDENCE_SPEC.format(q="{q}", pre=p, cover=c))
+    for pre, p in enumerate(_PREIMAGE)
+    for cover, c in enumerate(_COVERING)
+}
+_, _END = _record(_END_CERT)
+_SIDES = {side.value: side for side in Side}
 
 
 def _iv(iv: Interval) -> str:
@@ -144,12 +175,12 @@ def _lines(cert: ContinuityCert) -> List[str]:
                         "yes" if br.inf_attained else "no",
                     )
                 )
-            lines.append("end-case")
+            lines.append(_END_CASE)
     else:
         for key, nbhd in (("target-tops", cert.target), ("chosen-tops", cert.chosen)):
-            lines.append(f"{key} {len(nbhd.tops)}")
+            lines.append(_COUNT_LINES[key][0](len(nbhd.tops)))
             lines += [_TOP_TEXT(*top._q) for top in nbhd.tops]
-        lines.append(f"evidence {len(cert.evidence)}")
+        lines.append(_COUNT_LINES["evidence"][0](len(cert.evidence)))
         for ev in cert.evidence:
             pre, cover = ev.preimage_top, ev.covering_top
             lines.append(
@@ -160,30 +191,8 @@ def _lines(cert: ContinuityCert) -> List[str]:
                     *(() if cover is None else cover._q),
                 )
             )
-    lines.append("end-cert")
+    lines.append(_END_CERT)
     return lines
-
-
-# One rational token as two captured groups, numerator and denominator; its
-# sign is checked where it must be >= 0.
-_Q = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
-_IV = rf"([(\[]){_Q} (?:{_Q}([)\]])|inf\))"
-_HEADER_BLOCK = re.compile(rf"{_HEADER}\nkind (ac1|ac2)\nside (left|right)\ntranslator {_Q} {_Q}\n")
-_THRESHOLDS = re.compile(rf"target-n {_Q}\neffective-n {_Q}\nchosen-n {_Q}\n")
-# a case head or the end-cert that follows the last case; all groups None
-# for the end line (so for a branch record and end-case)
-_CASE_HEAD = re.compile(rf"end-cert\n|case ([a-z]+(?:-[a-z]+)*)\na-range {_IV}\nb-range {_IV}\n")
-_BRANCH = re.compile(
-    rf"end-case\n|branch (lt|eq|gt)\nimage-a {_Q} {_Q} {_Q}\nimage-b {_Q} {_Q} {_Q}\n"
-    rf"witness (a|b)\ninf {_Q}\nattained (yes|no)\n"
-)
-_COUNT_LINE = re.compile(r"([a-z]+(?:-[a-z]+)*) (0|[1-9][0-9]*)\n")
-_TOP = re.compile(rf"top {_Q} {_Q}\n")
-_EVIDENCE = re.compile(
-    rf"target-top {_Q} {_Q}\n(?:preimage empty|preimage-top {_Q} {_Q})\n"
-    rf"offset {_Q}\n(?:covering none|covering-top {_Q} {_Q})\nend-evidence\n"
-)
-_SIDES = {side.value: side for side in Side}
 
 
 class _Reader(dict):
@@ -216,13 +225,6 @@ class _Reader(dict):
             raise self.error(f"expected {what}")
         self.pos = m.end()
         return m.groups()
-
-    def at(self, line: str) -> bool:
-        """Read past ``line`` (with its LF) if it comes next."""
-        if self.text.startswith(line, self.pos):
-            self.pos += len(line)
-            return True
-        return False
 
     def too_long(self) -> MalformedCert:
         """The error for a number ``int()`` refused.  The patterns admit
@@ -279,9 +281,7 @@ class _Reader(dict):
         return _interval(self[lo_n, lo_d], lo_br == "(", self[hi_n, hi_d], hi_br == ")")
 
     def count(self, key: str) -> int:
-        name, value = self.record(_COUNT_LINE, f"the count line {key!r}")
-        if name != key:
-            raise self.error(f"expected the count line {key!r}")
+        (value,) = self.record(_COUNT_LINES[key][1], f"the count line {key!r}")
         try:
             return int(value)
         except ValueError as exc:
@@ -355,7 +355,7 @@ def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
     records = []
     for _ in range(r.count("evidence")):
         (
-            ua, uad, ub, ubd, pa, pad, pb, pbd, off, off_d, ca, cad, cb, cbd,
+            ua, uad, ub, ubd, _, pa, pad, pb, pbd, off, off_d, _, ca, cad, cb, cbd,
         ) = r.record(
             _EVIDENCE, "an evidence record (target-top, preimage, offset, covering, end-evidence)"
         )
@@ -364,8 +364,7 @@ def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
         records.append(
             _top_evidence(r.elem(ua, uad, ub, ubd), preimage, r[off, off_d], covering)
         )
-    if not r.at("end-cert\n"):
-        raise r.error("expected end-cert", r.pos)
+    r.record(_END, _END_CERT)
     return _cert("ac2", side, translator, target, chosen, tuple(records))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterator, Union
 
@@ -114,11 +113,3 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
         e = _new(Elem)
         _set_q(e, (an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb))
         yield e
-
-
-def gen_scalar(cfg: GenConfig) -> Iterator[Fraction]:
-    """Infinite deterministic stream of grid scalars: the coordinates of
-    ``gen_elem(cfg)``, first then second, point by point."""
-    for e in gen_elem(cfg):
-        yield e.a
-        yield e.b

@@ -93,11 +93,6 @@ def scalar(value: ScalarLike) -> Fraction:
     return f
 
 
-def format_scalar(f: Fraction) -> str:
-    """Render a rational compactly: ``3`` when integral, else ``3/2``."""
-    return _format(f.numerator, f.denominator)
-
-
 class TooLarge(ValueError):
     """A number has more digits than the interpreter converts between an int
     and decimal text (``sys.get_int_max_str_digits()``, read and never set)."""

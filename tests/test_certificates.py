@@ -1949,6 +1949,39 @@ def test_element_reader_messages():
         assert str(exc.value) == message, new[:40]
 
 
+def test_record_reader_messages():
+    # one edit of each record: the reader names the line where the record
+    # starts and the record it expected there, word for word
+    ac1 = cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4)))
+    ac2 = cert_to_text(
+        continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1), Elem(2, 5))))
+    )
+    cases = [
+        (ac1, "kind ac1", "kind ac3",
+         "line 1: expected the header block ('realbicyclic-cert 1', kind, side, translator)"),
+        (ac1, "chosen-n 8/1", "chosen-n 8",
+         "line 5: expected the three thresholds (target-n, effective-n, chosen-n)"),
+        (ac1, "case mid-a", "case Mid-a",
+         "line 18: expected a case head (case, a-range, b-range) or end-cert"),
+        (ac1, "witness a", "witness c",
+         "line 11: expected a branch record "
+         "(branch, image-a, image-b, witness, inf, attained) or end-case"),
+        (ac2, "target-tops 2", "chosen-tops 2", "line 5: expected the count line 'target-tops'"),
+        (ac2, "chosen-tops 2", "chosen-tops 02", "line 8: expected the count line 'chosen-tops'"),
+        (ac2, "evidence 2", "evidences 2", "line 11: expected the count line 'evidence'"),
+        (ac2, "covering-top", "covering-tops",
+         "line 12: expected an evidence record "
+         "(target-top, preimage, offset, covering, end-evidence)"),
+        (ac2, "end-cert", "end-certs", "line 22: expected end-cert"),
+        (ac2, "end-cert\n", "end-cert\nend-cert\n", "line 23: trailing content after end-cert"),
+    ]
+    for text, old, new, message in cases:
+        assert old in text
+        with pytest.raises(MalformedCert) as exc:
+            cert_from_text(text.replace(old, new, 1))
+        assert str(exc.value) == message, new
+
+
 _FUZZ_TOKENS = (
     "-1/1", "0/1", "-0/1", "1/0", "7/2", "1", "x", "inf", "(0/1", "1/1]", "",
     "end-case", "end-evidence", "end-cert", "branch", "top",
