@@ -9,19 +9,24 @@ Grammar (whitespace free-form):
     scalar  := digits | digits "/" digits | digits "." digits
 
 Digits are ASCII: the scalar grammar is ``semigroup.SCALAR_LITERAL``, shared
-with ``scalar`` and the CLI's lines.  Scalars are exact: fractions stay
-fractions and decimal literals (necessarily finite) convert exactly.  ``*``
-is the semigroup product, ``^-1`` inversion, ``<=`` the natural partial
-order (yielding a boolean); the bare literal ``0`` is the adjoined zero, the
-least element.  Evaluation happens during the parse
-and returns either a point (or zero) or a boolean.  Grouping parentheses nest
-at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``, raised well
-before the parser's recursion (four frames a level) reaches Python's limit.
+with ``scalar`` and the CLI's lines, and ``semigroup.literal_ratio`` reads a
+scalar's lowest-terms integers.  Scalars are exact: fractions stay fractions
+and decimal literals (necessarily finite) convert exactly.  ``*`` is the
+semigroup product, ``^-1`` inversion, ``<=`` the natural partial order
+(yielding a boolean); the bare literal ``0`` is the adjoined zero, the least
+element.  One master pattern tokenizes the text, one match a token: an
+element literal ``( scalar , scalar )`` of well-formed scalars is a single
+token, any other is read piece by piece, and each lexical error has an
+alternative, so the first is raised at its position before any syntax error.
+The parse evaluates as it goes, to a point, zero or a boolean.  Parentheses
+nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``, raised
+well before the parser's recursion (four frames a level) reaches Python's
+limit.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import re
 from typing import List, Tuple, Union
 
 from .semigroup import (
@@ -32,7 +37,7 @@ from .semigroup import (
     ZeroType,
     _elem,
     inv_ext,
-    literal_value,
+    literal_ratio,
     mul_ext,
     natural_leq_ext,
 )
@@ -57,64 +62,62 @@ class NegativeScalar(ParseError):
         ParseError.__init__(self, "negative literals are not allowed", pos)
 
 
-# kind, value, position; a number's value is its (numerator, denominator) in
-# lowest terms, and an element literal hands both pairs to the trusted
-# ``_elem``: the grammar has no sign, so they are non-negative.
+# kind, value, position; a number's value is its lowest-terms (numerator,
+# denominator), an element literal's the four non-negative ints ``_elem`` takes.
 _Token = Tuple[str, object, int]
 
-_DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts '²' and '٣'
+_S = SCALAR_LITERAL.pattern  # groups: whole digits, denominator, decimals
+_S1 = _S.replace("/([0-9]+)", "/(0*[1-9][0-9]*)")  # the same, denominator nonzero
 
-# The operators by first character; an operator token's kind is its text.
-_OPERATORS = {"(": "(", ")": ")", ",": ",", "*": "*", "^": "^-1", "<": "<="}
+# After free whitespace (``\s`` is ``str.isspace``) the first alternative that
+# matches; only trailing whitespace matches none.  Element scalars: groups 2-4, 5-7.
+_TOKEN = re.compile(
+    rf"""\s*(?:
+      (?P<elem>\(\s*{_S1}\s*,\s*{_S1}\s*\))
+    | (?P<op>\^-1|<=|[(),*])
+    | (?P<zero>[0-9]+)/0+(?![0-9])
+    | (?P<noden>[0-9]+)/(?![0-9])
+    | (?P<nodec>[0-9]+)\.(?![0-9])
+    | (?P<number>{_S})
+    | (?P<neg>-)(?=\s*[0-9])
+    | (?P<bad>\S)
+    )""",
+    re.VERBOSE,
+)
+_N = _TOKEN.groupindex["number"] + 1  # a bare number's three groups start here
+_MESSAGES = {"zero": "zero denominator", "noden": "missing denominator",
+             "nodec": "missing digits after decimal point",
+             "^": "expected ^-1", "<": "expected <=", "-": "unexpected '-'"}
 
 
 def _tokenize(text: str) -> List[_Token]:
     """The tokens of ``text``, closed by an end token at its length."""
     tokens: List[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        op = _OPERATORS.get(c)
-        if op is not None:
-            if not text.startswith(op, i):
-                raise ParseError(f"expected {op}", i)
-            tokens.append((op, None, i))
-            i += len(op)
-        elif c == "-":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j < n and text[j] in _DIGITS:
-                raise NegativeScalar(i)
-            raise ParseError("unexpected '-'", i)
-        elif c in _DIGITS:
-            m = SCALAR_LITERAL.match(text, i)
-            j = m.end()
-            if j == m.end(1) and j < n and text[j] in "/.":
-                if text[j] == "/":
-                    raise ParseError("missing denominator", j)
-                raise ParseError("missing digits after decimal point", j)
-            den = m.group(2)
-            if den is not None and not den.strip("0"):
-                raise ParseError("zero denominator", m.end(1))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        i = m.start(kind)
+        if kind == "elem":
+            a = None
             try:
-                if m.group(3) is None:
-                    num, d = int(m.group(1)), int(den or 1)
-                    g = gcd(num, d)
-                    value = (num // g, d // g)
-                else:
-                    value = literal_value(m).as_integer_ratio()
-            except ValueError:  # digits only, so the one refusal is the digit limit
+                a = literal_ratio(*m.group(2, 3, 4))
+                tokens.append((kind, (*a, *literal_ratio(*m.group(5, 6, 7))), i))
+            except TooLarge:  # at the start of the scalar past the digit limit
+                raise ParseError(str(TooLarge()), m.start(2 if a is None else 5)) from None
+        elif kind == "op":
+            tokens.append((m.group(kind), None, i))
+        elif kind == "number":
+            try:
+                tokens.append((kind, literal_ratio(*m.group(_N, _N + 1, _N + 2)), i))
+            except TooLarge:
                 raise ParseError(str(TooLarge()), i) from None
-            tokens.append(("number", value, i))
-            i = j
+        elif kind == "neg":
+            raise NegativeScalar(i)
+        elif kind == "bad":
+            c = m.group(kind)
+            raise ParseError(_MESSAGES.get(c, f"unexpected character {c!r}"), i)
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+            raise ParseError(_MESSAGES[kind], m.end(kind))  # at the '/' or '.'
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -130,13 +133,6 @@ class _Parser:
             raise ParseError(f"expected {expected}, found end of input", tok[2])
         self.pos += 1
         return tok
-
-    def parse(self) -> Value:
-        value = self.expr()
-        kind, _, pos = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError("trailing input", pos)
-        return value
 
     def expr(self) -> Value:
         left = self.product()
@@ -174,23 +170,22 @@ class _Parser:
 
     def primary(self) -> Value:
         kind, value, pos = self._next("an element, 0, or '('")
+        if kind == "elem":
+            return _elem(*value)
         if kind == "number":
             if value[0] == 0:
                 return ZERO
             raise ParseError("a bare scalar is not an element (only 0 is)", pos)
         if kind != "(":
             raise ParseError("expected an element, 0, or '('", pos)
-        tokens, i = self.tokens, self.pos
-        if tokens[i][0] == "number" and tokens[i + 1][0] == ",":
-            # an element literal "(a, b)"
-            self.pos = i + 2
-            kind, b, b_pos = self._next("a scalar")
+        if self.tokens[self.pos][0] == "number" and self.tokens[self.pos + 1][0] == ",":
+            # a malformed element literal: a well-formed one is an "elem" token
+            self.pos += 2
+            kind, _, b_pos = self._next("a scalar")
             if kind != "number":
                 raise ParseError("expected a scalar after ','", b_pos)
-            kind, _, close_pos = self._next("')'")
-            if kind != ")":
-                raise ParseError("expected ')' to close the element", close_pos)
-            return _elem(*tokens[i][1], *b)
+            _, _, close_pos = self._next("')'")
+            raise ParseError("expected ')' to close the element", close_pos)
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
         self.depth += 1
@@ -204,4 +199,9 @@ class _Parser:
 
 def parse_expr(text: str) -> Value:
     """Parse and exactly evaluate ``text``; see the module grammar."""
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(_tokenize(text))
+    value = parser.expr()
+    kind, _, pos = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ParseError("trailing input", pos)
+    return value

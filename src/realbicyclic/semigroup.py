@@ -49,22 +49,32 @@ ScalarLike = Union[Fraction, int, str]
 # expression language, the CLI's lines): ASCII digits, optionally followed by
 # "/" and a denominator or by "." and decimal digits.
 SCALAR_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+)|(\.[0-9]+))?")
+NOT_A_SCALAR = "not a scalar (digits, digits/digits or digits.digits): {!r}"
 
 
-def literal_value(m: "re.Match[str]") -> Fraction:
-    """The exact value of a ``SCALAR_LITERAL`` match (a finite decimal
-    converts exactly).  Raises ``ValueError`` for a zero denominator and
-    ``TooLarge`` for a number past the digit limit."""
-    whole, den, decimals = m.groups()
+def literal_ratio(whole: str, den: Optional[str], decimals: Optional[str]) -> Tuple[int, int]:
+    """The exact value, as a lowest-terms (numerator, denominator), of the
+    three groups of a ``SCALAR_LITERAL`` match (a finite decimal converts
+    exactly).  Raises ``TooLarge`` for a number past the digit limit, then
+    ``ValueError`` for a zero denominator."""
     try:
         if decimals is not None:
-            return Fraction(m.group())
-        num, d = int(whole), 1 if den is None else int(den)
+            return Fraction(whole + decimals).as_integer_ratio()
+        num = int(whole)
+        if den is None:
+            return num, 1
+        d = int(den)
     except ValueError:  # digits only, so the one refusal is the digit limit
         raise TooLarge() from None
     if d == 0:
-        raise ValueError(f"zero denominator: {m.group()!r}")
-    return Fraction(num, d)
+        raise ValueError(f"zero denominator: {whole + '/' + den!r}")
+    g = gcd(num, d)
+    return num // g, d // g
+
+
+def literal_value(m: "re.Match[str]") -> Fraction:
+    """The exact value of a ``SCALAR_LITERAL`` match; see ``literal_ratio``."""
+    return Fraction(*literal_ratio(*m.groups()))
 
 
 def scalar(value: ScalarLike) -> Fraction:
@@ -84,7 +94,7 @@ def scalar(value: ScalarLike) -> Fraction:
     elif isinstance(value, str):
         m = SCALAR_LITERAL.fullmatch(value)
         if m is None:
-            raise ValueError(f"not a scalar (digits, digits/digits or digits.digits): {value!r}")
+            raise ValueError(NOT_A_SCALAR.format(value))
         f = literal_value(m)
     else:
         f = Fraction(value)

@@ -81,6 +81,71 @@ def test_lines_product(capsys):
     assert code == 2
 
 
+def _reference_line(text):
+    """The line argument read through ``scalar`` and the public ``LineRef``,
+    the route ``cli._parse_line`` replaced, with its usage-error texts."""
+    m = re.fullmatch(r"L([+-])(.*)", text, re.DOTALL)
+    if not m:
+        raise cli.UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2")
+    sign = realbicyclic.Sign.PLUS if m.group(1) == "+" else realbicyclic.Sign.MINUS
+    try:
+        return realbicyclic.LineRef(sign, realbicyclic.scalar(m.group(2)))
+    except realbicyclic.TooLarge:
+        raise
+    except ValueError as exc:
+        raise cli.UsageError(f"bad line {text!r}: {exc}") from exc
+
+
+def _line_outcome(read, text):
+    try:
+        line = read(text)
+    except (cli.UsageError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(line), line.sign, line._alpha
+
+
+def _line_corpus(count=3000):
+    """Hand-picked line arguments, then seeded ones glued from pieces of
+    lines, scalars and text outside the scalar grammar."""
+    fixed = [
+        "L+3", "L-3", "L+1/2", "L-1/2", "L+0.25", "L-2.50", "L+6/4", "L-6/4", "L-0",
+        "L+0", "L+0/3", "L-0/3", "L-0.0", "L+1/0", "L-1/000", "L+1/", "L+1.", "L+007",
+        "L-007/014", "L+00.10", "L++1", "L+-1", "L-+1", "L+ 1", "L+\t1", "L+3\n",
+        "L-1/2\n", "L+\u0663", "L+", "L-", "L", "", "X+1", "l+1", "L*1", " L+1", "L+1 ",
+        "L+1e1", "L+1_0", "L+1/2/3", "L+.5", "L+\u00a01", "L-1\u00a0",
+    ]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        at, past = "1" * limit, "1" * (limit + 1)
+        fixed += [f"L+{at}", f"L-{past}", f"L+1/{past}", f"L+{past}/0", f"L-1.{past}",
+                  f"L+{at}.{at}"]
+    rng = random.Random(4711)
+    heads = {"L+": 8, "L-": 8, "L": 1, "X+": 1, "": 1}
+    pieces = {"0": 6, "1": 6, "7": 6, "12": 4, "00": 2, "/4": 4, "/6": 4, "/0": 1, ".5": 3,
+              "/": 1, ".": 1, "+": 1, "-": 1, " ": 1, "\t": 1, "\n": 1, "\u00a0": 1,
+              "\u0663": 1, "e": 1, "_": 1}
+    glued = [
+        rng.choices(list(heads), list(heads.values()))[0]
+        + "".join(rng.choices(list(pieces), list(pieces.values()), k=rng.randrange(1, 5)))
+        for _ in range(count)
+    ]
+    return fixed + glued
+
+
+def test_line_argument_matches_scalar_route():
+    # the same line, or the same exception type and message, as reading the
+    # argument through scalar() and LineRef
+    lines = errors = 0
+    for text in _line_corpus():
+        expected = _line_outcome(_reference_line, text)
+        assert _line_outcome(cli._parse_line, text) == expected, text
+        if expected[0] is realbicyclic.LineRef:
+            lines += 1
+        else:
+            errors += 1
+    assert lines > 300 and errors > 300
+
+
 def test_zero_denominator_is_usage_error(capsys):
     for argv in (
         ("certify", "ac1", "--side", "left", "--translator", "(1,2)", "--target", "1/0"),

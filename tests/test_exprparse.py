@@ -16,6 +16,7 @@ def test_worked_examples():
     assert parse_expr("(1,3)*(2,5)") == Elem(1, 6)
     assert parse_expr("((1,6))^-1") == Elem(6, 1)
     assert parse_expr("(3,5) <= (1,3)") is True
+    assert parse_expr("( 1 , 2 )*( 3/6 , 1.5 )") == Elem(1, 3)
 
 
 def test_zero_literal_and_absorption():
@@ -179,6 +180,11 @@ _ERRORS = [
     ("*", ParseError, "expected an element, 0, or '('", 0),
     ("(1,*)", ParseError, "expected a scalar after ','", 3),
     ("(1,2 3)", ParseError, "expected ')' to close the element", 5),
+    # malformed element literals ("(1,2" is above)
+    ("(1,(2,3))", ParseError, "expected a scalar after ','", 3),
+    ("(1/0,2)", ParseError, "zero denominator", 2),
+    ("(1,2,3)", ParseError, "expected ')' to close the element", 4),
+    ("(1.,2)", ParseError, "missing digits after decimal point", 2),
 ]
 
 
