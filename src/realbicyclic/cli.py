@@ -8,7 +8,7 @@ argument); a closed standard output (``... | head``) ends with
 exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
 digits only.  A line argument (``L+3``, ``L-1/2``) is read in one match of
 ``L[+-]`` and the scalar grammar, and the line is built from its lowest-terms
-integers (``semigroup.literal_ratio``).  The default seed comes from
+integers (``semigroup.line_literal``).  The default seed comes from
 ``REALBICYCLIC_SEED`` (flags win).  ``_POSITIONAL`` lists the commands that
 take only plain positional strings (``eval``, ``order``, ``lines product``,
 ``validate``) with their argument names, handler and help; their subparsers
@@ -35,26 +35,12 @@ from .certio import cert_to_text, read_cert, write_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
 from .order_geometry import Side, line_product
-from .semigroup import (
-    NOT_A_SCALAR,
-    SCALAR_LITERAL,
-    Elem,
-    LineRef,
-    Sign,
-    TooLarge,
-    _line,
-    leq_witness,
-    literal_ratio,
-    mul,
-    scalar,
-)
+from .semigroup import Elem, LineRef, TooLarge, leq_witness, line_literal, mul, scalar
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
 
 SEED_ENV = "REALBICYCLIC_SEED"
 
-_LINE_RE = re.compile(r"L([+-])" + SCALAR_LITERAL.pattern)  # alpha: groups 2-4
-_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
 _DIGITS = re.compile(r"[0-9]+")
 
 
@@ -74,18 +60,14 @@ def _parse_element(text: str) -> Elem:
 
 
 def _parse_line(text: str) -> LineRef:
-    m = _LINE_RE.fullmatch(text)
-    if m is None:
-        if not text.startswith(("L+", "L-")):
-            raise UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2")
-        raise UsageError(f"bad line {text!r}: {NOT_A_SCALAR.format(text[2:])}")
     try:
-        num, den = literal_ratio(*m.group(2, 3, 4))
+        return line_literal(text)
     except TooLarge:
         raise
-    except ValueError as exc:  # a zero denominator
+    except ValueError as exc:
+        if not text.startswith(("L+", "L-")):
+            raise UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2") from exc
         raise UsageError(f"bad line {text!r}: {exc}") from exc
-    return _line(_SIGNS[m.group(1)] if num else Sign.PLUS, num, den)  # L-0 is L+0
 
 
 def _parse_tops(text: str) -> NbhdAc2:

@@ -66,11 +66,11 @@ class NegativeScalar(ParseError):
 # denominator), an element literal's the four non-negative ints ``_elem`` takes.
 _Token = Tuple[str, object, int]
 
-_S = SCALAR_LITERAL.pattern  # groups: whole digits, denominator, decimals
-_S1 = _S.replace("/([0-9]+)", "/(0*[1-9][0-9]*)")  # the same, denominator nonzero
+_S1 = r"([0-9]+)(?:/(0*[1-9][0-9]*)|(\.[0-9]+))?"  # SCALAR_LITERAL, denominator nonzero
 
 # After free whitespace (``\s`` is ``str.isspace``) the first alternative that
-# matches; only trailing whitespace matches none.  Element scalars: groups 2-4, 5-7.
+# matches; element scalars are groups 2-4 and 5-7.  A whitespace tail matches
+# none, and would be searched from each of its positions: the scan ends before it.
 _TOKEN = re.compile(
     rf"""\s*(?:
       (?P<elem>\(\s*{_S1}\s*,\s*{_S1}\s*\))
@@ -78,22 +78,22 @@ _TOKEN = re.compile(
     | (?P<zero>[0-9]+)/0+(?![0-9])
     | (?P<noden>[0-9]+)/(?![0-9])
     | (?P<nodec>[0-9]+)\.(?![0-9])
-    | (?P<number>{_S})
+    | (?P<number>{SCALAR_LITERAL.pattern})
     | (?P<neg>-)(?=\s*[0-9])
     | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
 _N = _TOKEN.groupindex["number"] + 1  # a bare number's three groups start here
-_MESSAGES = {"zero": "zero denominator", "noden": "missing denominator",
-             "nodec": "missing digits after decimal point",
-             "^": "expected ^-1", "<": "expected <=", "-": "unexpected '-'"}
+_LEXICAL = {"zero": "zero denominator", "noden": "missing denominator",
+            "nodec": "missing digits after decimal point"}
+_BAD = {"^": "expected ^-1", "<": "expected <=", "-": "unexpected '-'"}
 
 
 def _tokenize(text: str) -> List[_Token]:
-    """The tokens of ``text``, closed by an end token at its length."""
+    """The tokens of ``text`` to its last non-space, then an end token at its length."""
     tokens: List[_Token] = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
         i = m.start(kind)
         if kind == "elem":
@@ -114,9 +114,9 @@ def _tokenize(text: str) -> List[_Token]:
             raise NegativeScalar(i)
         elif kind == "bad":
             c = m.group(kind)
-            raise ParseError(_MESSAGES.get(c, f"unexpected character {c!r}"), i)
+            raise ParseError(_BAD.get(c, f"unexpected character {c!r}"), i)
         else:
-            raise ParseError(_MESSAGES[kind], m.end(kind))  # at the '/' or '.'
+            raise ParseError(_LEXICAL[kind], m.end(kind))  # at the '/' or '.'
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -14,7 +14,8 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
-``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments.  ``Elem``
+``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments, and
+``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
 stores two non-negative plain ints as they are and reads two Fractions with
 one ``as_integer_ratio`` each; every other argument goes through ``scalar``.
 Rationals are compared as integer cross-products and summed in lowest terms
@@ -49,7 +50,7 @@ ScalarLike = Union[Fraction, int, str]
 # expression language, the CLI's lines): ASCII digits, optionally followed by
 # "/" and a denominator or by "." and decimal digits.
 SCALAR_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+)|(\.[0-9]+))?")
-NOT_A_SCALAR = "not a scalar (digits, digits/digits or digits.digits): {!r}"
+_NOT_A_SCALAR = "not a scalar (digits, digits/digits or digits.digits): {!r}"
 
 
 def literal_ratio(whole: str, den: Optional[str], decimals: Optional[str]) -> Tuple[int, int]:
@@ -72,11 +73,6 @@ def literal_ratio(whole: str, den: Optional[str], decimals: Optional[str]) -> Tu
     return num // g, d // g
 
 
-def literal_value(m: "re.Match[str]") -> Fraction:
-    """The exact value of a ``SCALAR_LITERAL`` match; see ``literal_ratio``."""
-    return Fraction(*literal_ratio(*m.groups()))
-
-
 def scalar(value: ScalarLike) -> Fraction:
     """Coerce ``value`` to a non-negative exact rational.
 
@@ -94,8 +90,8 @@ def scalar(value: ScalarLike) -> Fraction:
     elif isinstance(value, str):
         m = SCALAR_LITERAL.fullmatch(value)
         if m is None:
-            raise ValueError(NOT_A_SCALAR.format(value))
-        f = literal_value(m)
+            raise ValueError(_NOT_A_SCALAR.format(value))
+        f = Fraction(*literal_ratio(*m.groups()))
     else:
         f = Fraction(value)
     if f.numerator < 0:
@@ -319,6 +315,25 @@ def _line(sign: Sign, num: int, den: int) -> LineRef:
     _set_sign(line, sign)
     _set_alpha(line, (num, den))
     return line
+
+
+_LINE_LITERAL = re.compile(r"L([+-])" + SCALAR_LITERAL.pattern)  # alpha: groups 2-4
+_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
+
+
+def line_literal(text: str) -> LineRef:
+    """The line that ``text`` names: ``L+`` or ``L-`` and a scalar, such as
+    ``"L+3"`` or ``"L-1/2"``.  It is ``LineRef(sign, scalar(alpha))``, read in
+    one match and built from alpha's lowest-terms integers.  Raises what
+    ``scalar`` raises for the text after the sign, and ``ValueError`` for a
+    text that does not start with ``L+`` or ``L-``."""
+    m = _LINE_LITERAL.fullmatch(text)
+    if m is None:
+        if text.startswith(("L+", "L-")):
+            raise ValueError(_NOT_A_SCALAR.format(text[2:]))
+        raise ValueError(f"not a line (L+ or L- and a scalar): {text!r}")
+    num, den = literal_ratio(*m.group(2, 3, 4))
+    return _line(_SIGNS[m.group(1)] if num else Sign.PLUS, num, den)  # L-0 is L+0
 
 
 def _sum(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:

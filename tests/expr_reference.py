@@ -8,6 +8,7 @@ on every input."""
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from realbicyclic.exprparse import MAX_NESTING, NegativeScalar, ParseError, Value
@@ -16,7 +17,6 @@ from realbicyclic.semigroup import (
     Elem,
     ZERO,
     inv_ext,
-    literal_value,
     mul_ext,
     natural_leq_ext,
 )
@@ -77,7 +77,7 @@ def _tokenize(text: str) -> List[_Token]:
             if den is not None and not den.strip("0"):
                 raise ParseError("zero denominator", m.end(1))
             try:
-                value = literal_value(m)
+                value = Fraction(m.group())
             except ValueError:
                 # digits only, so the one refusal left is the interpreter's
                 # limit on the digits of an integer string (read, never set)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,18 +83,25 @@ def test_lines_product(capsys):
 
 
 def _reference_line(text):
-    """The line argument read through ``scalar`` and the public ``LineRef``,
-    the route ``cli._parse_line`` replaced, with its usage-error texts."""
+    """The line argument read as ``cli._parse_line`` read it before: the scalar
+    converted on its own, as ``scalar`` did, then the public ``LineRef``, with
+    the old usage-error texts."""
     m = re.fullmatch(r"L([+-])(.*)", text, re.DOTALL)
     if not m:
         raise cli.UsageError(f"bad line {text!r}; expected forms like L+3 or L-1/2")
     sign = realbicyclic.Sign.PLUS if m.group(1) == "+" else realbicyclic.Sign.MINUS
+    alpha = m.group(2)
+    if not re.fullmatch(r"[0-9]+(/[0-9]+|\.[0-9]+)?", alpha):
+        raise cli.UsageError(
+            f"bad line {text!r}: not a scalar (digits, digits/digits or digits.digits): {alpha!r}"
+        )
     try:
-        return realbicyclic.LineRef(sign, realbicyclic.scalar(m.group(2)))
-    except realbicyclic.TooLarge:
-        raise
-    except ValueError as exc:
-        raise cli.UsageError(f"bad line {text!r}: {exc}") from exc
+        value = Fraction(alpha)
+    except ZeroDivisionError:
+        raise cli.UsageError(f"bad line {text!r}: zero denominator: {alpha!r}") from None
+    except ValueError:  # digits only, so past the digit limit
+        raise realbicyclic.TooLarge() from None
+    return realbicyclic.LineRef(sign, value)
 
 
 def _line_outcome(read, text):

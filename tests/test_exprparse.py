@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,27 @@ def test_boolean_misuse_rejected():
 
 def test_whitespace_is_free_form():
     assert parse_expr("  ( 1 , 3 )  *  ( 2 , 5 )  ") == Elem(1, 6)
+
+
+def test_long_whitespace_is_read_in_linear_time():
+    # a whitespace tail matches no token, and searching it from each of its
+    # positions would take time quadratic in its length (the smaller size runs
+    # first, so that a regression fails in seconds); "\u00a0" and "\u3000" are
+    # spaces.  Values and errors are those of the reference parser.
+    for n in (4000, 200_000):
+        for text in (
+            "0" + " " * n,
+            " " * n + "(1,2)",
+            "(1,2)" + " \t\n\u00a0\u3000" * (n // 5),
+            "(" + " " * n + "1," + " " * n + "2)" + " " * n,
+            "(1," + " " * n + "(2,3))" + " " * n,
+            "-" + " " * n,
+            " " * n,
+        ):
+            start = time.perf_counter()
+            outcome = _outcome(parse_expr, text)
+            assert time.perf_counter() - start < 0.5, (n, text[:8])
+            assert outcome == _outcome(reference_parse_expr, text), (n, text[:8])
 
 
 def nested(depth: int, inner: str = "(1,2)") -> str:
@@ -230,3 +252,26 @@ def test_parser_matches_reference():
         else:
             values += 1
     assert values > 1000 and len(messages) > 20
+
+
+def test_literals_match_reference():
+    # the corpus above parses no scalar that reduces, so element literals
+    # with leading zeros, common factors and decimals with trailing zeros
+    # are checked against the reference parser here
+    rng = random.Random(2718)
+
+    def scalar():
+        whole = "0" * rng.randrange(3) + str(rng.randrange(60))
+        den = "/" + "0" * rng.randrange(2) + str(rng.randrange(1, 60))
+        decimals = "." + str(rng.randrange(100)) + "0" * rng.randrange(3)
+        return whole + rng.choice(("", den, decimals))
+
+    def literal():
+        a, b, c, d = (rng.choice(("", " ", "\t")) for _ in range(4))
+        return f"({a}{scalar()}{b},{c}{scalar()}{d})"
+
+    for _ in range(5000):
+        text = rng.choice(
+            (literal(), f"{literal()}*{literal()}", f"({literal()})^-1", f"{literal()}<={literal()}")
+        )
+        assert _outcome(parse_expr, text) == _outcome(reference_parse_expr, text), text
