@@ -146,6 +146,13 @@ class ContinuityCert:
 _cert = _trusted(ContinuityCert)
 
 
+def _not_a_cert(cert: object) -> TypeError:
+    """The error of an entry point handed something other than a certificate;
+    raised where the first read of ``cert`` fails, so a valid call pays for
+    no check (a ``try`` costs nothing until it catches, since CPython 3.11)."""
+    return TypeError(f"cert must be a ContinuityCert, not {cert!r}")
+
+
 # ---------------------------------------------------------------------------
 # threshold-neighbourhood certificates
 # ---------------------------------------------------------------------------
@@ -232,35 +239,47 @@ def _covers_chosen(boxes: Sequence[Tuple[Tuple[int, Optional[int]], ...]], top: 
     """Do the case boxes cover everything with a coordinate beyond top?
 
     ``boxes`` holds each case's closed integer (a, b) ranges on the grid of
-    ``validate_cert_ac1``, where every endpoint is even and a strict end sits
-    one step inwards (odd).  Membership in a union of boxes is constant on the
-    cells of the endpoint grid, so testing one representative per cell decides
-    coverage exactly: every even end e and e + 1, the gap above it, with 0 and
-    top among the ends.  A representative's bitmask holds the cases whose
-    closed range contains it.
+    ``validate_cert_ac1``.  Membership in a union of boxes is constant on the
+    cells between an axis's breakpoints, the points where a range starts or
+    stops: each lo, each hi + 1, and 0 and top + 1, so that no cell straddles
+    the quadrant's edge or top.  A sweep over the sorted breakpoints keeps
+    the bitmask of the cases whose range holds the current cell, and records
+    it for each cell of the quadrant, its first point >= 0; testing one
+    point per cell decides coverage exactly.
     """
-    low_masks, high_masks = [], []
+    cells = []  # per axis: the masks of the cells up to top, and beyond it
     for axis in (0, 1):
-        ranges = [box[axis] for box in boxes]
-        ends = {0, top}
-        for lo, hi in ranges:
-            ends.add(lo - (lo & 1))
-            if hi is not None:
-                ends.add(hi + (hi & 1))
+        flips = {0: 0, top + 1: 0}  # breakpoint -> the cases entering or leaving there
+        bit = 1
+        for box in boxes:
+            lo, hi = box[axis]
+            if hi is None:
+                flips[lo] = flips.get(lo, 0) ^ bit
+            elif lo <= hi:
+                flips[lo] = flips.get(lo, 0) ^ bit
+                flips[hi + 1] = flips.get(hi + 1, 0) ^ bit
+            bit <<= 1
         low, high = set(), set()
-        for e in ends:
-            for r in (e, e + 1):
-                mask = 0
-                for bit, (lo, hi) in enumerate(ranges):
-                    if lo <= r and (hi is None or r <= hi):
-                        mask |= 1 << bit
-                (high if r > top else low).add(mask)
-        low_masks.append(low)
-        high_masks.append(high)
+        mask = 0
+        for r in sorted(flips):
+            mask ^= flips[r]
+            if r > top:
+                high.add(mask)
+            elif r >= 0:
+                low.add(mask)
+        cells.append((low, high))
     # a point of the chosen set has a coordinate beyond top on one axis or both
-    return all(
-        a & b for a in high_masks[0] for b in low_masks[1] | high_masks[1]
-    ) and all(a & b for a in low_masks[0] for b in high_masks[1])
+    (low_a, high_a), (low_b, high_b) = cells
+    every_b = low_b | high_b
+    for a in high_a:
+        for b in every_b:
+            if not a & b:
+                return False
+    for a in low_a:
+        for b in high_b:
+            if not a & b:
+                return False
+    return True
 
 
 def _grid_mul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
@@ -304,25 +323,30 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     and a corner scan of the chosen set's boundary.
 
     Every check after the threshold relation runs on one integer grid.  One
-    pass reads each value's numerator and denominator once, in the order the
-    branch loop reads them: the translator, then per case its four range ends
-    (an unbounded end reads 0 and is never used) and per branch record its
-    image rows and infimum.  Each value, the thresholds included, is then
-    scaled once by G = 2 * (their common denominator), so each endpoint is an
-    even grid point, and a range becomes the closed integer range of its grid
-    points, a strict end moved one step inwards (odd).  Meets are then
-    max/min of ends and a range is empty exactly when lo > hi.  Coverage reads
-    the closed ranges the branch checks built, and the corner scan the scaled
-    translator and thresholds.
+    flat pass collects the values in the order the case loop reads them: per
+    case its four range ends (an unbounded end reads 0 and is never used) and
+    per branch record its image rows and infimum.  One comprehension reads
+    their numerators and denominators, and one lcm over those, the
+    translator's and the thresholds' gives G = 2 * (the common denominator).
+    Each value is scaled once by G, so each endpoint is an even grid point,
+    and a range becomes the closed integer range of its grid points, a strict
+    end moved one step inwards (odd).  Meets are then max/min of ends and a
+    range is empty exactly when lo > hi.  The case loop reads each case's
+    closed ranges inline, and coverage reads the ranges it built; the corner
+    scan reads the scaled translator and thresholds.
     """
-    _check_side(cert.side)
+    try:
+        side = cert.side
+    except AttributeError:
+        raise _not_a_cert(cert) from None
+    _check_side(side)
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
     if not isinstance(cert.target, NbhdAc1) or not isinstance(cert.chosen, NbhdAc1):
         raise MalformedCert("threshold certificate carries wrong neighbourhood kinds")
     if cert.effective is None:
         raise MalformedCert("missing effective target threshold")
-    known_ids = _CASE_IDS[cert.side]
+    known_ids = _CASE_IDS[side]
     seen_ids = [c.case_id for c in cert.evidence]
     for cid in seen_ids:
         if cid not in known_ids:
@@ -330,29 +354,30 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if len(set(seen_ids)) != len(seen_ids):
         raise MalformedCert("duplicate case id")
 
-    n_eff = cert.effective.n
-    m = cert.chosen.n
-    if n_eff < cert.target.n:
+    ne_num, ne_den = cert.effective.n.as_integer_ratio()
+    tn, td = cert.target.n.as_integer_ratio()
+    if ne_num * td < tn * ne_den:  # the effective threshold below the requested one
         return False
 
-    left = cert.side is Side.LEFT
+    left = side is Side.LEFT
     an, ad, bn, bd = cert.translator._q
-    ratios = [(an, ad), (bn, bd)]
+    top_num, top_den = cert.chosen.n.as_integer_ratio()
+    values = []
     for case in cert.evidence:
-        for iv in (case.a_range, case.b_range):
-            ratios.append(iv.lo.as_integer_ratio())
-            ratios.append((0, 1) if iv.hi is None else iv.hi.as_integer_ratio())
+        a_range, b_range = case.a_range, case.b_range
+        a_hi, b_hi = a_range.hi, b_range.hi
+        values += (
+            a_range.lo, F0 if a_hi is None else a_hi, b_range.lo, F0 if b_hi is None else b_hi
+        )
         for br in case.branches:
-            ratios += [v.as_integer_ratio() for v in (*br.image_a, *br.image_b, br.inf_value)]
-    ne_num, ne_den = n_eff.as_integer_ratio()
-    top_num, top_den = m.as_integer_ratio()
-    G = 2 * math.lcm(top_den, ne_den, *[d for _, d in ratios])
+            values += br.image_a
+            values += br.image_b
+            values.append(br.inf_value)
+    ratios = [v.as_integer_ratio() for v in values]
+    G = 2 * math.lcm(top_den, ad, bd, ne_den, *{d for _, d in ratios})
     grid = [n * (G // d) for n, d in ratios]
-    x, y, ne, top = grid[0], grid[1], ne_num * (G // ne_den), top_num * (G // top_den)
-
-    def closed(iv: Interval, i: int) -> Tuple[int, Optional[int]]:
-        lo = grid[i] + (1 if iv.lo_strict else 0)
-        return lo, None if iv.hi is None else grid[i + 1] - (1 if iv.hi_strict else 0)
+    x, y = an * (G // ad), bn * (G // bd)
+    ne, top = ne_num * (G // ne_den), top_num * (G // top_den)
 
     boxes = []
     # Per branch tag: the range the branch allows the driving coordinate (the
@@ -360,65 +385,74 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     # translator's b or a), and the image rows (coefficient of a, of b,
     # constant) on the grid, where a coefficient 1 reads G.
     if left:
-        below, at, above = (0, y - 1), (y, y), (y + 1, None)
         expected = (
-            ("lt", above, [G, 0, x - y], [0, G, 0]),
-            ("eq", at, [0, 0, x], [0, G, 0]),
-            ("gt", below, [0, 0, x], [-G, G, y]),
+            ("lt", y + 1, None, [G, 0, x - y], [0, G, 0]),
+            ("eq", y, y, [0, 0, x], [0, G, 0]),
+            ("gt", 0, y - 1, [0, 0, x], [-G, G, y]),
         )
     else:
-        below, at, above = (0, x - 1), (x, x), (x + 1, None)
         expected = (
-            ("lt", below, [G, -G, x], [0, 0, y]),
-            ("eq", at, [G, 0, 0], [0, 0, y]),
-            ("gt", above, [G, 0, 0], [0, G, y - x]),
+            ("lt", 0, x - 1, [G, -G, x], [0, 0, y]),
+            ("eq", x, x, [G, 0, 0], [0, 0, y]),
+            ("gt", x + 1, None, [G, 0, 0], [0, G, y - x]),
         )
-    i = 2  # the grid index of the next value to read
+    i = 0  # the grid index of the next value to read
     for case in cert.evidence:
-        a_iv, b_iv = closed(case.a_range, i), closed(case.b_range, i + 2)
+        a_range, b_range = case.a_range, case.b_range
+        a_lo = grid[i] + (1 if a_range.lo_strict else 0)
+        a_hi = None if a_range.hi is None else grid[i + 1] - (1 if a_range.hi_strict else 0)
+        b_lo = grid[i + 2] + (1 if b_range.lo_strict else 0)
+        b_hi = None if b_range.hi is None else grid[i + 3] - (1 if b_range.hi_strict else 0)
         i += 4
-        records = {}  # branch tag -> (record, grid index of its first value)
+        records = {}  # branch tag -> (record, grid indices of its image rows and infimum)
         for br in case.branches:
-            records[br.branch] = br, i
-            i += len(br.image_a) + len(br.image_b) + 1
+            k = i + len(br.image_a)
+            end = k + len(br.image_b)
+            records[br.branch] = br, i, k, end
+            i = end + 1
         for tag in records:
             if tag not in _BRANCH_ORDER:
                 raise MalformedCert(f"unknown branch tag {tag!r}")
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
-        boxes.append((a_iv, b_iv))
-        d_lo, d_hi = a_iv if left else b_iv
-        for tag, (br_lo, br_hi), exp_a, exp_b in expected:
-            lo = max(d_lo, br_lo)
+        boxes.append(((a_lo, a_hi), (b_lo, b_hi)))
+        d_lo, d_hi = (a_lo, a_hi) if left else (b_lo, b_hi)
+        for tag, br_lo, br_hi, exp_a, exp_b in expected:
+            lo = d_lo if d_lo > br_lo else br_lo
             hi = br_hi if d_hi is None else d_hi if br_hi is None else min(d_hi, br_hi)
             entry = records.get(tag)
             if (hi is None or lo <= hi) != (entry is not None):
                 return False
             if entry is None:
                 continue
-            record, j = entry
-            k = j + len(record.image_a)
-            end = k + len(record.image_b)
+            record, j, k, end = entry
             if grid[j:k] != exp_a or grid[k:end] != exp_b:
                 return False
             if record.witness not in ("a", "b"):
                 raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
             ca, cb, inf_value = exp_a if record.witness == "a" else exp_b
-            attained = True
             # the coefficients are -G, 0 or G: add the least (subtract the
-            # greatest) value of the coordinate, its even grid end
-            for c, (c_lo, c_hi) in (
-                (ca, (lo, hi) if left else a_iv),
-                (cb, b_iv if left else (lo, hi)),
-            ):
-                if c > 0:
-                    inf_value += c_lo - (c_lo & 1)
-                    attained = attained and not c_lo & 1
-                elif c < 0:
-                    if c_hi is None:
-                        return False
-                    inf_value -= c_hi + (c_hi & 1)
-                    attained = attained and not c_hi & 1
+            # greatest) value of each coordinate, its even grid end; the
+            # driving coordinate ranges over the meet [lo, hi]
+            c_lo, c_hi = (lo, hi) if left else (a_lo, a_hi)
+            attained = True
+            if ca > 0:
+                inf_value += c_lo - (c_lo & 1)
+                attained = not c_lo & 1
+            elif ca < 0:
+                if c_hi is None:
+                    return False
+                inf_value -= c_hi + (c_hi & 1)
+                attained = not c_hi & 1
+            c_lo, c_hi = (b_lo, b_hi) if left else (lo, hi)
+            if cb > 0:
+                inf_value += c_lo - (c_lo & 1)
+                attained = attained and not c_lo & 1
+            elif cb < 0:
+                if c_hi is None:
+                    return False
+                inf_value -= c_hi + (c_hi & 1)
+                attained = attained and not c_hi & 1
             if inf_value != grid[end] or attained != record.inf_attained:
                 return False
             if attained:
@@ -479,7 +513,11 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     all reach the same boundary point, so the one below (ca, cb) contains the
     one below (pa, pb) exactly when ca - cb == pa - pb and ca >= pa.
     """
-    _check_side(cert.side)
+    try:
+        side = cert.side
+    except AttributeError:
+        raise _not_a_cert(cert) from None
+    _check_side(side)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
     if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
@@ -504,7 +542,7 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
     ta, tb = grid(cert.translator)
     chosen = [grid(c) for c in cert.chosen.tops]
-    left = cert.side is Side.LEFT
+    left = side is Side.LEFT
     for ev in cert.evidence:
         ua, ub = grid(ev.target_top)
         if ev.offset.numerator * (D // ev.offset.denominator) != (ta - tb) + (ub - ua):
@@ -532,11 +570,15 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
 
 def validate_cert(cert: ContinuityCert) -> bool:
-    if cert.topology == "ac1":
+    try:
+        topology = cert.topology
+    except AttributeError:
+        raise _not_a_cert(cert) from None
+    if topology == "ac1":
         return validate_cert_ac1(cert)
-    if cert.topology == "ac2":
+    if topology == "ac2":
         return validate_cert_ac2(cert)
-    raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
+    raise MalformedCert(f"unknown certificate topology {topology!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,20 @@ template and the reader's pattern at import; the final ``end-cert`` is a
 record too.  ``cert_to_text`` writes each record with one format call over
 the integers of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
 ``cert_from_text`` matches each record whole, LF included, with its pattern
-at its offset, and captures every rational token as two groups, numerator
-and denominator, read as ints.  What a pattern cannot check is checked on
-those ints: lowest terms, non-negative coordinates, positive thresholds and
-non-empty top lists.  A ``MalformedCert`` names the line where the
-offending record starts and the record that was expected there.  An
-element's coordinates are checked in lowest terms by one gcd per token and
-handed to ``Elem`` without building a Fraction; every other token becomes a
-Fraction once per text, through the ``semigroup._fraction`` memo, and is in
-lowest terms exactly when that Fraction keeps its denominator.  The records
-are then built by the trusted constructors of ``certificates`` and
-``topology`` (see ``semigroup``), which repeat none of these checks.
+at its offset.  An element slot captures its two coordinates as four
+groups, numerators and denominators, read as ints, checked in lowest terms
+by one gcd per coordinate and handed to ``Elem`` without building a
+Fraction.  Any other rational slot captures its token ``num/den`` as one
+group, and the reader, a cache for one text keyed by the token, turns each
+distinct token into a Fraction once, through the ``semigroup._fraction``
+memo; the token is in lowest terms exactly when that Fraction keeps its
+denominator, and a repeated token costs one dict lookup.  What a pattern
+cannot check is checked on those values: lowest terms, non-negative
+coordinates, positive thresholds and non-empty top lists.  A
+``MalformedCert`` names the line where the offending record starts and the
+record that was expected there.  The records are then built by the trusted
+constructors of ``certificates`` and ``topology`` (see ``semigroup``), which
+repeat none of these checks.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from math import gcd
 from typing import Callable, List, Optional, Tuple
 
 from .semigroup import Elem, TooLarge, _elem as _trusted_elem, _fraction
-from .order_geometry import Side, _check_side
+from .order_geometry import Side, _check_field, _check_side
 from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
     ContinuityCert,
@@ -59,33 +62,41 @@ from .certificates import (
     _case,
     _cert,
     _interval,
+    _not_a_cert,
     _top_evidence,
 )
 
 _HEADER, _END_CASE, _END_CERT = "realbicyclic-cert 1", "end-case", "end-cert"
-# One rational token as two captured groups, numerator and denominator; its
-# sign is checked where it must be >= 0.
-_Q = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
+# A rational token: one captured group, the whole token, read through the
+# reader's token cache.  An element: its two coordinate tokens as four
+# captured groups, numerators and denominators, read as ints; their signs
+# are checked on those ints.
+_Q = r"((?:-?[1-9][0-9]*|0)/[1-9][0-9]*)"
+_COORD = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
+_E = f"{_COORD} {_COORD}"
 _IV = rf"([(\[]){_Q} (?:{_Q}([)\]])|inf\))"
 _SLOT = re.compile(r"\{(\w+)\}")
+_WRITTEN = {"q": "{}/{}", "e": "{}/{} {}/{}"}
 
 
 def _template(spec: str) -> Callable[..., str]:
     """The writer's template of the record ``spec``: a rational ``{q}`` is
-    written ``{}/{}`` from its integers, any other slot as given."""
-    return _SLOT.sub(lambda m: "{}/{}" if m[1] == "q" else "{}", spec).format
+    written ``{}/{}`` and an element ``{e}`` ``{}/{} {}/{}`` from their
+    integers, any other slot as given."""
+    return _SLOT.sub(lambda m: _WRITTEN.get(m[1], "{}"), spec).format
 
 
 def _record(spec: str, end: str = "", **words: str) -> Tuple[Callable[..., str], re.Pattern[str]]:
     """The writer's template and the reader's pattern of the record ``spec``:
     its lines, literal words but for slots.  The pattern reads a rational
-    ``{q}`` as ``_Q``, an interval ``{iv}`` (written from ``_iv``) as
-    ``_IV``, and any other ``{word}`` as one group over its alternatives in
-    ``words``, which may hold ``{q}`` slots.  It matches the whole record,
-    LF included, or the line ``end`` instead."""
+    ``{q}`` as ``_Q``, one group holding the token, an element ``{e}`` as
+    ``_E``, four groups holding its integers, an interval ``{iv}`` (written
+    from ``_iv``) as ``_IV``, and any other ``{word}`` as one group over its
+    alternatives in ``words``, which may hold ``{q}`` and ``{e}`` slots.  It
+    matches the whole record, LF included, or the line ``end`` instead."""
 
     def slot(m: re.Match[str]) -> str:
-        return {"q": _Q, "iv": _IV}.get(m[1]) or "(" + _SLOT.sub(slot, words[m[1]]) + ")"
+        return {"q": _Q, "e": _E, "iv": _IV}.get(m[1]) or "(" + _SLOT.sub(slot, words[m[1]]) + ")"
 
     body = _SLOT.sub(slot, spec) + "\n"
     return _template(spec), re.compile(f"{end}\n|{body}" if end else body)
@@ -93,7 +104,7 @@ def _record(spec: str, end: str = "", **words: str) -> Tuple[Callable[..., str],
 
 # One spec per record; an end line read in a record's place leaves its groups None.
 _HEADER_TEXT, _HEADER_BLOCK = _record(
-    _HEADER + "\nkind {kind}\nside {side}\ntranslator {q} {q}", kind="ac1|ac2", side="left|right"
+    _HEADER + "\nkind {kind}\nside {side}\ntranslator {e}", kind="ac1|ac2", side="left|right"
 )
 _THRESHOLDS_TEXT, _THRESHOLDS = _record("target-n {q}\neffective-n {q}\nchosen-n {q}")
 _CASE_TEXT, _CASE_HEAD = _record(
@@ -107,13 +118,13 @@ _COUNT_LINES = {
     key: _record(key + " {n}", n="0|[1-9][0-9]*")
     for key in ("target-tops", "chosen-tops", "evidence")
 }
-_TOP_TEXT, _TOP = _record("top {q} {q}")
-_PREIMAGE = ("preimage empty", "preimage-top {q} {q}")
-_COVERING = ("covering none", "covering-top {q} {q}")
-_EVIDENCE_SPEC = "target-top {q} {q}\n{pre}\noffset {q}\n{cover}\nend-evidence"
+_TOP_TEXT, _TOP = _record("top {e}")
+_PREIMAGE = ("preimage empty", "preimage-top {e}")
+_COVERING = ("covering none", "covering-top {e}")
+_EVIDENCE_SPEC = "target-top {e}\n{pre}\noffset {q}\n{cover}\nend-evidence"
 _, _EVIDENCE = _record(_EVIDENCE_SPEC, pre="|".join(_PREIMAGE), cover="|".join(_COVERING))
 _EVIDENCE_TEXT = {  # by whether its optional lines, preimage and covering top, are present
-    (pre, cover): _template(_EVIDENCE_SPEC.format(q="{q}", pre=p, cover=c))
+    (pre, cover): _template(_EVIDENCE_SPEC.format(q="{q}", e="{e}", pre=p, cover=c))
     for pre, p in enumerate(_PREIMAGE)
     for cover, c in enumerate(_COVERING)
 }
@@ -135,9 +146,13 @@ def cert_to_text(cert: ContinuityCert) -> str:
     more digits than the interpreter converts, ``MalformedCert`` for an
     unknown topology or an image row of other than three coefficients, which
     the format cannot hold, and ``TypeError`` for a side that is not a
-    ``Side``."""
-    if cert.topology not in ("ac1", "ac2"):
-        raise MalformedCert(f"unknown certificate topology {cert.topology!r}")
+    ``Side`` or a ``cert`` that is not a certificate."""
+    try:
+        topology = cert.topology
+    except AttributeError:
+        raise _not_a_cert(cert) from None
+    if topology not in ("ac1", "ac2"):
+        raise MalformedCert(f"unknown certificate topology {topology!r}")
     _check_side(cert.side)
     try:
         return "\n".join(_lines(cert)) + "\n"
@@ -199,13 +214,13 @@ class _Reader(dict):
     """One pass over a certificate text, one pattern match per record.
 
     The reader is also the token cache of one ``cert_from_text`` call:
-    ``r[num, den]`` is the rational of the token's two groups, parsed and
-    checked on its first lookup, so a token repeated in the text is parsed
-    once."""
+    ``r[token]`` is the rational of the token ``num/den``, parsed and checked
+    on its first lookup, so a token repeated in the text is parsed once."""
 
     __slots__ = ("text", "pos", "mark")
 
     def __init__(self, text: str) -> None:
+        _check_field("text", text, str)
         if not text.endswith("\n"):
             raise MalformedCert("certificate must end with a newline")
         self.text = text
@@ -233,18 +248,18 @@ class _Reader(dict):
         refuse; the limit is read, never set, for it is process-global."""
         return self.error(str(TooLarge()))
 
-    def __missing__(self, token: Tuple[str, str]) -> Fraction:
-        """The rational ``num/den`` through the ``semigroup._fraction`` memo,
+    def __missing__(self, token: str) -> Fraction:
+        """The rational ``token`` through the ``semigroup._fraction`` memo,
         in lowest terms exactly when its denominator is the token's: one gcd
         at most, none when the memo holds it."""
-        num, den = token
+        num, _, den = token.partition("/")
         try:
             d = int(den)
             f = _fraction(int(num), d)
         except ValueError as exc:
             raise self.too_long() from exc
         if f.denominator != d:
-            raise self.error(f"{num + '/' + den!r} is not in lowest terms")
+            raise self.error(f"{token!r} is not in lowest terms")
         self[token] = f
         return f
 
@@ -260,9 +275,10 @@ class _Reader(dict):
         return n, d
 
     def elem(self, an: str, ad: str, bn: str, bd: str) -> Elem:
-        """The element of two coordinate tokens: four ints, one gcd per
-        token and the signs.  On a fault, ``ints`` reports the first token's
-        before the second's, and both come before the signs."""
+        """The element of the four groups of an ``{e}`` slot: four ints, one
+        gcd per coordinate and the signs.  On a fault, ``ints`` reports the
+        first coordinate's before the second's, and both come before the
+        signs."""
         try:
             q = int(an), int(ad), int(bn), int(bd)
             if gcd(q[0], q[1]) == 1 == gcd(q[2], q[3]) and q[0] >= 0 and q[2] >= 0:
@@ -271,14 +287,7 @@ class _Reader(dict):
             pass
         self.ints(an, ad)
         self.ints(bn, bd)
-        raise self.error(f"negative coordinate: ({self[an, ad]}, {self[bn, bd]})")
-
-    def interval(
-        self, lo_br: str, lo_n: str, lo_d: str, hi_n: Optional[str], hi_d: str, hi_br: str
-    ) -> Interval:
-        if hi_n is None:
-            return _interval(self[lo_n, lo_d], lo_br == "(", None, True)
-        return _interval(self[lo_n, lo_d], lo_br == "(", self[hi_n, hi_d], hi_br == ")")
+        raise self.error(f"negative coordinate: ({self[an + '/' + ad]}, {self[bn + '/' + bd]})")
 
     def count(self, key: str) -> int:
         (value,) = self.record(_COUNT_LINES[key][1], f"the count line {key!r}")
@@ -299,6 +308,8 @@ class _Reader(dict):
 
 
 def cert_from_text(text: str) -> ContinuityCert:
+    """The certificate of the canonical ``text``.  Raises ``MalformedCert``
+    for any other text and ``TypeError`` for a ``text`` that is not a str."""
     r = _Reader(text)
     kind, side, *translator = r.record(
         _HEADER_BLOCK, f"the header block ({_HEADER!r}, kind, side, translator)"
@@ -311,40 +322,57 @@ def cert_from_text(text: str) -> ContinuityCert:
 
 
 def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
+    """The thresholds, then the case heads and their branch records, each
+    matched by its pattern's bound ``match`` at the reader's offset."""
     keys = ("target-n", "effective-n", "chosen-n")
-    tokens = r.record(_THRESHOLDS, f"the three thresholds ({', '.join(keys)})")
     thresholds = []
-    for key, num, den in zip(keys, tokens[::2], tokens[1::2]):
-        n = r[num, den]
-        if num[0] in "-0":  # not positive: reported in the constructor's words
+    for key, token in zip(keys, r.record(_THRESHOLDS, f"the three thresholds ({', '.join(keys)})")):
+        n = r[token]
+        if token[0] in "-0":  # not positive: reported in the constructor's words
             try:
                 NbhdAc1(n)
             except ValueError as exc:
                 raise r.error(f"{key}: {exc}") from exc
         thresholds.append(_ac1(n))
+    text, pos = r.text, r.pos
+    case_head, branch = _CASE_HEAD.match, _BRANCH.match
     cases = []
     while True:
-        head = r.record(_CASE_HEAD, "a case head (case, a-range, b-range) or end-cert")
-        if head[0] is None:  # end-cert
+        r.mark = pos
+        head = case_head(text, pos)
+        if head is None:
+            raise r.error("expected a case head (case, a-range, b-range) or end-cert")
+        pos = head.end()
+        case_id, a_br, a_lo, a_hi, a_hbr, b_br, b_lo, b_hi, b_hbr = head.groups()
+        if case_id is None:  # end-cert
             break
-        a_range, b_range = r.interval(*head[1:7]), r.interval(*head[7:13])
+        a_range = _interval(
+            r[a_lo], a_br == "(", None if a_hi is None else r[a_hi], a_hi is None or a_hbr == ")"
+        )
+        b_range = _interval(
+            r[b_lo], b_br == "(", None if b_hi is None else r[b_hi], b_hi is None or b_hbr == ")"
+        )
         branches = []
         while True:
-            (
-                tag, a0, a0d, a1, a1d, a2, a2d, b0, b0d, b1, b1d, b2, b2d,
-                witness, inf, inf_d, attained,
-            ) = r.record(
-                _BRANCH,
-                "a branch record (branch, image-a, image-b, witness, inf, attained) or end-case",
-            )
+            r.mark = pos
+            m = branch(text, pos)
+            if m is None:
+                raise r.error(
+                    "expected a branch record "
+                    "(branch, image-a, image-b, witness, inf, attained) or end-case"
+                )
+            pos = m.end()
+            tag, a0, a1, a2, b0, b1, b2, witness, inf, attained = m.groups()
             if tag is None:  # end-case
                 break
-            image_a = (r[a0, a0d], r[a1, a1d], r[a2, a2d])
-            image_b = (r[b0, b0d], r[b1, b1d], r[b2, b2d])
             branches.append(
-                _branch(tag, image_a, image_b, witness, r[inf, inf_d], attained == "yes")
+                _branch(
+                    tag, (r[a0], r[a1], r[a2]), (r[b0], r[b1], r[b2]), witness, r[inf],
+                    attained == "yes",
+                )
             )
-        cases.append(_case(head[0], a_range, b_range, tuple(branches)))
+        cases.append(_case(case_id, a_range, b_range, tuple(branches)))
+    r.pos = pos
     target, effective, chosen = thresholds
     return _cert("ac1", side, translator, target, chosen, tuple(cases), effective)
 
@@ -355,15 +383,13 @@ def _ac2_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
     records = []
     for _ in range(r.count("evidence")):
         (
-            ua, uad, ub, ubd, _, pa, pad, pb, pbd, off, off_d, _, ca, cad, cb, cbd,
+            ua, uad, ub, ubd, _, pa, pad, pb, pbd, off, _, ca, cad, cb, cbd,
         ) = r.record(
             _EVIDENCE, "an evidence record (target-top, preimage, offset, covering, end-evidence)"
         )
         preimage = None if pa is None else r.elem(pa, pad, pb, pbd)
         covering = None if ca is None else r.elem(ca, cad, cb, cbd)
-        records.append(
-            _top_evidence(r.elem(ua, uad, ub, ubd), preimage, r[off, off_d], covering)
-        )
+        records.append(_top_evidence(r.elem(ua, uad, ub, ubd), preimage, r[off], covering))
     r.record(_END, _END_CERT)
     return _cert("ac2", side, translator, target, chosen, tuple(records))
 

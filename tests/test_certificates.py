@@ -214,6 +214,40 @@ def test_ac1_open_mid_range_caught_by_coverage(side, monkeypatch):
     assert validate_cert_ac1(tampered)
 
 
+def test_ac1_range_ends_outside_the_quadrant_or_reversed():
+    # the mid case's a-range emptied and the low case's widened to [0, 8]:
+    # the low case then covers all the mid case did.  A range with an end
+    # below the quadrant, [0, -1] or [-2, -1], holds no point of the chosen
+    # set, so it gets the verdict of [1, 0] and of no mid case at all
+    cert = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
+    big, mid, low = cert.evidence
+    wide = dataclasses.replace(low, a_range=Interval(F(0), False, F(8), False))
+
+    def emptied(lo, hi, strict=False):
+        return dataclasses.replace(mid, a_range=Interval(lo, strict, hi, strict), branches=())
+
+    for evidence in (
+        (big, emptied(F(0), F(-1)), wide),
+        (big, emptied(F(-2), F(-1)), wide),
+        (big, emptied(F(1), F(0)), wide),
+        (big, wide),
+    ):
+        tampered = dataclasses.replace(cert, evidence=evidence)
+        assert cert_from_text(cert_to_text(tampered)) == tampered
+        assert validate_cert_ac1(tampered) is True, evidence[1]
+        assert _reference_validate_ac1(tampered) is True
+        assert _covers(evidence, cert.chosen.n) is True
+    assert falsify(Side.LEFT, Elem(1, 2), cert.chosen, cert.effective, 8) is None
+    # a reversed range (8, 4) covers nothing, not even the points between
+    # its ends, so with the low case as generated the points with 4 <= a <= 8
+    # are left out
+    reversed_mid = (big, emptied(F(8), F(4), strict=True), low)
+    tampered = dataclasses.replace(cert, evidence=reversed_mid)
+    assert validate_cert_ac1(tampered) is False
+    assert _reference_validate_ac1(tampered) is False
+    assert _covers(reversed_mid, cert.chosen.n) is False
+
+
 def _mutant_validate_ac1(old, new):
     """validate_cert_ac1 compiled from its source with one edit."""
     src = textwrap.dedent(inspect.getsource(certificates.validate_cert_ac1))
@@ -256,6 +290,67 @@ def test_ac1_attained_infimum_at_threshold_rejected(side):
     assert mutant(cert) and mutant(tampered)
 
 
+def _flip_attained(case, tag):
+    """``case`` with the branch ``tag``'s record of attainment negated."""
+    return dataclasses.replace(
+        case,
+        branches=tuple(
+            dataclasses.replace(br, inf_attained=not br.inf_attained) if br.branch == tag else br
+            for br in case.branches
+        ),
+    )
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_ac1_infimum_attainment_at_both_coefficients(side):
+    # In one branch (gt on the left, lt on the right) the witness moves with
+    # both coordinates: the far one and, negated, the driving one, which
+    # stops short of the pivot.  Its infimum is attained only when both ends
+    # are, and every branch's record of attainment is checked.
+    left = side is Side.LEFT
+    t = Elem(1, 2) if left else Elem(2, 1)
+    cert = continuity_cert_ac1(side, t, NbhdAc1(4))
+    big, mid, low = cert.evidence
+    near, far, tag = ("a_range", "b_range", "gt") if left else ("b_range", "a_range", "lt")
+    # the far range closed at m: the other two branches' witness attains m,
+    # this one's does not, since the driving coordinate's end is open
+    closed = dataclasses.replace(
+        low,
+        **{far: Interval(cert.chosen.n, False, None, True)},
+        branches=tuple(
+            dataclasses.replace(br, inf_attained=br.branch != tag) for br in low.branches
+        ),
+    )
+    # the near range [0, 1] and the far one closed at m: the driving
+    # coordinate's end 1 is attained too, and so is the infimum 2 - 1 + 8;
+    # the mid case, widened down to (1, 8], takes the low case's branches
+    (branch,) = [br for br in low.branches if br.branch == tag]
+    attained = dataclasses.replace(
+        low,
+        **{near: Interval(F(0), False, F(1), False), far: Interval(F(8), False, None, True)},
+        branches=(dataclasses.replace(branch, inf_value=F(9), inf_attained=True),),
+    )
+    widened = dataclasses.replace(
+        mid, **{near: Interval(F(1), True, F(8), False)}, branches=low.branches
+    )
+    # and with the far range open at 8 again, unattained at the far end only
+    half = dataclasses.replace(
+        attained,
+        **{far: Interval(F(8), True, None, True)},
+        branches=(dataclasses.replace(branch, inf_value=F(9), inf_attained=False),),
+    )
+    for evidence in ((big, mid, closed), (big, widened, attained), (big, widened, half)):
+        honest = dataclasses.replace(cert, evidence=evidence)
+        assert validate_cert_ac1(honest) is True
+        assert _reference_validate_ac1(honest) is True
+        case = evidence[2]
+        for br in case.branches:
+            flipped = dataclasses.replace(
+                cert, evidence=evidence[:2] + (_flip_attained(case, br.branch),)
+            )
+            assert validate_cert_ac1(flipped) is False, br.branch
+
+
 @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
 def test_ac1_effective_threshold_denominator_on_the_grid(side):
     # the same widened box down to 4 under an effective threshold of 13/3,
@@ -270,7 +365,7 @@ def test_ac1_effective_threshold_denominator_on_the_grid(side):
     assert not validate_cert_ac1(tampered)
     assert _covers(tampered.evidence, cert.chosen.n)
     assert _corner_scan(side, t, cert.chosen.n, cert.effective.n)
-    mutant = _mutant_validate_ac1("ne_den, *[", "*[")
+    mutant = _mutant_validate_ac1("ne_den, *{", "*{")
     assert mutant(cert) and mutant(tampered)
 
 
@@ -426,7 +521,9 @@ def test_corner_scan_needs_no_meeting_corner():
 
 def _fraction_grid_covers(cases, m):
     """Reference coverage decision on the rational endpoint grid: every
-    endpoint, the midpoint of each consecutive pair and one point beyond."""
+    endpoint, the midpoint of each consecutive pair and one point beyond,
+    each in the quadrant (a negative range end is no point of the chosen
+    set)."""
     reps = []
     for pick in (lambda c: c.a_range, lambda c: c.b_range):
         vals = {F(0), m}
@@ -437,7 +534,7 @@ def _fraction_grid_covers(cases, m):
                 vals.add(iv.hi)
         vals = sorted(vals)
         mids = [(v1 + v2) / 2 for v1, v2 in zip(vals, vals[1:])]
-        reps.append(vals + mids + [vals[-1] + 1])
+        reps.append([v for v in vals + mids + [vals[-1] + 1] if v >= 0])
     for ra in reps[0]:
         for rb in reps[1]:
             if ra <= m and rb <= m:
@@ -1056,6 +1153,16 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(UpSegment, "(1,2)"), "top"),
         (functools.partial(FullLine, "L+1"), "line"),
         (functools.partial(FullLine, (Sign.PLUS, 1)), "line"),
+    ]
+    # a certificate entry point handed no certificate, or a reader no str,
+    # used to fail with an AttributeError
+    table += [
+        (functools.partial(validate_cert, "x"), "cert"),
+        (functools.partial(validate_cert_ac1, "x"), "cert"),
+        (functools.partial(validate_cert_ac2, None), "cert"),
+        (functools.partial(cert_to_text, None), "cert"),
+        (functools.partial(cert_from_text, None), "text"),
+        (functools.partial(cert_from_text, b"realbicyclic-cert 1\n"), "text"),
     ]
     for call, param in table:
         with pytest.raises(TypeError, match=f"^{param} must be"):
@@ -1893,23 +2000,29 @@ def test_oversized_tokens_are_malformed(capsys, tmp_path):
     limit = sys.get_int_max_str_digits()
     cert = continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1),)))
     text = cert_to_text(cert)
+    ac1 = cert_to_text(continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4)))
+    past = "7" * (limit + 1)
     path = tmp_path / "big.cert"
     # at the limit, a huge offset reads and is invalid; a huge count of
     # target tops reads, and the second top line it asks for is missing
     assert not validate_cert(cert_from_text(text.replace("offset -3/1", f"offset -{'7' * limit}/1")))
     with pytest.raises(MalformedCert, match="^line 7: expected a top line$"):
         cert_from_text(text.replace("target-tops 1", f"target-tops {'1' * limit}"))
-    for old, new, line in (
-        ("offset -3/1", f"offset -{'7' * (limit + 1)}/1", 10),
-        ("target-tops 1", f"target-tops {'1' * (limit + 1)}", 5),
+    for source, old, new, line in (
+        (text, "offset -3/1", f"offset -{past}/1", 10),
+        (text, "target-tops 1", f"target-tops {'1' * (limit + 1)}", 5),
+        (ac1, "target-n 4/1", f"target-n {past}/1", 5),
+        (ac1, "a-range [4/1 8/1]", f"a-range [4/1 {past}/1]", 18),
+        (ac1, "image-b 0/1 1/1 0/1", f"image-b 0/1 {past}/1 0/1", 11),
+        (ac1, "inf 7/1", f"inf {past}/1", 11),
     ):
-        assert old in text
-        past = text.replace(old, new)
+        assert old in source
+        edited = source.replace(old, new)
         message = f"line {line}: a number has more than {limit} digits"
         with pytest.raises(MalformedCert) as exc:
-            cert_from_text(past)
+            cert_from_text(edited)
         assert str(exc.value) == message
-        path.write_text(past, encoding="ascii")
+        path.write_text(edited, encoding="ascii")
         assert main(["validate", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1974,6 +2087,14 @@ def test_record_reader_messages():
          "(target-top, preimage, offset, covering, end-evidence)"),
         (ac2, "end-cert", "end-certs", "line 22: expected end-cert"),
         (ac2, "end-cert\n", "end-cert\nend-cert\n", "line 23: trailing content after end-cert"),
+        # a rational token not in lowest terms, in each kind of place
+        (ac1, "target-n 4/1", "target-n 2/4", "line 5: '2/4' is not in lowest terms"),
+        (ac1, "a-range [4/1 8/1]", "a-range [4/1 2/4]",
+         "line 18: '2/4' is not in lowest terms"),
+        (ac1, "image-b 0/1 1/1 0/1", "image-b 0/1 2/4 0/1",
+         "line 11: '2/4' is not in lowest terms"),
+        (ac1, "inf 7/1", "inf 2/4", "line 11: '2/4' is not in lowest terms"),
+        (ac2, "offset -3/1", "offset 2/4", "line 12: '2/4' is not in lowest terms"),
     ]
     for text, old, new, message in cases:
         assert old in text
