@@ -13,22 +13,24 @@ integers (``semigroup.line_literal``).  The default seed comes from
 take only plain positional strings (``eval``, ``order``, ``lines product``,
 ``validate``) with their argument names, handler and help; their subparsers
 are declared from it.  An argv naming one of them with exactly its arity and
-no argument starting with '-' gets its namespace without argparse.  Every
-other argv (``-h``, ``--``, ``-1``, a missing or extra argument, a command
-with flags) goes to the parser of the command its leading words name; the
-parsers are built on first such use and reused by every later ``main``.
-Extra arguments are reported with that command's usage (``usage:
-realbicyclic eval [-h] expr``), not the top-level one.
+no argument starting with '-' gets a plain ``SimpleNamespace`` with the
+attributes argparse would set, and its handler writes each result with one
+``sys.stdout.write``.  Every other argv (``-h``, ``--``, ``-1``, a missing or
+extra argument, a command with flags) goes to the parser of the command its
+leading words name; ``argparse`` is imported and the parsers built on the
+first such argv, and reused by every later ``main``.  Extra arguments are
+reported with that command's usage (``usage: realbicyclic eval [-h] expr``),
+not the top-level one.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from . import certificates as certs
 from .certio import cert_to_text, read_cert, write_cert
@@ -38,6 +40,9 @@ from .order_geometry import Side, line_product
 from .semigroup import Elem, LineRef, TooLarge, leq_witness, line_literal, mul, scalar
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
+
+if TYPE_CHECKING:
+    import argparse
 
 SEED_ENV = "REALBICYCLIC_SEED"
 
@@ -121,6 +126,7 @@ def _gen_config(args) -> GenConfig:
 @functools.cache
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argparse.ArgumentParser]]:
     """The top-level parser, and each command's parser keyed by its words."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="realbicyclic",
         description="Exact pair-semigroup calculator, order geometry, and continuity certificates",
@@ -191,9 +197,9 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(value, bool):
-        print("true" if value else "false")
+        sys.stdout.write("true\n" if value else "false\n")
         return 0 if value else 1
-    print(value)
+    sys.stdout.write(f"{value}\n")
     return 0
 
 
@@ -202,15 +208,14 @@ def _cmd_order(args) -> int:
     e2 = _parse_element(args.e2)
     witness = leq_witness(e1, e2)
     if witness is None:
-        print("false")
+        sys.stdout.write("false\n")
         return 1
-    print("true")
-    print(f"witness {witness}")
+    sys.stdout.write(f"true\nwitness {witness}\n")
     return 0
 
 
 def _cmd_lines_product(args) -> int:
-    print(line_product(_parse_line(args.l1), _parse_line(args.l2)))
+    sys.stdout.write(f"{line_product(_parse_line(args.l1), _parse_line(args.l2))}\n")
     return 0
 
 
@@ -247,7 +252,7 @@ def _cmd_validate(args) -> int:
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"error: cannot read {args.certfile}: {exc}", file=sys.stderr)
         return 2
-    print("valid" if ok else "invalid")
+    sys.stdout.write("valid\n" if ok else "invalid\n")
     return 0 if ok else 1
 
 
@@ -301,19 +306,17 @@ def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
     return top, argv
 
 
-def _parse(argv: List[str]) -> argparse.Namespace:
+def _parse(argv: List[str]) -> Union[SimpleNamespace, argparse.Namespace]:
     """argv's namespace.  A positional command with exactly its arity and no
-    argument that starts with '-' gets the namespace argparse would build
-    for it, without argparse; every other argv goes through its parser."""
+    argument that starts with '-' gets a plain namespace of the attributes
+    argparse would set; every other argv goes through its parser."""
     for n in (1, 2):
         entry = _POSITIONAL.get(tuple(argv[:n]))
         if entry is not None:
             names, run, _ = entry
             rest = argv[n:]
             if len(rest) == len(names) and "-" not in [a[:1] for a in rest]:
-                args = argparse.Namespace(run=run)
-                vars(args).update(zip(names, rest))
-                return args
+                return SimpleNamespace(run=run, **dict(zip(names, rest)))
             break
     parser, rest = _route(argv)
     return parser.parse_args(rest)

@@ -18,10 +18,13 @@ element.  One master pattern tokenizes the text, one match a token: an
 element literal ``( scalar , scalar )`` of well-formed scalars is a single
 token, any other is read piece by piece, and each lexical error has an
 alternative, so the first is raised at its position before any syntax error.
-The parse evaluates as it goes, to a point, zero or a boolean.  Parentheses
-nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``, raised
-well before the parser's recursion (four frames a level) reaches Python's
-limit.
+One flat loop then evaluates the tokens as it reads them, to a point, zero
+or a boolean: each operand inline (an element, ``0`` or a parenthesised
+group), then its ``^-1``s, each ``*`` folded in, and at most one ``<=``.
+Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a
+``ParseError``, raised well before the recursion (one frame per
+parenthesised group) reaches Python's limit.  A text that is not a str is a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -121,87 +124,78 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+def _expected(what: str, kind: str, pos: int, detail: str = "") -> ParseError:
+    """``expected <what>`` at a token of ``kind``: at the end token, found end
+    of input; at any other, followed by ``detail``."""
+    if kind == "end":
+        return ParseError(f"expected {what}, found end of input", pos)
+    return ParseError(f"expected {what}{detail}", pos)
 
-    def _next(self, expected: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] == "end":
-            raise ParseError(f"expected {expected}, found end of input", tok[2])
-        self.pos += 1
-        return tok
 
-    def expr(self) -> Value:
-        left = self.product()
-        kind, _, pos = self.tokens[self.pos]
-        if kind != "<=":
-            return left
-        self.pos += 1
-        right = self.product()
-        if isinstance(left, bool) or isinstance(right, bool):
-            raise ParseError("cannot order booleans", pos)
-        return natural_leq_ext(left, right)
-
-    def product(self) -> Value:
-        value = self.postfix()
-        while True:
-            kind, _, pos = self.tokens[self.pos]
-            if kind != "*":
-                return value
-            self.pos += 1
-            right = self.postfix()
-            if isinstance(value, bool) or isinstance(right, bool):
-                raise ParseError("cannot multiply booleans", pos)
-            value = mul_ext(value, right)
-
-    def postfix(self) -> Value:
-        value = self.primary()
-        while True:
-            kind, _, pos = self.tokens[self.pos]
-            if kind != "^-1":
-                return value
-            self.pos += 1
-            if isinstance(value, bool):
-                raise ParseError("cannot invert a boolean", pos)
-            value = inv_ext(value)
-
-    def primary(self) -> Value:
-        kind, value, pos = self._next("an element, 0, or '('")
+def _expr(tokens: List[_Token], i: int, depth: int) -> Tuple[Value, int]:
+    """The value of the expression at ``tokens[i]``, inside ``depth``
+    parentheses, and the index of the token after it."""
+    left = value = None
+    while True:
+        kind, operand, pos = tokens[i]
+        i += 1
         if kind == "elem":
-            return _elem(*value)
-        if kind == "number":
-            if value[0] == 0:
-                return ZERO
-            raise ParseError("a bare scalar is not an element (only 0 is)", pos)
-        if kind != "(":
-            raise ParseError("expected an element, 0, or '('", pos)
-        if self.tokens[self.pos][0] == "number" and self.tokens[self.pos + 1][0] == ",":
-            # a malformed element literal: a well-formed one is an "elem" token
-            self.pos += 2
-            kind, _, b_pos = self._next("a scalar")
-            if kind != "number":
-                raise ParseError("expected a scalar after ','", b_pos)
-            _, _, close_pos = self._next("')'")
-            raise ParseError("expected ')' to close the element", close_pos)
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-        self.depth += 1
-        inner = self.expr()
-        self.depth -= 1
-        kind, _, close_pos = self._next("')'")
-        if kind != ")":
-            raise ParseError("expected ')'", close_pos)
-        return inner
+            operand = _elem(*operand)
+        elif kind == "(":
+            if tokens[i][0] == "number" and tokens[i + 1][0] == ",":
+                # a malformed element literal: a well-formed one is an "elem" token
+                kind, _, pos = tokens[i + 2]
+                if kind != "number":
+                    raise _expected("a scalar", kind, pos, " after ','")
+                kind, _, pos = tokens[i + 3]
+                raise _expected("')'", kind, pos, " to close the element")
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            operand, i = _expr(tokens, i, depth + 1)
+            kind, _, pos = tokens[i]
+            if kind != ")":
+                raise _expected("')'", kind, pos)
+            i += 1
+        elif kind == "number":
+            if operand[0]:
+                raise ParseError("a bare scalar is not an element (only 0 is)", pos)
+            operand = ZERO
+        else:
+            raise _expected("an element, 0, or '('", kind, pos)
+        kind, _, pos = tokens[i]
+        while kind == "^-1":
+            if isinstance(operand, bool):
+                raise ParseError("cannot invert a boolean", pos)
+            operand = inv_ext(operand)
+            i += 1
+            kind, _, pos = tokens[i]
+        if value is None:
+            value = operand
+        elif isinstance(value, bool) or isinstance(operand, bool):
+            raise ParseError("cannot multiply booleans", star)
+        else:
+            value = mul_ext(value, operand)
+        if kind == "*":
+            star = pos
+        elif kind == "<=" and left is None:
+            left, value, order = value, None, pos
+        else:
+            break
+        i += 1
+    if left is None:
+        return value, i
+    if isinstance(left, bool) or isinstance(value, bool):
+        raise ParseError("cannot order booleans", order)
+    return natural_leq_ext(left, value), i
 
 
 def parse_expr(text: str) -> Value:
     """Parse and exactly evaluate ``text``; see the module grammar."""
-    parser = _Parser(_tokenize(text))
-    value = parser.expr()
-    kind, _, pos = parser.tokens[parser.pos]
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {text!r}")
+    tokens = _tokenize(text)
+    value, i = _expr(tokens, 0, 0)
+    kind, _, pos = tokens[i]
     if kind != "end":
         raise ParseError("trailing input", pos)
     return value

@@ -325,8 +325,11 @@ def line_literal(text: str) -> LineRef:
     """The line that ``text`` names: ``L+`` or ``L-`` and a scalar, such as
     ``"L+3"`` or ``"L-1/2"``.  It is ``LineRef(sign, scalar(alpha))``, read in
     one match and built from alpha's lowest-terms integers.  Raises what
-    ``scalar`` raises for the text after the sign, and ``ValueError`` for a
-    text that does not start with ``L+`` or ``L-``."""
+    ``scalar`` raises for the text after the sign, ``ValueError`` for a text
+    that does not start with ``L+`` or ``L-``, and ``TypeError`` for a
+    ``text`` that is not a str."""
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {text!r}")
     m = _LINE_LITERAL.fullmatch(text)
     if m is None:
         if text.startswith(("L+", "L-")):

@@ -46,6 +46,7 @@ from realbicyclic import (
     falsify,
     line_product,
     mul,
+    parse_expr,
     preimage_up_segment,
     read_cert,
     shrink_witness,
@@ -71,6 +72,7 @@ from realbicyclic.certificates import (
     _top_evidence,
 )
 from realbicyclic.order_geometry import _full
+from realbicyclic.semigroup import line_literal
 from realbicyclic.topology import _ac1, _ac2
 from realbicyclic.cli import main
 
@@ -1164,6 +1166,10 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(cert_from_text, None), "text"),
         (functools.partial(cert_from_text, b"realbicyclic-cert 1\n"), "text"),
     ]
+    # an expression or a line that is not a str used to fail in the regex
+    # module or with an AttributeError
+    table += [(functools.partial(parse_expr, text), "text") for text in (None, 12, b"(1,2)")]
+    table += [(functools.partial(line_literal, None), "text")]
     for call, param in table:
         with pytest.raises(TypeError, match=f"^{param} must be"):
             call()

@@ -756,6 +756,19 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
+def test_positional_command_imports_no_argparse():
+    env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
+    probe = (
+        "import sys; from realbicyclic import cli; cli.main(['eval', '(1,3)*(2,5)']); "
+        "print('argparse' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1,6)\nFalse\n"
+
+
 def test_integer_flags_take_ascii_digits_only(capsys, monkeypatch):
     # int() would read each of these as a number
     monkeypatch.delenv("REALBICYCLIC_SEED", raising=False)
@@ -779,14 +792,24 @@ def test_integer_flags_take_ascii_digits_only(capsys, monkeypatch):
     assert code == 0 and "seed 7" in out.splitlines() and "cases 5" in out.splitlines()
 
 
-def test_closed_pipe_exits_1_without_traceback():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("suite", "products", "--cases", "3"),
+        ("eval", "(1,3)*(2,5)"),
+        ("order", "(3,5)", "(1,3)"),
+        ("lines", "product", "L+1", "L+2"),
+    ],
+    ids=["suite", "eval", "order", "lines-product"],
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
     # the read end is closed before the child writes, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "realbicyclic", "suite", "products", "--cases", "3"],
+            [sys.executable, "-m", "realbicyclic", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
     finally:
