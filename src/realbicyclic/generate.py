@@ -4,12 +4,17 @@ Identical configuration (seed, mode, counts) always reproduces the identical
 stream, which keeps every suite and report replayable.  The configurations
 check their field types: a seed, count or bound that is not an int (or is a
 bool), and a mode that is not a mode, are ``TypeError``s naming the field.
+
+A rational coordinate is reduced by a lookup in a lowest-terms table, built
+once per mode and cached for its later streams; past ``_TABLE_MAX`` entries it
+is reduced by ``gcd``.  Either way the draws, and so the stream, are the same.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, Union
 
@@ -66,6 +71,18 @@ class GenConfig:
             raise ValueError("cases must be positive")
 
 
+_TABLE_MAX = 1024  # entries; a mode past it comes only from user-set bounds, and uses gcd
+
+
+@lru_cache(maxsize=16)
+def _lowest_terms(n: int, d: int) -> tuple:
+    """``[num][den - 1]`` -> num/den in lowest terms, for num < n, 0 < den <= d."""
+    return tuple(
+        tuple((num // gcd(num, den), den // gcd(num, den)) for den in range(1, d + 1))
+        for num in range(n)
+    )
+
+
 def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
     """Infinite deterministic stream of quadrant points.
 
@@ -76,8 +93,13 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
     its first coordinate, then its second.  An integer coordinate is a draw
     below max + 1; a rational one draws its numerator below max_num + 1, then
     its denominator as 1 plus a draw below max_den, and is reduced to lowest
-    terms.
+    terms: by a lookup in the mode's cached table of (max_num + 1) x max_den
+    entries, or by ``gcd`` when that passes ``_TABLE_MAX``.  The lookup
+    changes no draw and no value.  A ``cfg`` that is not a ``GenConfig`` is a
+    ``TypeError`` at the first draw.
     """
+    if not isinstance(cfg, GenConfig):
+        raise TypeError(f"cfg must be a GenConfig, not {cfg!r}")
     getrandbits = random.Random(cfg.seed).getrandbits
     mode = cfg.scalar_mode
     if isinstance(mode, IntegerMode):
@@ -95,6 +117,7 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
             yield e
     n, d = mode.max_num + 1, mode.max_den
     kn, kd = n.bit_length(), d.bit_length()
+    terms = _lowest_terms(n, d) if n * d <= _TABLE_MAX else None
     while True:
         an = getrandbits(kn)
         while an >= n:
@@ -108,8 +131,11 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
         bd = getrandbits(kd)
         while bd >= d:
             bd = getrandbits(kd)
-        # ad and bd are the denominators less 1
-        ga, gb = gcd(an, ad + 1), gcd(bn, bd + 1)
         e = _new(Elem)
-        _set_q(e, (an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb))
+        if terms is not None:
+            _set_q(e, terms[an][ad] + terms[bn][bd])
+        else:
+            # ad and bd are the denominators less 1
+            ga, gb = gcd(an, ad + 1), gcd(bn, bd + 1)
+            _set_q(e, (an // ga, (ad + 1) // ga, bn // gb, (bd + 1) // gb))
         yield e

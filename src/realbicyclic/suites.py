@@ -122,6 +122,10 @@ class _Runner:
         self.failures: List[Failure] = []
 
     def mul(self, e1: Elem, e2: Elem) -> Elem:
+        """The product, tallied under the branch of its gap.  ``mul_branch``
+        computes the gap apart from ``mul`` by design: a wrong product cannot
+        move the tally (read off the product, an off-by-one on ``eq`` would be
+        tallied ``gt``)."""
         self.branch_counts[mul_branch(e1, e2)] += 1
         return mul(e1, e2)
 

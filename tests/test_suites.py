@@ -91,7 +91,9 @@ def test_gen_elem_golden_streams(mode, seed, digest):
 @pytest.mark.parametrize(
     "mode",
     [IntegerMode(0), RationalMode(0, 1), RationalMode(7, 1), RationalMode(8, 8),
-     IntegerMode(2**70), RationalMode(30, 8)],
+     IntegerMode(2**70), RationalMode(30, 8),
+     # both sides of the lowest-terms table's bound of 1024 entries, and far past it
+     RationalMode(127, 8), RationalMode(128, 8), RationalMode(2**70, 10**6)],
 )
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_gen_scalar_is_the_randrange_stream(mode, seed):
@@ -139,6 +141,10 @@ def test_gen_config_validation():
     ):
         with pytest.raises(TypeError, match=f"^{field} must be"):
             make()
+    # a config that is not a GenConfig is a TypeError at the first draw
+    for call in (lambda: next(gen_elem("x")), lambda: run_suite("products", None)):
+        with pytest.raises(TypeError, match="^cfg must be a GenConfig, not "):
+            call()
     assert GenConfig(seed=3, scalar_mode=IntegerMode(4), cases=2).cases == 2
 
 
