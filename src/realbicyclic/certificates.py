@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, _check_int, _fraction, _sum, _trusted, mul
+from .semigroup import Elem, _check_field, _check_int, _fraction, _sum, _trusted, mul
 from .order_geometry import (
     Side,
-    _check_field,
     _check_side,
     preimage_up_segment,
     shrink_witness,
@@ -570,6 +569,9 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
 
 def validate_cert(cert: ContinuityCert) -> bool:
+    """The verdict of ``validate_cert_ac1`` or ``validate_cert_ac2``, chosen
+    by ``cert.topology``.  Raises ``MalformedCert`` for an unknown topology
+    and ``TypeError`` for a ``cert`` that is not a certificate."""
     try:
         topology = cert.topology
     except AttributeError:

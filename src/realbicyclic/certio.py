@@ -28,15 +28,17 @@ template and the reader's pattern at import; the final ``end-cert`` is a
 record too.  ``cert_to_text`` writes each record with one format call over
 the integers of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
 ``cert_from_text`` matches each record whole, LF included, with its pattern
-at its offset.  An element slot captures its two coordinates as four
-groups, numerators and denominators, read as ints, checked in lowest terms
-by one gcd per coordinate and handed to ``Elem`` without building a
-Fraction.  Any other rational slot captures its token ``num/den`` as one
-group, and the reader, a cache for one text keyed by the token, turns each
-distinct token into a Fraction once, through the ``semigroup._fraction``
-memo; the token is in lowest terms exactly when that Fraction keeps its
-denominator, and a repeated token costs one dict lookup.  What a pattern
-cannot check is checked on those values: lowest terms, non-negative
+at its offset, in one method of the reader.  Any rational slot but an
+element's captures its token ``num/den`` as one group, and the reader, a
+cache for one text keyed by the token, turns each distinct token into a
+Fraction once, through the ``semigroup._fraction`` memo; the token is in
+lowest terms exactly when that Fraction keeps its denominator, and a
+repeated token costs one dict lookup.  An element slot captures its two
+coordinates as four groups, numerators and denominators.  A valid element
+is read as four ints, checked in lowest terms by one gcd per coordinate and
+handed to ``Elem`` without building a Fraction; a faulty one is read again
+as two tokens through the cache, which names a token's fault.  What a
+pattern cannot check is checked on those values: lowest terms, non-negative
 coordinates, positive thresholds and non-empty top lists.  A
 ``MalformedCert`` names the line where the offending record starts and the
 record that was expected there.  The records are then built by the trusted
@@ -51,8 +53,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from .semigroup import Elem, TooLarge, _elem as _trusted_elem, _fraction
-from .order_geometry import Side, _check_field, _check_side
+from .semigroup import Elem, TooLarge, _check_field, _elem as _trusted_elem, _fraction
+from .order_geometry import Side, _check_side
 from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
     ContinuityCert,
@@ -69,8 +71,8 @@ from .certificates import (
 _HEADER, _END_CASE, _END_CERT = "realbicyclic-cert 1", "end-case", "end-cert"
 # A rational token: one captured group, the whole token, read through the
 # reader's token cache.  An element: its two coordinate tokens as four
-# captured groups, numerators and denominators, read as ints; their signs
-# are checked on those ints.
+# captured groups, numerators and denominators, read as ints; a fault is
+# named by reading the two tokens through the cache.
 _Q = r"((?:-?[1-9][0-9]*|0)/[1-9][0-9]*)"
 _COORD = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
 _E = f"{_COORD} {_COORD}"
@@ -211,11 +213,12 @@ def _lines(cert: ContinuityCert) -> List[str]:
 
 
 class _Reader(dict):
-    """One pass over a certificate text, one pattern match per record.
+    """One pass over a certificate text, one match per record, in ``record``.
 
     The reader is also the token cache of one ``cert_from_text`` call:
     ``r[token]`` is the rational of the token ``num/den``, parsed and checked
-    on its first lookup, so a token repeated in the text is parsed once."""
+    on its first lookup, so a token repeated in the text is parsed once; it
+    is the one check of a token's faults, an element's coordinates too."""
 
     __slots__ = ("text", "pos", "mark")
 
@@ -263,21 +266,10 @@ class _Reader(dict):
         self[token] = f
         return f
 
-    def ints(self, num: str, den: str) -> Tuple[int, int]:
-        """A coordinate token's numerator and denominator, checked in lowest
-        terms by one gcd; no Fraction is built."""
-        try:
-            n, d = int(num), int(den)
-        except ValueError as exc:
-            raise self.too_long() from exc
-        if gcd(n, d) != 1:
-            raise self.error(f"{num + '/' + den!r} is not in lowest terms")
-        return n, d
-
     def elem(self, an: str, ad: str, bn: str, bd: str) -> Elem:
         """The element of the four groups of an ``{e}`` slot: four ints, one
-        gcd per coordinate and the signs.  On a fault, ``ints`` reports the
-        first coordinate's before the second's, and both come before the
+        gcd per coordinate and the signs.  On a fault, the token cache reports
+        the first coordinate's before the second's, and both come before the
         signs."""
         try:
             q = int(an), int(ad), int(bn), int(bd)
@@ -285,8 +277,6 @@ class _Reader(dict):
                 return _trusted_elem(*q)
         except ValueError:
             pass
-        self.ints(an, ad)
-        self.ints(bn, bd)
         raise self.error(f"negative coordinate: ({self[an + '/' + ad]}, {self[bn + '/' + bd]})")
 
     def count(self, key: str) -> int:
@@ -322,8 +312,7 @@ def cert_from_text(text: str) -> ContinuityCert:
 
 
 def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
-    """The thresholds, then the case heads and their branch records, each
-    matched by its pattern's bound ``match`` at the reader's offset."""
+    """The thresholds, then the case heads and their branch records."""
     keys = ("target-n", "effective-n", "chosen-n")
     thresholds = []
     for key, token in zip(keys, r.record(_THRESHOLDS, f"the three thresholds ({', '.join(keys)})")):
@@ -334,16 +323,11 @@ def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
             except ValueError as exc:
                 raise r.error(f"{key}: {exc}") from exc
         thresholds.append(_ac1(n))
-    text, pos = r.text, r.pos
-    case_head, branch = _CASE_HEAD.match, _BRANCH.match
     cases = []
     while True:
-        r.mark = pos
-        head = case_head(text, pos)
-        if head is None:
-            raise r.error("expected a case head (case, a-range, b-range) or end-cert")
-        pos = head.end()
-        case_id, a_br, a_lo, a_hi, a_hbr, b_br, b_lo, b_hi, b_hbr = head.groups()
+        case_id, a_br, a_lo, a_hi, a_hbr, b_br, b_lo, b_hi, b_hbr = r.record(
+            _CASE_HEAD, "a case head (case, a-range, b-range) or end-cert"
+        )
         if case_id is None:  # end-cert
             break
         a_range = _interval(
@@ -354,15 +338,10 @@ def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
         )
         branches = []
         while True:
-            r.mark = pos
-            m = branch(text, pos)
-            if m is None:
-                raise r.error(
-                    "expected a branch record "
-                    "(branch, image-a, image-b, witness, inf, attained) or end-case"
-                )
-            pos = m.end()
-            tag, a0, a1, a2, b0, b1, b2, witness, inf, attained = m.groups()
+            tag, a0, a1, a2, b0, b1, b2, witness, inf, attained = r.record(
+                _BRANCH,
+                "a branch record (branch, image-a, image-b, witness, inf, attained) or end-case",
+            )
             if tag is None:  # end-case
                 break
             branches.append(
@@ -372,7 +351,6 @@ def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
                 )
             )
         cases.append(_case(case_id, a_range, b_range, tuple(branches)))
-    r.pos = pos
     target, effective, chosen = thresholds
     return _cert("ac1", side, translator, target, chosen, tuple(cases), effective)
 

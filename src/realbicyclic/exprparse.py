@@ -38,6 +38,7 @@ from .semigroup import (
     TooLarge,
     ZERO,
     ZeroType,
+    _check_field,
     _elem,
     inv_ext,
     literal_ratio,
@@ -191,8 +192,7 @@ def _expr(tokens: List[_Token], i: int, depth: int) -> Tuple[Value, int]:
 
 def parse_expr(text: str) -> Value:
     """Parse and exactly evaluate ``text``; see the module grammar."""
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a str, not {text!r}")
+    _check_field("text", text, str)
     tokens = _tokenize(text)
     value, i = _expr(tokens, 0, 0)
     kind, _, pos = tokens[i]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, Union
 
-from .semigroup import Elem, _check_int, _new, _set_q
+from .semigroup import Elem, _check_field, _check_int, _new, _set_q
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def gen_elem(cfg: GenConfig) -> Iterator[Elem]:
     changes no draw and no value.  A ``cfg`` that is not a ``GenConfig`` is a
     ``TypeError`` at the first draw.
     """
-    if not isinstance(cfg, GenConfig):
-        raise TypeError(f"cfg must be a GenConfig, not {cfg!r}")
+    _check_field("cfg", cfg, GenConfig)
     getrandbits = random.Random(cfg.seed).getrandbits
     mode = cfg.scalar_mode
     if isinstance(mode, IntegerMode):

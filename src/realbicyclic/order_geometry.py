@@ -9,8 +9,10 @@ The operations compute, in exact rational arithmetic: products of lines with
 constructive factorisations, the right/left shrink witnesses that squeeze a
 translated down-ray below a prescribed point, exact translation images of
 down-rays, and exact preimages of up-segments under one-sided multiplication.
-A field of the wrong type in a public region-record constructor, and a side
-that is not a ``Side``, is a ``TypeError`` naming the field or the side.
+A field of the wrong type in a public region-record constructor, a side
+that is not a ``Side``, and a region of the wrong kind handed to
+``translate_down_ray`` or ``preimage_up_segment``, is a ``TypeError`` naming
+the field, the side or the region.
 ``down_set``, ``up_set`` and ``_full`` are the records' trusted constructors
 (see ``semigroup``).
 """
@@ -25,6 +27,7 @@ from .semigroup import (
     Elem,
     LineRef,
     Sign,
+    _check_field,
     _elem,
     _line,
     _sum,
@@ -45,13 +48,6 @@ def _check_side(side: object) -> None:
     compared by identity, so anything else would act as the right side."""
     if type(side) is not Side:
         raise TypeError(f"side must be a Side, not {side!r}")
-
-
-def _check_field(name: str, value: object, kind: type) -> None:
-    """The public record constructors' one check per field."""
-    if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise TypeError(f"{name} must be {article} {kind.__name__}, not {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,15 +206,20 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     t.b exceeds the base's first coordinate; right: t.a exceeds the base's
     second), a punctured source still covers the image base, so the image is
     unpunctured; otherwise the translation is injective on the ray and
-    puncturing is preserved.
+    puncturing is preserved.  An ``r`` that is not a ``DownRay`` is a
+    ``TypeError``.
     """
+    try:
+        source = r.base
+    except AttributeError:
+        raise TypeError(f"r must be a DownRay, not {r!r}") from None
     if side is Side.LEFT:
-        base = mul(t, r.base)
-        collapsed = t.b > r.base.a
+        base = mul(t, source)
+        collapsed = t.b > source.a
     else:
         _check_side(side)
-        base = mul(r.base, t)
-        collapsed = t.a > r.base.b
+        base = mul(source, t)
+        collapsed = t.a > source.b
     return down_set(base, r.punctured and not collapsed)
 
 
@@ -229,9 +230,13 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
     u's diagonal iff s sits on one fixed diagonal; the threshold coordinate is
     piecewise affine and monotone along it, which makes the preimage a single
     up-segment, or empty (``None``) when the translator already overshoots the
-    segment's top.
+    segment's top.  A ``u`` that is not an ``UpSegment`` is a ``TypeError``.
     """
-    pn, pd, qn, qd = u.top._q
+    try:
+        top = u.top
+    except AttributeError:
+        raise TypeError(f"u must be an UpSegment, not {u!r}") from None
+    pn, pd, qn, qd = top._q
     an, ad, bn, bd = t._q
     # the moved coordinate is non-negative: the overshoot test rules out t.a > p
     # (left) and t.b > q (right)

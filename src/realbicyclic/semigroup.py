@@ -211,6 +211,13 @@ def _check_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int, not {value!r}")
 
 
+def _check_field(name: str, value: object, kind: type) -> None:
+    """The one check of a field or argument of type ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, not {value!r}")
+
+
 _R = TypeVar("_R")
 
 
@@ -328,8 +335,7 @@ def line_literal(text: str) -> LineRef:
     ``scalar`` raises for the text after the sign, ``ValueError`` for a text
     that does not start with ``L+`` or ``L-``, and ``TypeError`` for a
     ``text`` that is not a str."""
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a str, not {text!r}")
+    _check_field("text", text, str)
     m = _LINE_LITERAL.fullmatch(text)
     if m is None:
         if text.startswith(("L+", "L-")):

@@ -1156,6 +1156,12 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(FullLine, "L+1"), "line"),
         (functools.partial(FullLine, (Sign.PLUS, 1)), "line"),
     ]
+    # a region of the wrong kind handed to a translation used to fail with
+    # an AttributeError on its base or top
+    table += [
+        (functools.partial(translate_down_ray, Side.LEFT, Elem(1, 2), (1, 2)), "r"),
+        (functools.partial(preimage_up_segment, Side.LEFT, Elem(1, 2), Elem(3, 1)), "u"),
+    ]
     # a certificate entry point handed no certificate, or a reader no str,
     # used to fail with an AttributeError
     table += [
@@ -2051,6 +2057,9 @@ def test_element_reader_messages():
         (ac2, "top 3/1 1/1", "top 3/1 -5/3", "line 6: negative coordinate: (3, -5/3)"),
         (ac2, "preimage-top 4/1 1/1", "preimage-top -4/1 1/1",
          "line 12: negative coordinate: (-4, 1)"),
+        (ac2, "covering-top 6/1 3/1", "covering-top 6/1 6/2",
+         "line 12: '6/2' is not in lowest terms"),
+        (ac2, "target-top 2/1 5/1", "target-top 2/1 -5/1", "line 17: negative coordinate: (2, -5)"),
     ]
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
