@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .semigroup import Elem, _check_field, _check_int, _fraction, _sum, _trusted, mul
 from .order_geometry import (
     Side,
+    _LEFT,
     _check_side,
     preimage_up_segment,
     shrink_witness,
@@ -176,7 +177,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     _check_field("target", target, NbhdAc1)
     an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
-    tn, td = target.n.numerator, target.n.denominator
+    tn, td = target.n.as_integer_ratio()
     if tn * pd > (pn + pd) * td:  # past max + 1
         effective, nn, nd = target, tn, td
     else:  # max + 2, in lowest terms as max is
@@ -200,8 +201,8 @@ def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[Case
     an, ad, bn, bd = translator._q
     x, y = _fraction(an, ad), _fraction(bn, bd)
     dn, dd = _sum(an, ad, -bn, bd)  # x - y
-    mn, md = m.numerator, m.denominator
-    left = side is Side.LEFT
+    mn, md = m.as_integer_ratio()
+    left = side is _LEFT
     if left:
         rows = {
             "lt": ((F1, F0, _fraction(dn, dd)), (F0, F1, F0)),
@@ -358,7 +359,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if ne_num * td < tn * ne_den:  # the effective threshold below the requested one
         return False
 
-    left = side is Side.LEFT
+    left = side is _LEFT
     an, ad, bn, bd = cert.translator._q
     top_num, top_den = cert.chosen.n.as_integer_ratio()
     values = []
@@ -485,7 +486,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     chosen_tops: List[Elem] = []
     evidence: List[TopEvidence] = []
     for u in target.tops:
-        if side is Side.LEFT:
+        if side is _LEFT:
             w = shrink_witness(translator, u)
         else:
             w = shrink_witness_dual(translator, u)
@@ -528,10 +529,8 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     points = [cert.translator, *cert.chosen.tops]
     for ev in cert.evidence:
         points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
-    D = math.lcm(
-        *(d for e in points for d in e._q[1::2]),
-        *(ev.offset.denominator for ev in cert.evidence),
-    )
+    offsets = [ev.offset.as_integer_ratio() for ev in cert.evidence]
+    D = math.lcm(*(d for e in points for d in e._q[1::2]), *(d for _, d in offsets))
 
     def grid(e: Optional[Elem]) -> Optional[Tuple[int, int]]:
         if e is None:
@@ -541,10 +540,10 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
     ta, tb = grid(cert.translator)
     chosen = [grid(c) for c in cert.chosen.tops]
-    left = side is Side.LEFT
-    for ev in cert.evidence:
+    left = side is _LEFT
+    for ev, (on, od) in zip(cert.evidence, offsets):
         ua, ub = grid(ev.target_top)
-        if ev.offset.numerator * (D // ev.offset.denominator) != (ta - tb) + (ub - ua):
+        if on * (D // od) != (ta - tb) + (ub - ua):
             return False
         if left:
             pre = None if ta > ua else (ua - ta + tb, ub)
@@ -647,7 +646,7 @@ def _confirm(
 ) -> Optional[Elem]:
     """The grid point (xs, ys)/D if exact membership confirms it escapes."""
     s = Elem(Fraction(xs, D), Fraction(ys, D))
-    img = mul(t, s) if side is Side.LEFT else mul(s, t)
+    img = mul(t, s) if side is _LEFT else mul(s, t)
     return s if chosen.member(s) and not target.member(img) else None
 
 
@@ -678,11 +677,11 @@ def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     So when no probe escapes, no grid point does.
     """
     an, ad, bn, bd = t._q
-    cn, cd = chosen.n.numerator, chosen.n.denominator
-    tn, td = target.n.numerator, target.n.denominator
+    cn, cd = chosen.n.as_integer_ratio()
+    tn, td = target.n.as_integer_ratio()
     D = math.lcm(ad, bd, cd, td)
     ta, tb, nc, nt = an * (D // ad), bn * (D // bd), cn * (D // cd), tn * (D // td)
-    left = side is Side.LEFT
+    left = side is _LEFT
     probes = (
         (nc + 1, 0),
         (0, nc + 1),
@@ -747,7 +746,7 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     ta, tb = grid(t)
     ch = [grid(c) for c in chosen.tops]
     tg = [grid(u) for u in target.tops]
-    left = side is Side.LEFT
+    left = side is _LEFT
     # every image on a target segment's diagonal pulls back to one source
     # diagonal, since both product coordinates subtract the same min term
     deltas = [(ub - ua) + (ta - tb) for ua, ub in tg]

@@ -163,7 +163,7 @@ def cert_to_text(cert: ContinuityCert) -> str:
 
 
 def _lines(cert: ContinuityCert) -> List[str]:
-    lines = [_HEADER_TEXT(cert.topology, cert.side.value, *cert.translator._q)]
+    lines = [_HEADER_TEXT(cert.topology, cert.side._value_, *cert.translator._q)]
     if cert.topology == "ac1":
         lines.append(
             _THRESHOLDS_TEXT(

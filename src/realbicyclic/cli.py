@@ -36,7 +36,7 @@ from . import certificates as certs
 from .certio import cert_to_text, read_cert, write_cert
 from .exprparse import ParseError, parse_expr
 from .generate import GenConfig, IntegerMode, RationalMode
-from .order_geometry import Side, line_product
+from .order_geometry import Side, _LEFT, line_product
 from .semigroup import Elem, LineRef, TooLarge, leq_witness, line_literal, mul, scalar
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
@@ -272,7 +272,7 @@ def _cmd_falsify(args) -> int:
     if hit is None:
         print(f"no counterexample within a budget of {args.cases} points")
         return 0
-    image = mul(translator, hit) if side is Side.LEFT else mul(hit, translator)
+    image = mul(translator, hit) if side is _LEFT else mul(hit, translator)
     print(f"counterexample {hit} -> {image}")
     return 1
 

@@ -10,9 +10,10 @@ constructive factorisations, the right/left shrink witnesses that squeeze a
 translated down-ray below a prescribed point, exact translation images of
 down-rays, and exact preimages of up-segments under one-sided multiplication.
 A field of the wrong type in a public region-record constructor, a side
-that is not a ``Side``, and a region of the wrong kind handed to
-``translate_down_ray`` or ``preimage_up_segment``, is a ``TypeError`` naming
-the field, the side or the region.
+that is not a ``Side``, a region of the wrong kind handed to
+``translate_down_ray`` or ``preimage_up_segment``, and a line or point of
+the wrong type handed to ``line_product`` or ``factor_in_line_product``, is
+a ``TypeError`` naming the field, the side, the region or the argument.
 ``down_set``, ``up_set`` and ``_full`` are the records' trusted constructors
 (see ``semigroup``).
 """
@@ -26,10 +27,12 @@ from typing import Optional, Tuple, Union
 from .semigroup import (
     Elem,
     LineRef,
-    Sign,
+    _MINUS,
+    _PLUS,
     _check_field,
     _elem,
     _line,
+    _not_a,
     _sum,
     _trusted,
     inv,
@@ -41,6 +44,9 @@ from .semigroup import (
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
+
+
+_LEFT, _RIGHT = Side.LEFT, Side.RIGHT
 
 
 def _check_side(side: object) -> None:
@@ -105,7 +111,7 @@ class FullLine:
         an, ad, bn, bd = e._q
         line = self.line
         g = bn * ad - an * bd
-        if line.sign is Sign.MINUS:
+        if line.sign is _MINUS:
             g = -g
         n, d = line._alpha
         return g * d == n * ad * bd
@@ -123,16 +129,23 @@ def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
     Like-signed lines multiply to the line with the offsets added; a PLUS
     followed by a MINUS collapses to the line of the offset difference; a
     MINUS followed by a PLUS is not a whole line but the down-ray below
-    (alpha1, alpha2).
+    (alpha1, alpha2).  A line that is not a ``LineRef`` is a ``TypeError``.
     """
-    (n1, d1), (n2, d2) = l1._alpha, l2._alpha
+    try:
+        n1, d1 = l1._alpha
+    except AttributeError:
+        raise _not_a("l1", l1, LineRef) from None
+    try:
+        n2, d2 = l2._alpha
+    except AttributeError:
+        raise _not_a("l2", l2, LineRef) from None
     if l1.sign is l2.sign:
         return _full(_line(l1.sign, *_sum(n1, d1, n2, d2)))  # > 0 if both MINUS
-    if l1.sign is Sign.PLUS:
+    if l1.sign is _PLUS:
         n, d = _sum(n1, d1, -n2, d2)  # a1 - a2
         if n >= 0:
-            return _full(_line(Sign.PLUS, n, d))
-        return _full(_line(Sign.MINUS, -n, d))
+            return _full(_line(_PLUS, n, d))
+        return _full(_line(_MINUS, -n, d))
     return down_set(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
 
 
@@ -145,24 +158,27 @@ def factor_in_line_product(target: Elem, l1: LineRef, l2: LineRef) -> Tuple[Elem
 
     The choice is deterministic: one factor sits at the start of its line or
     ties its middle coordinate to the other's, which pins both factors given
-    the target's parameter.
+    the target's parameter.  Arguments of the wrong type are ``TypeError``s.
     """
     prod = line_product(l1, l2)
+    try:
+        an, ad, bn, bd = target._q
+    except AttributeError:
+        raise _not_a("target", target, Elem) from None
     if not prod.member(target):
         raise NotInProduct(f"{target} is not in {l1} * {l2} = {prod}")
     # every factor coordinate is a target coordinate x, an offset, or a sum of
     # the two, so each is non-negative
     (n1, d1), (n2, d2) = l1._alpha, l2._alpha
-    an, ad, bn, bd = target._q
     if l1.sign is l2.sign:
-        if l1.sign is Sign.PLUS:  # x = target.a: (x, x + a1), (0, a2)
+        if l1.sign is _PLUS:  # x = target.a: (x, x + a1), (0, a2)
             return _elem(an, ad, *_sum(an, ad, n1, d1)), _elem(0, 1, n2, d2)
         # x = target.b: (a1, 0), (x + a2, x)
         return _elem(n1, d1, 0, 1), _elem(*_sum(bn, bd, n2, d2), bn, bd)
-    if l1.sign is Sign.PLUS:
+    if l1.sign is _PLUS:
         # the product's offset: a1 - a2 >= 0 on PLUS, a2 - a1 > 0 on MINUS
         gn, gd = prod.line._alpha
-        if prod.line.sign is Sign.PLUS:  # x = target.a: (x, x + a1), (x + a1, x + gap)
+        if prod.line.sign is _PLUS:  # x = target.a: (x, x + a1), (x + a1, x + gap)
             s = _sum(an, ad, n1, d1)
             return _elem(an, ad, *s), _elem(*s, *_sum(an, ad, gn, gd))
         # x = target.b: (x + gap, x + a2), (x + a2, x)
@@ -212,14 +228,18 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     try:
         source = r.base
     except AttributeError:
-        raise TypeError(f"r must be a DownRay, not {r!r}") from None
-    if side is Side.LEFT:
+        raise _not_a("r", r, DownRay) from None
+    if side is _LEFT:
         base = mul(t, source)
-        collapsed = t.b > source.a
+        _, _, bn, bd = t._q
+        pn, pd, _, _ = source._q
+        collapsed = bn * pd > pn * bd  # t.b > source.a
     else:
         _check_side(side)
         base = mul(source, t)
-        collapsed = t.a > source.b
+        an, ad, _, _ = t._q
+        _, _, qn, qd = source._q
+        collapsed = an * qd > qn * ad  # t.a > source.b
     return down_set(base, r.punctured and not collapsed)
 
 
@@ -235,12 +255,12 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
     try:
         top = u.top
     except AttributeError:
-        raise TypeError(f"u must be an UpSegment, not {u!r}") from None
+        raise _not_a("u", u, UpSegment) from None
     pn, pd, qn, qd = top._q
     an, ad, bn, bd = t._q
     # the moved coordinate is non-negative: the overshoot test rules out t.a > p
     # (left) and t.b > q (right)
-    if side is Side.LEFT:
+    if side is _LEFT:
         if an * pd > pn * ad:
             return None
         return up_set(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b

@@ -19,7 +19,8 @@ from . import certificates as certs
 from .generate import GenConfig, IntegerMode, gen_elem
 from .order_geometry import (
     DownRay,
-    Side,
+    _LEFT,
+    _RIGHT,
     down_set,
     factor_in_line_product,
     line_product,
@@ -33,6 +34,8 @@ from .semigroup import (
     Elem,
     LineRef,
     Sign,
+    _MINUS,
+    _PLUS,
     classify_line,
     inv,
     is_idempotent,
@@ -229,7 +232,7 @@ def _suite_lines(run: _Runner) -> None:
         if line_point(line, x) != e:
             run.fail("line-roundtrip", str(e), str(e), str(line_point(line, x)))
         iline, ix = classify_line(inv(e))
-        flipped = Sign.MINUS if line.sign is Sign.PLUS else Sign.PLUS
+        flipped = _MINUS if line.sign is _PLUS else _PLUS
         want_sign = line.sign if line.alpha == 0 else flipped
         if iline.alpha != line.alpha or ix != x or iline.sign is not want_sign:
             run.fail(
@@ -284,7 +287,7 @@ def _suite_products(run: _Runner) -> None:
 
 def _suite_translations(run: _Runner) -> None:
     for i in range(run.cfg.cases):
-        side = Side.LEFT if i % 2 == 0 else Side.RIGHT
+        side = _LEFT if i % 2 == 0 else _RIGHT
         t = run.draw()
         base = run.draw()
         punctured = i % 3 == 0
@@ -294,19 +297,19 @@ def _suite_translations(run: _Runner) -> None:
         if punctured and d == 0:
             d += 1
         s = Elem(base.a + d, base.b + d)
-        p = run.mul(t, s) if side is Side.LEFT else run.mul(s, t)
+        p = run.mul(t, s) if side is _LEFT else run.mul(s, t)
         if not img.member(p):
             run.fail("translate-forward", f"{side.value} {t} {ray} s={s}", f"in {img}", str(p))
         u = run.draw().b
         if img.punctured and u == 0:
             u += 1
         g = Elem(img.base.a + u, img.base.b + u)
-        if side is Side.LEFT:
+        if side is _LEFT:
             lag = t.b - base.a if t.b > base.a else Fraction(0)
         else:
             lag = t.a - base.b if t.a > base.b else Fraction(0)
         s_pre = Elem(base.a + u + lag, base.b + u + lag)
-        p_back = mul(t, s_pre) if side is Side.LEFT else mul(s_pre, t)
+        p_back = mul(t, s_pre) if side is _LEFT else mul(s_pre, t)
         if not ray.member(s_pre) or p_back != g:
             run.fail(
                 "translate-backward",
@@ -317,7 +320,7 @@ def _suite_translations(run: _Runner) -> None:
         seg = up_set(run.draw())
         pre = preimage_up_segment(side, t, seg)
         probe = run.draw()
-        img_probe = mul(t, probe) if side is Side.LEFT else mul(probe, t)
+        img_probe = mul(t, probe) if side is _LEFT else mul(probe, t)
         in_pre = pre is not None and pre.member(probe)
         if in_pre != seg.member(img_probe):
             run.fail(
@@ -354,7 +357,7 @@ def _suite_ac1(run: _Runner) -> None:
         t = run.draw()
         if t.a == t.b:
             t = Elem(t.a, t.b + 1)
-        side = Side.LEFT if t.a < t.b else Side.RIGHT
+        side = _LEFT if t.a < t.b else _RIGHT
         n = max(t.a, t.b) + 2 + run.draw().a
         target = NbhdAc1(n)
         cert = certs.continuity_cert_ac1(side, t, target)
@@ -379,11 +382,11 @@ def _suite_ac1(run: _Runner) -> None:
 def _suite_ac2(run: _Runner) -> None:
     for i in range(run.cfg.cases):
         t = run.draw()
-        side = Side.LEFT if i % 2 == 0 else Side.RIGHT
+        side = _LEFT if i % 2 == 0 else _RIGHT
         tops = []
         for _ in range(1 + i % 3):
             extra = run.draw()
-            if side is Side.LEFT:
+            if side is _LEFT:
                 tops.append(Elem(t.a + 1 + extra.a, 1 + extra.b))
             else:
                 tops.append(Elem(1 + extra.a, t.b + 1 + extra.b))

@@ -92,7 +92,7 @@ class NbhdAc1:
     def member(self, e: ExtElem) -> bool:
         if e is ZERO:
             return True
-        nn, nd = self.n.numerator, self.n.denominator
+        nn, nd = self.n.as_integer_ratio()
         an, ad, bn, bd = e._q
         return an * nd > nn * ad or bn * nd > nn * bd
 
@@ -115,7 +115,10 @@ class NbhdAc2:
     def member(self, e: ExtElem) -> bool:
         if e is ZERO:
             return True
-        return all(not natural_leq(top, e) for top in self.tops)
+        for top in self.tops:
+            if natural_leq(top, e):
+                return False
+        return True
 
 
 _ac1, _ac2 = _trusted(NbhdAc1), _trusted(NbhdAc2)

@@ -40,10 +40,13 @@ from realbicyclic import (
     ZERO,
     cert_from_text,
     cert_to_text,
+    classify_line,
     continuity_cert_ac1,
     continuity_cert_ac2,
     down_set,
+    factor_in_line_product,
     falsify,
+    line_point,
     line_product,
     mul,
     parse_expr,
@@ -1162,6 +1165,17 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(translate_down_ray, Side.LEFT, Elem(1, 2), (1, 2)), "r"),
         (functools.partial(preimage_up_segment, Side.LEFT, Elem(1, 2), Elem(3, 1)), "u"),
     ]
+    # a line or point of the wrong type handed to the line layer used to fail
+    # with an AttributeError
+    line = LineRef(Sign.MINUS, 2)
+    table += [
+        (functools.partial(line_product, "L+1", line), "l1"),
+        (functools.partial(line_product, line, "L+1"), "l2"),
+        (functools.partial(line_point, "L+1", 2), "line"),
+        (functools.partial(classify_line, (1, 2)), "e"),
+        (functools.partial(factor_in_line_product, Elem(1, 2), "L+1", line), "l1"),
+        (functools.partial(factor_in_line_product, (1, 2), line, line), "target"),
+    ]
     # a certificate entry point handed no certificate, or a reader no str,
     # used to fail with an AttributeError
     table += [
@@ -1179,6 +1193,12 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     for call, param in table:
         with pytest.raises(TypeError, match=f"^{param} must be"):
             call()
+    with pytest.raises(TypeError) as info:
+        line_product("L+1", line)
+    assert str(info.value) == "l1 must be a LineRef, not 'L+1'"
+    with pytest.raises(TypeError) as info:
+        classify_line((1, 2))
+    assert str(info.value) == "e must be an Elem, not (1, 2)"
     # the same calls with a Side: the left side's witness (4,0), not the
     # right side's (4,1) that "left" used to give
     results = {name: call() for name, call in _api_calls(Side.LEFT).items()}

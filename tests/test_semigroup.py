@@ -1,6 +1,7 @@
 """Core operation tests: worked examples checked against the defining formula
 and the case-table route, plus law checks with hypothesis."""
 
+import ast
 import copy
 import itertools
 import pickle
@@ -8,6 +9,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from bicyclic_reference import word_mul
 from conftest import elems, nonneg_scalars
+import realbicyclic
 from realbicyclic import (
     Elem,
     LineRef,
@@ -227,6 +230,8 @@ def test_constructors_agree_on_every_spelling():
         (LineRef, (Sign.MINUS, 1.5), "not an exact scalar: 1.5"),
         (LineRef, (Sign.PLUS, F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
         (LineRef, (Sign.MINUS, F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
+        (line_point, (LineRef(Sign.PLUS, 3), -1), "negative scalar: -1"),
+        (line_point, (LineRef(Sign.MINUS, 3), F(-1, 2)), "negative scalar: Fraction(-1, 2)"),
     ],
 )
 def test_rejected_constructor_arguments_keep_their_messages(cls, args, message):
@@ -481,3 +486,28 @@ def test_line_layer_matches_fraction_reference():
         branches[want] += 1
     assert len(sides) == 3 and min(sides.values()) > 500, sides
     assert min(branches.values()) > 1000, branches
+
+
+def test_function_bodies_read_enum_members_as_module_constants():
+    # ``Sign.PLUS`` or ``Side.LEFT`` in a function body runs the enum's
+    # ``__getattr__`` hook on CPython 3.11; bodies read ``_PLUS``, ``_MINUS``,
+    # ``_LEFT`` and ``_RIGHT`` instead, and only module-level tables may name
+    # a member through its class
+    found = set()
+    for path in sorted(Path(realbicyclic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = fn.body
+            elif isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            else:
+                continue
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("Sign", "Side")
+                ):
+                    found.add(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert sorted(found) == []
