@@ -31,7 +31,8 @@ from its integers through ``semigroup._fraction``.  The generator and the
 through the trusted constructors ``_interval``, ``_branch``, ``_case``,
 ``_top_evidence`` and ``_cert`` (see ``semigroup``).  Every public entry point
 takes a ``Side`` and raises ``TypeError`` for anything else; so do the
-generators for a target of the other neighbourhood kind.
+generators for a target of the other neighbourhood kind, and the validators
+for a ``cert`` that is no certificate or a record value that is no Fraction.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .semigroup import Elem, _check_field, _check_int, _fraction, _sum, _trusted, mul
+from .semigroup import Elem, _check_field, _check_int, _fraction, _not_a, _sum, _trusted, mul
 from .order_geometry import (
     Side,
     _LEFT,
-    _check_side,
+    _up,
     preimage_up_segment,
     shrink_witness,
     shrink_witness_dual,
-    up_set,
 )
 from .topology import NbhdAc1, NbhdAc2, ZeroNbhd, _ac1, _ac2
 
@@ -146,11 +146,15 @@ class ContinuityCert:
 _cert = _trusted(ContinuityCert)
 
 
-def _not_a_cert(cert: object) -> TypeError:
-    """The error of an entry point handed something other than a certificate;
-    raised where the first read of ``cert`` fails, so a valid call pays for
-    no check (a ``try`` costs nothing until it catches, since CPython 3.11)."""
-    return TypeError(f"cert must be a ContinuityCert, not {cert!r}")
+_ratio = Fraction.as_integer_ratio  # unbound: refuses a float, an int or a bool
+
+
+def _ratios(values: Sequence[Fraction]) -> List[Tuple[int, int]]:
+    """The ``_ratio`` of each record value; any other value is a ``TypeError``."""
+    try:
+        return [_ratio(v) for v in values]
+    except AttributeError as exc:
+        raise _not_a("value", exc.obj, Fraction) from None
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     enlarged to max(translator) + 2 (a smaller neighbourhood, so the requested
     inclusion still follows); both thresholds are recorded.
     """
-    _check_side(side)
+    _check_field("side", side, Side)
     _check_field("target", target, NbhdAc1)
     an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
@@ -338,8 +342,8 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     try:
         side = cert.side
     except AttributeError:
-        raise _not_a_cert(cert) from None
-    _check_side(side)
+        raise _not_a("cert", cert, ContinuityCert) from None
+    _check_field("side", side, Side)
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
     if not isinstance(cert.target, NbhdAc1) or not isinstance(cert.chosen, NbhdAc1):
@@ -354,14 +358,13 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     if len(set(seen_ids)) != len(seen_ids):
         raise MalformedCert("duplicate case id")
 
-    ne_num, ne_den = cert.effective.n.as_integer_ratio()
-    tn, td = cert.target.n.as_integer_ratio()
+    thresholds = cert.effective.n, cert.target.n, cert.chosen.n
+    (ne_num, ne_den), (tn, td), (top_num, top_den) = _ratios(thresholds)
     if ne_num * td < tn * ne_den:  # the effective threshold below the requested one
         return False
 
     left = side is _LEFT
     an, ad, bn, bd = cert.translator._q
-    top_num, top_den = cert.chosen.n.as_integer_ratio()
     values = []
     for case in cert.evidence:
         a_range, b_range = case.a_range, case.b_range
@@ -373,7 +376,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             values += br.image_a
             values += br.image_b
             values.append(br.inf_value)
-    ratios = [v.as_integer_ratio() for v in values]
+    ratios = _ratios(values)
     G = 2 * math.lcm(top_den, ad, bd, ne_den, *{d for _, d in ratios})
     grid = [n * (G // d) for n, d in ratios]
     x, y = an * (G // ad), bn * (G // bd)
@@ -479,7 +482,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     for the translator; the evidence records the exact preimage of each target
     segment and which chosen segment swallows it.
     """
-    _check_side(side)
+    _check_field("side", side, Side)
     _check_field("target", target, NbhdAc2)
     an, ad, bn, bd = translator._q
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
@@ -494,7 +497,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
             chosen_tops.append(w)
         uan, uad, ubn, ubd = u._q
         delta = _fraction(*_sum(kn, kd, *_sum(ubn, ubd, -uan, uad)))  # plus the top's b - a
-        pre = preimage_up_segment(side, translator, up_set(u))
+        pre = preimage_up_segment(side, translator, _up(u))
         if pre is None:
             evidence.append(_top_evidence(u, None, delta, None))
         else:
@@ -516,8 +519,8 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     try:
         side = cert.side
     except AttributeError:
-        raise _not_a_cert(cert) from None
-    _check_side(side)
+        raise _not_a("cert", cert, ContinuityCert) from None
+    _check_field("side", side, Side)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
     if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
@@ -529,7 +532,7 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     points = [cert.translator, *cert.chosen.tops]
     for ev in cert.evidence:
         points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
-    offsets = [ev.offset.as_integer_ratio() for ev in cert.evidence]
+    offsets = _ratios([ev.offset for ev in cert.evidence])
     D = math.lcm(*(d for e in points for d in e._q[1::2]), *(d for _, d in offsets))
 
     def grid(e: Optional[Elem]) -> Optional[Tuple[int, int]]:
@@ -574,7 +577,7 @@ def validate_cert(cert: ContinuityCert) -> bool:
     try:
         topology = cert.topology
     except AttributeError:
-        raise _not_a_cert(cert) from None
+        raise _not_a("cert", cert, ContinuityCert) from None
     if topology == "ac1":
         return validate_cert_ac1(cert)
     if topology == "ac2":
@@ -620,7 +623,7 @@ def falsify(
     ``samples`` or ``seed`` that is not an int (or is a bool), raise
     ``TypeError``.
     """
-    _check_side(side)
+    _check_field("side", side, Side)
     _check_int("samples", samples)
     _check_int("seed", seed)
     if samples < 1:

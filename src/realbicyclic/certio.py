@@ -26,7 +26,7 @@ malformed.
 Each record is one spec, which ``_record`` turns into both the writer's
 template and the reader's pattern at import; the final ``end-cert`` is a
 record too.  ``cert_to_text`` writes each record with one format call over
-the integers of its values (``Elem._q`` and ``Fraction.as_integer_ratio``).
+the integers of its values (``Elem._q`` and ``certificates._ratio``).
 ``cert_from_text`` matches each record whole, LF included, with its pattern
 at its offset, in one method of the reader.  Any rational slot but an
 element's captures its token ``num/den`` as one group, and the reader, a
@@ -53,8 +53,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from .semigroup import Elem, TooLarge, _check_field, _elem as _trusted_elem, _fraction
-from .order_geometry import Side, _check_side
+from .semigroup import Elem, TooLarge, _check_field, _elem as _trusted_elem, _fraction, _not_a
+from .order_geometry import Side
 from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
     ContinuityCert,
@@ -64,7 +64,7 @@ from .certificates import (
     _case,
     _cert,
     _interval,
-    _not_a_cert,
+    _ratio,
     _top_evidence,
 )
 
@@ -137,9 +137,9 @@ _SIDES = {side.value: side for side in Side}
 def _iv(iv: Interval) -> str:
     lo_br = "(" if iv.lo_strict else "["
     if iv.hi is None:
-        return "{}{}/{} inf)".format(lo_br, *iv.lo.as_integer_ratio())
+        return "{}{}/{} inf)".format(lo_br, *_ratio(iv.lo))
     hi_br = ")" if iv.hi_strict else "]"
-    lo, hi = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+    lo, hi = _ratio(iv.lo), _ratio(iv.hi)
     return "{}{}/{} {}/{}{}".format(lo_br, *lo, *hi, hi_br)
 
 
@@ -148,18 +148,21 @@ def cert_to_text(cert: ContinuityCert) -> str:
     more digits than the interpreter converts, ``MalformedCert`` for an
     unknown topology or an image row of other than three coefficients, which
     the format cannot hold, and ``TypeError`` for a side that is not a
-    ``Side`` or a ``cert`` that is not a certificate."""
+    ``Side``, a ``cert`` that is not a certificate or a record value that is
+    not a Fraction."""
     try:
         topology = cert.topology
     except AttributeError:
-        raise _not_a_cert(cert) from None
+        raise _not_a("cert", cert, ContinuityCert) from None
     if topology not in ("ac1", "ac2"):
         raise MalformedCert(f"unknown certificate topology {topology!r}")
-    _check_side(cert.side)
+    _check_field("side", cert.side, Side)
     try:
         return "\n".join(_lines(cert)) + "\n"
     except ValueError:  # int to str past the digit limit
         raise TooLarge() from None
+    except AttributeError as exc:  # "_numerator": _ratio read a value that is not a Fraction
+        raise (_not_a("value", exc.obj, Fraction) if exc.name == "_numerator" else exc) from None
 
 
 def _lines(cert: ContinuityCert) -> List[str]:
@@ -167,9 +170,9 @@ def _lines(cert: ContinuityCert) -> List[str]:
     if cert.topology == "ac1":
         lines.append(
             _THRESHOLDS_TEXT(
-                *cert.target.n.as_integer_ratio(),
-                *cert.effective.n.as_integer_ratio(),
-                *cert.chosen.n.as_integer_ratio(),
+                *_ratio(cert.target.n),
+                *_ratio(cert.effective.n),
+                *_ratio(cert.chosen.n),
             )
         )
         for case in cert.evidence:
@@ -181,14 +184,14 @@ def _lines(cert: ContinuityCert) -> List[str]:
                 lines.append(
                     _BRANCH_TEXT(
                         br.branch,
-                        *a0.as_integer_ratio(),
-                        *a1.as_integer_ratio(),
-                        *a2.as_integer_ratio(),
-                        *b0.as_integer_ratio(),
-                        *b1.as_integer_ratio(),
-                        *b2.as_integer_ratio(),
+                        *_ratio(a0),
+                        *_ratio(a1),
+                        *_ratio(a2),
+                        *_ratio(b0),
+                        *_ratio(b1),
+                        *_ratio(b2),
                         br.witness,
-                        *br.inf_value.as_integer_ratio(),
+                        *_ratio(br.inf_value),
                         "yes" if br.inf_attained else "no",
                     )
                 )
@@ -204,7 +207,7 @@ def _lines(cert: ContinuityCert) -> List[str]:
                 _EVIDENCE_TEXT[pre is not None, cover is not None](
                     *ev.target_top._q,
                     *(() if pre is None else pre._q),
-                    *ev.offset.as_integer_ratio(),
+                    *_ratio(ev.offset),
                     *(() if cover is None else cover._q),
                 )
             )

@@ -5,7 +5,9 @@ Subcommands: ``eval``, ``order``, ``lines product``, ``certify``, ``validate``,
 usage errors and for an argument or a result with a number past the
 interpreter's digit limit (``TooLarge``, one message that echoes no
 argument); a closed standard output (``... | head``) ends with
-exit 1 and no traceback.  Integer flags and ``REALBICYCLIC_SEED`` take ASCII
+exit 1 and no traceback.  ``main`` alone reports exit 2, in one ``error:`` line
+on stderr; handlers raise ``UsageError`` or let ``ParseError`` through.
+Integer flags and ``REALBICYCLIC_SEED`` take ASCII
 digits only.  A line argument (``L+3``, ``L-1/2``) is read in one match of
 ``L[+-]`` and the scalar grammar, and the line is built from its lowest-terms
 integers (``semigroup.line_literal``).  The default seed comes from
@@ -191,11 +193,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argp
 
 
 def _cmd_eval(args) -> int:
-    try:
-        value = parse_expr(args.expr)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = parse_expr(args.expr)
     if isinstance(value, bool):
         sys.stdout.write("true\n" if value else "false\n")
         return 0 if value else 1
@@ -235,8 +233,7 @@ def _cmd_certify(args) -> int:
         except TooLarge:
             raise  # the text, not the path: reported by main
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            print(f"error: cannot write {args.emit}: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot write {args.emit}: {exc}") from exc
         print(f"wrote certificate to {args.emit} (valid)")
     else:
         sys.stdout.write(cert_to_text(cert))
@@ -247,11 +244,9 @@ def _cmd_validate(args) -> int:
     try:
         ok = certs.validate_cert(read_cert(args.certfile))
     except certs.MalformedCert as exc:
-        print(f"error: malformed certificate: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"malformed certificate: {exc}") from exc
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        print(f"error: cannot read {args.certfile}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read {args.certfile}: {exc}") from exc
     sys.stdout.write("valid\n" if ok else "invalid\n")
     return 0 if ok else 1
 
@@ -261,12 +256,8 @@ def _cmd_falsify(args) -> int:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
     side = Side(args.side)
     translator = _parse_element(args.translator)
-    if args.kind == "ac1":
-        chosen: object = _parse_ac1(args.chosen)
-        target: object = _parse_ac1(args.target)
-    else:
-        chosen = _parse_tops(args.chosen)
-        target = _parse_tops(args.target)
+    parse = _parse_ac1 if args.kind == "ac1" else _parse_tops
+    chosen, target = parse(args.chosen), parse(args.target)
     seed = args.seed if args.seed is not None else _default_seed()
     hit = certs.falsify(side, translator, chosen, target, args.cases, seed)
     if hit is None:
@@ -330,7 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe fails here rather than at exit
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, UnknownSuite, TooLarge) as exc:
+    except (UsageError, ParseError, UnknownSuite, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -61,10 +61,7 @@ class GenConfig:
     def __post_init__(self) -> None:
         _check_int("seed", self.seed)
         _check_int("cases", self.cases)
-        if not isinstance(self.scalar_mode, (RationalMode, IntegerMode)):
-            raise TypeError(
-                f"scalar_mode must be a RationalMode or an IntegerMode, not {self.scalar_mode!r}"
-            )
+        _check_field("scalar_mode", self.scalar_mode, (RationalMode, IntegerMode))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.cases < 1:

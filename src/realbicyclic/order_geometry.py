@@ -14,8 +14,9 @@ that is not a ``Side``, a region of the wrong kind handed to
 ``translate_down_ray`` or ``preimage_up_segment``, and a line or point of
 the wrong type handed to ``line_product`` or ``factor_in_line_product``, is
 a ``TypeError`` naming the field, the side, the region or the argument.
-``down_set``, ``up_set`` and ``_full`` are the records' trusted constructors
-(see ``semigroup``).
+``down_set`` and ``up_set`` are the checked constructors ``DownRay`` and
+``UpSegment``; ``_down``, ``_up`` and ``_full`` are the records' trusted
+constructors (see ``semigroup``).
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ class Side(Enum):
 
 
 _LEFT, _RIGHT = Side.LEFT, Side.RIGHT
-
-
-def _check_side(side: object) -> None:
-    """The one side check of the public entry points: ``Side`` members are
-    compared by identity, so anything else would act as the right side."""
-    if type(side) is not Side:
-        raise TypeError(f"side must be a Side, not {side!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +114,8 @@ class FullLine:
         return str(self.line)
 
 
-down_set, up_set, _full = _trusted(DownRay), _trusted(UpSegment), _trusted(FullLine)
+down_set, up_set = DownRay, UpSegment
+_down, _up, _full = _trusted(DownRay), _trusted(UpSegment), _trusted(FullLine)
 
 
 def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
@@ -146,7 +141,7 @@ def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
         if n >= 0:
             return _full(_line(_PLUS, n, d))
         return _full(_line(_MINUS, -n, d))
-    return down_set(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
+    return _down(_elem(n1, d1, n2, d2))  # two offsets, both >= 0
 
 
 class NotInProduct(ValueError):
@@ -235,12 +230,12 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
         pn, pd, _, _ = source._q
         collapsed = bn * pd > pn * bd  # t.b > source.a
     else:
-        _check_side(side)
+        _check_field("side", side, Side)  # any other value would act as RIGHT
         base = mul(source, t)
         an, ad, _, _ = t._q
         _, _, qn, qd = source._q
         collapsed = an * qd > qn * ad  # t.a > source.b
-    return down_set(base, r.punctured and not collapsed)
+    return _down(base, r.punctured and not collapsed)
 
 
 def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment]:
@@ -263,8 +258,8 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment
     if side is _LEFT:
         if an * pd > pn * ad:
             return None
-        return up_set(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
-    _check_side(side)
+        return _up(_elem(*_sum(*_sum(pn, pd, -an, ad), bn, bd), qn, qd))  # p - t.a + t.b
+    _check_field("side", side, Side)
     if bn * qd > qn * bd:
         return None
-    return up_set(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a
+    return _up(_elem(pn, pd, *_sum(*_sum(qn, qd, -bn, bd), an, ad)))  # q - t.b + t.a

@@ -215,17 +215,18 @@ _set_q = Elem._q.__set__
 def _check_int(name: str, value: object) -> None:
     """Refuse a count or bound that is not an int, or is a bool."""
     if type(value) is bool or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, not {value!r}")
+        raise _not_a(name, value, int)
 
 
-def _not_a(name: str, value: object, kind: type) -> TypeError:
-    """The error for a field or argument ``value`` that is not a ``kind``."""
-    article = "an" if kind.__name__[0] in "AEIOU" else "a"
-    return TypeError(f"{name} must be {article} {kind.__name__}, not {value!r}")
+def _not_a(name: str, value: object, kind: Union[type, Tuple[type, ...]]) -> TypeError:
+    """The error for a field or argument ``value`` that is no ``kind`` (or tuple of kinds)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    words = [("an " if k.__name__[0] in "AEIOUaeiou" else "a ") + k.__name__ for k in kinds]
+    return TypeError(f"{name} must be {' or '.join(words)}, not {value!r}")
 
 
-def _check_field(name: str, value: object, kind: type) -> None:
-    """The one check of a field or argument of type ``kind``."""
+def _check_field(name: str, value: object, kind: Union[type, Tuple[type, ...]]) -> None:
+    """The one check of a field or argument of type ``kind`` (or tuple of kinds)."""
     if not isinstance(value, kind):
         raise _not_a(name, value, kind)
 
@@ -295,8 +296,8 @@ class LineRef(_Frozen):
     __slots__ = ("sign", "_alpha")  # _alpha: (numerator, denominator)
 
     def __init__(self, sign: Sign, alpha: ScalarLike) -> None:
-        if type(sign) is not Sign:
-            raise ValueError(f"not a line sign: {sign!r}")
+        if type(sign) is not Sign:  # _check_field's test, inline on the line paths
+            raise _not_a("sign", sign, Sign)
         if type(alpha) is not Fraction:
             alpha = scalar(alpha)
         n, d = alpha.as_integer_ratio()

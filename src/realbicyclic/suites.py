@@ -21,14 +21,14 @@ from .order_geometry import (
     DownRay,
     _LEFT,
     _RIGHT,
-    down_set,
+    _down,
+    _up,
     factor_in_line_product,
     line_product,
     preimage_up_segment,
     shrink_witness,
     shrink_witness_dual,
     translate_down_ray,
-    up_set,
 )
 from .semigroup import (
     Elem,
@@ -291,7 +291,7 @@ def _suite_translations(run: _Runner) -> None:
         t = run.draw()
         base = run.draw()
         punctured = i % 3 == 0
-        ray = down_set(base, punctured)
+        ray = _down(base, punctured)
         img = translate_down_ray(side, t, ray)
         d = run.draw().a
         if punctured and d == 0:
@@ -317,7 +317,7 @@ def _suite_translations(run: _Runner) -> None:
                 f"preimage in {ray} hitting {g}",
                 f"{s_pre} -> {p_back}",
             )
-        seg = up_set(run.draw())
+        seg = _up(run.draw())
         pre = preimage_up_segment(side, t, seg)
         probe = run.draw()
         img_probe = mul(t, probe) if side is _LEFT else mul(probe, t)
@@ -352,6 +352,24 @@ def _suite_witnesses(run: _Runner) -> None:
             run.fail("shrink-dual-hereditary", f"{e0} {e1} s={sd}", "below", str(mul(sd, e0)))
 
 
+def _check_cert(run: _Runner, inputs: str, cert, goal, corrupt) -> None:
+    """The four checks of a certificate family: ``cert`` validates, a budget
+    of 300 finds no counterexample to its inclusion in ``goal``, and with
+    ``corrupt`` chosen it is rejected and a budget of 2000 finds one."""
+    kind, side, t = cert.topology, cert.side, cert.translator
+    if not certs.validate_cert(cert):
+        run.fail(f"{kind}-validate", inputs, "valid", "invalid")
+    hit = certs.falsify(side, t, cert.chosen, goal, 300)
+    if hit is not None:
+        run.fail(f"{kind}-honest-unfalsifiable", inputs, "none", str(hit))
+    witness = certs.falsify(side, t, corrupt, goal, 2000)
+    if certs.validate_cert(replace(cert, chosen=corrupt)):
+        got = f"valid despite counterexample {witness}"
+        run.fail(f"{kind}-corrupt-rejected", inputs, "invalid", got)
+    if witness is None:
+        run.fail(f"{kind}-corrupt-falsified", inputs, "counterexample", "none")
+
+
 def _suite_ac1(run: _Runner) -> None:
     for _ in range(run.cfg.cases):
         t = run.draw()
@@ -359,24 +377,8 @@ def _suite_ac1(run: _Runner) -> None:
             t = Elem(t.a, t.b + 1)
         side = _LEFT if t.a < t.b else _RIGHT
         n = max(t.a, t.b) + 2 + run.draw().a
-        target = NbhdAc1(n)
-        cert = certs.continuity_cert_ac1(side, t, target)
-        if not certs.validate_cert_ac1(cert):
-            run.fail("ac1-validate", f"{side.value} {t} n={n}", "valid", "invalid")
-        hit = certs.falsify(side, t, cert.chosen, cert.effective, 300)
-        if hit is not None:
-            run.fail("ac1-honest-unfalsifiable", f"{side.value} {t} n={n}", "none", str(hit))
-        corrupted = replace(cert, chosen=NbhdAc1(cert.effective.n))
-        witness = certs.falsify(side, t, corrupted.chosen, cert.effective, 2000)
-        if certs.validate_cert_ac1(corrupted):
-            run.fail(
-                "ac1-corrupt-rejected",
-                f"{side.value} {t} n={n}",
-                "invalid",
-                f"valid despite counterexample {witness}",
-            )
-        if witness is None:
-            run.fail("ac1-corrupt-falsified", f"{side.value} {t} n={n}", "counterexample", "none")
+        cert = certs.continuity_cert_ac1(side, t, NbhdAc1(n))
+        _check_cert(run, f"{side.value} {t} n={n}", cert, cert.effective, NbhdAc1(cert.effective.n))
 
 
 def _suite_ac2(run: _Runner) -> None:
@@ -392,36 +394,8 @@ def _suite_ac2(run: _Runner) -> None:
                 tops.append(Elem(1 + extra.a, t.b + 1 + extra.b))
         target = NbhdAc2(tuple(tops))
         cert = certs.continuity_cert_ac2(side, t, target)
-        if not certs.validate_cert_ac2(cert):
-            run.fail("ac2-validate", f"{side.value} {t} target={target.tops}", "valid", "invalid")
-        hit = certs.falsify(side, t, cert.chosen, target, 300)
-        if hit is not None:
-            run.fail(
-                "ac2-honest-unfalsifiable",
-                f"{side.value} {t} target={target.tops}",
-                "none",
-                str(hit),
-            )
-        boundary = tuple(
-            Elem(max(Fraction(0), c.a - c.b), max(Fraction(0), c.b - c.a))
-            for c in cert.chosen.tops
-        )
-        corrupted = replace(cert, chosen=NbhdAc2(boundary))
-        witness = certs.falsify(side, t, corrupted.chosen, target, 2000)
-        if certs.validate_cert_ac2(corrupted):
-            run.fail(
-                "ac2-corrupt-rejected",
-                f"{side.value} {t} target={target.tops}",
-                "invalid",
-                f"valid despite counterexample {witness}",
-            )
-        if witness is None:
-            run.fail(
-                "ac2-corrupt-falsified",
-                f"{side.value} {t} target={target.tops}",
-                "counterexample",
-                "none",
-            )
+        boundary = tuple(Elem(max(0, c.a - c.b), max(0, c.b - c.a)) for c in cert.chosen.tops)
+        _check_cert(run, f"{side.value} {t} target={target.tops}", cert, target, NbhdAc2(boundary))
 
 
 def _bicyclic_word_mul(k: int, l: int, m: int, n: int) -> Elem:

@@ -28,6 +28,7 @@ from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
+    _check_field,
     _trusted,
     classify_line,
     inv,
@@ -108,8 +109,7 @@ class NbhdAc2:
         if not tops:
             raise ValueError("neighbourhood needs at least one excluded up-segment")
         for top in tops:
-            if not isinstance(top, Elem):
-                raise TypeError(f"tops must be Elems, not {top!r}")
+            _check_field("tops", top, Elem)
         object.__setattr__(self, "tops", tops)
 
     def member(self, e: ExtElem) -> bool:

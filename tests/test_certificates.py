@@ -74,7 +74,7 @@ from realbicyclic.certificates import (
     _interval,
     _top_evidence,
 )
-from realbicyclic.order_geometry import _full
+from realbicyclic.order_geometry import _down, _full, _up
 from realbicyclic.semigroup import line_literal
 from realbicyclic.topology import _ac1, _ac2
 from realbicyclic.cli import main
@@ -1069,9 +1069,9 @@ def test_trusted_constructors_match_public_ones():
         (_cert, ContinuityCert, ac2),
         (_ac1, NbhdAc1, (F(9, 2),)),
         (_ac2, NbhdAc2, ((Elem(3, 1), Elem(7, 2)),)),
-        (down_set, DownRay, (Elem(2, 3), False)),
-        (down_set, DownRay, (Elem(0, F(7, 2)), True)),
-        (up_set, UpSegment, (Elem(F(1, 2), 4),)),
+        (_down, DownRay, (Elem(2, 3), False)),
+        (_down, DownRay, (Elem(0, F(7, 2)), True)),
+        (_up, UpSegment, (Elem(F(1, 2), 4),)),
         (_full, FullLine, (LineRef(Sign.MINUS, F(1, 2)),)),
     )
     for trusted, public, fields in table:
@@ -1090,7 +1090,8 @@ def test_trusted_constructors_match_public_ones():
         params = inspect.signature(trusted).parameters.values()
         got = [(p.name, dataclasses.MISSING if p.default is p.empty else p.default) for p in params]
         assert got == [(f.name, f.default) for f in dataclasses.fields(public)], public
-    assert down_set(Elem(2, 3)) == DownRay(Elem(2, 3))
+    # the public names are the checked constructors
+    assert down_set is DownRay and up_set is UpSegment
     # a trusted constructor runs no __post_init__, so it skips the checks
     assert _ac1(F(0)).n == 0
     with pytest.raises(ValueError):
@@ -1158,6 +1159,9 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(UpSegment, "(1,2)"), "top"),
         (functools.partial(FullLine, "L+1"), "line"),
         (functools.partial(FullLine, (Sign.PLUS, 1)), "line"),
+        # the public down_set and up_set used to skip every check
+        (functools.partial(down_set, (1, 2)), "base"),
+        (functools.partial(up_set, (1, 2)), "top"),
     ]
     # a region of the wrong kind handed to a translation used to fail with
     # an AttributeError on its base or top
@@ -1186,6 +1190,24 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(cert_from_text, None), "text"),
         (functools.partial(cert_from_text, b"realbicyclic-cert 1\n"), "text"),
     ]
+    # a float, an int or a bool where a record holds a Fraction: a float
+    # offset or chosen threshold used to validate, and the writer wrote -3.0
+    # as -3/1
+    t = Elem(1, 2)
+    ac1 = continuity_cert_ac1(Side.LEFT, t, NbhdAc1(4))
+    ac2 = continuity_cert_ac2(Side.LEFT, t, NbhdAc2((Elem(3, 1), Elem(2, 5))))
+    (case, *cases), (ev, *evs) = ac1.evidence, ac2.evidence
+    assert ac1.chosen.n == 8 and ev.offset == -3
+    bad = [dataclasses.replace(ac2, evidence=(dataclasses.replace(ev, offset=-3.0), *evs))]
+    bad += [dataclasses.replace(ac1, chosen=_ac1(v)) for v in (8.0, 8, True)]
+    bad += [dataclasses.replace(ac1, effective=_ac1(4.0))]
+    a_range = dataclasses.replace(case.a_range, lo=float(case.a_range.lo))
+    branches = (dataclasses.replace(case.branches[0], inf_value=8), *case.branches[1:])
+    for field in ({"a_range": a_range}, {"branches": branches}):
+        bad += [dataclasses.replace(ac1, evidence=(dataclasses.replace(case, **field), *cases))]
+    for cert in bad:
+        own = validate_cert_ac1 if cert.topology == "ac1" else validate_cert_ac2
+        table += [(functools.partial(f, cert), "value") for f in (validate_cert, own, cert_to_text)]
     # an expression or a line that is not a str used to fail in the regex
     # module or with an AttributeError
     table += [(functools.partial(parse_expr, text), "text") for text in (None, 12, b"(1,2)")]
@@ -1199,6 +1221,10 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     with pytest.raises(TypeError) as info:
         classify_line((1, 2))
     assert str(info.value) == "e must be an Elem, not (1, 2)"
+    for call in (validate_cert, cert_to_text):
+        with pytest.raises(TypeError) as info:
+            call(bad[0])
+        assert str(info.value) == "value must be a Fraction, not -3.0"
     # the same calls with a Side: the left side's witness (4,0), not the
     # right side's (4,1) that "left" used to give
     results = {name: call() for name, call in _api_calls(Side.LEFT).items()}

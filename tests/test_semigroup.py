@@ -386,12 +386,15 @@ def test_line_canonicalisation():
 
 
 def test_line_sign_checked():
-    # a sign that is not a Sign is refused, also before alpha 0 would
-    # canonicalise it to PLUS
+    # a sign that is not a Sign is a TypeError naming the field, also before
+    # alpha 0 would canonicalise it to PLUS
     for sign in ("x", "+", None):
         for alpha in (1, 0):
-            with pytest.raises(ValueError, match="not a line sign"):
+            with pytest.raises(TypeError, match="^sign must be a Sign, not "):
                 LineRef(sign, alpha)
+    with pytest.raises(TypeError) as info:
+        LineRef("+", 1)
+    assert str(info.value) == "sign must be a Sign, not '+'"
 
 
 @given(elems)

@@ -141,6 +141,16 @@ def test_gen_config_validation():
     ):
         with pytest.raises(TypeError, match=f"^{field} must be"):
             make()
+    for make, message in (
+        (lambda: GenConfig(seed=1.5), "seed must be an int, not 1.5"),
+        (
+            lambda: GenConfig(seed=2, scalar_mode=5),
+            "scalar_mode must be a RationalMode or an IntegerMode, not 5",
+        ),
+    ):
+        with pytest.raises(TypeError) as info:
+            make()
+        assert str(info.value) == message
     # a config that is not a GenConfig is a TypeError at the first draw
     for call in (lambda: next(gen_elem("x")), lambda: run_suite("products", None)):
         with pytest.raises(TypeError, match="^cfg must be a GenConfig, not "):

@@ -62,7 +62,7 @@ def test_segment_tops_must_be_elems():
     # a top that is not an Elem is a TypeError at construction, not an
     # AttributeError at the first membership test
     for tops in ((1,), (Elem(1, 2), "(3,1)"), (ZERO,), ((1, 2),)):
-        with pytest.raises(TypeError, match="^tops must be Elems"):
+        with pytest.raises(TypeError, match="^tops must be an Elem, not "):
             NbhdAc2(tops)
 
 
