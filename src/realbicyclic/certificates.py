@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .semigroup import Elem, _check_field, _check_int, _fraction, _not_a, _sum, _trusted, mul
 from .order_geometry import (
@@ -129,7 +129,7 @@ class TopEvidence:
 
 _top_evidence = _trusted(TopEvidence)
 
-Evidence = Union[Tuple[CaseEvidence, ...], Tuple[TopEvidence, ...]]
+Evidence = tuple[CaseEvidence, ...] | tuple[TopEvidence, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,6 +157,29 @@ def _ratios(values: Sequence[Fraction]) -> List[Tuple[int, int]]:
         raise _not_a("value", exc.obj, Fraction) from None
 
 
+def _check_kinds(cert: ContinuityCert, kind: type) -> None:
+    """The neighbourhood checks the validators and the writer share: target and
+    chosen of the topology's ``kind``, and an ac1 certificate's effective target."""
+    if not isinstance(cert.target, kind) or not isinstance(cert.chosen, kind):
+        word = "threshold" if kind is NbhdAc1 else "segment"
+        raise MalformedCert(f"{word} certificate carries wrong neighbourhood kinds")
+    if kind is NbhdAc1 and cert.effective is None:
+        raise MalformedCert("missing effective target threshold")
+
+
+def _not_a_record(entry: object, kind: type) -> MalformedCert:
+    """The error for an evidence entry that is no ``kind`` record."""
+    return MalformedCert(f"evidence entry {entry!r} is not a {kind.__name__}")
+
+
+def _translator_q(translator: Elem) -> Tuple[int, int, int, int]:
+    """The translator's ``_q``; any other value is a ``TypeError``."""
+    try:
+        return translator._q
+    except AttributeError:
+        raise _not_a("translator", translator, Elem) from None
+
+
 # ---------------------------------------------------------------------------
 # threshold-neighbourhood certificates
 # ---------------------------------------------------------------------------
@@ -179,7 +202,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     """
     _check_field("side", side, Side)
     _check_field("target", target, NbhdAc1)
-    an, ad, bn, bd = translator._q
+    an, ad, bn, bd = _translator_q(translator)
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
     tn, td = target.n.as_integer_ratio()
     if tn * pd > (pn + pd) * td:  # past max + 1
@@ -346,12 +369,12 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     _check_field("side", side, Side)
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
-    if not isinstance(cert.target, NbhdAc1) or not isinstance(cert.chosen, NbhdAc1):
-        raise MalformedCert("threshold certificate carries wrong neighbourhood kinds")
-    if cert.effective is None:
-        raise MalformedCert("missing effective target threshold")
+    _check_kinds(cert, NbhdAc1)
     known_ids = _CASE_IDS[side]
-    seen_ids = [c.case_id for c in cert.evidence]
+    try:
+        seen_ids = [c.case_id for c in cert.evidence]
+    except AttributeError as exc:
+        raise _not_a_record(exc.obj, CaseEvidence) from None
     for cid in seen_ids:
         if cid not in known_ids:
             raise MalformedCert(f"unknown case id {cid!r}")
@@ -364,7 +387,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         return False
 
     left = side is _LEFT
-    an, ad, bn, bd = cert.translator._q
+    an, ad, bn, bd = _translator_q(cert.translator)
     values = []
     for case in cert.evidence:
         a_range, b_range = case.a_range, case.b_range
@@ -484,7 +507,7 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     """
     _check_field("side", side, Side)
     _check_field("target", target, NbhdAc2)
-    an, ad, bn, bd = translator._q
+    an, ad, bn, bd = _translator_q(translator)
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: List[Elem] = []
     evidence: List[TopEvidence] = []
@@ -523,12 +546,16 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     _check_field("side", side, Side)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
-    if not isinstance(cert.target, NbhdAc2) or not isinstance(cert.chosen, NbhdAc2):
-        raise MalformedCert("segment certificate carries wrong neighbourhood kinds")
+    _check_kinds(cert, NbhdAc2)
     if not cert.chosen.tops:
         raise MalformedCert("chosen neighbourhood must exclude at least one segment")
-    if tuple(ev.target_top for ev in cert.evidence) != cert.target.tops:
+    try:
+        target_tops = tuple(ev.target_top for ev in cert.evidence)
+    except AttributeError as exc:
+        raise _not_a_record(exc.obj, TopEvidence) from None
+    if target_tops != cert.target.tops:
         raise MalformedCert("evidence tops do not match the target")
+    _translator_q(cert.translator)
     points = [cert.translator, *cert.chosen.tops]
     for ev in cert.evidence:
         points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
@@ -572,8 +599,10 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
 def validate_cert(cert: ContinuityCert) -> bool:
     """The verdict of ``validate_cert_ac1`` or ``validate_cert_ac2``, chosen
-    by ``cert.topology``.  Raises ``MalformedCert`` for an unknown topology
-    and ``TypeError`` for a ``cert`` that is not a certificate."""
+    by ``cert.topology``.  Raises ``MalformedCert`` for an unknown topology,
+    neighbourhoods of the wrong kind or an evidence entry that is not a
+    record of the topology's kind, and ``TypeError`` for a ``cert`` that is
+    not a certificate or a translator that is not an ``Elem``."""
     try:
         topology = cert.topology
     except AttributeError:
@@ -619,7 +648,9 @@ def falsify(
     ``ValueError``: no seed input of the library accepts one (``GenConfig``
     and the CLI reject it too), and a caller's bad seed is better reported
     than silently ignored.  So does ``samples < 1``, which would report a
-    miss without trying a point.  A ``side`` that is not a ``Side``, and a
+    miss without trying a point.  A ``side`` that is not a ``Side``, a
+    ``translator`` that is not an ``Elem``, a ``chosen`` of neither
+    neighbourhood kind, a ``target`` of another kind than ``chosen``, and a
     ``samples`` or ``seed`` that is not an int (or is a bool), raise
     ``TypeError``.
     """
@@ -630,12 +661,15 @@ def falsify(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if isinstance(chosen, NbhdAc1) and isinstance(target, NbhdAc1):
+    _translator_q(translator)
+    if isinstance(chosen, NbhdAc1):
+        _check_field("target", target, NbhdAc1)
         D, probes, escapes = _ac1_grid(side, translator, chosen, target)
-    elif isinstance(chosen, NbhdAc2) and isinstance(target, NbhdAc2):
+    elif isinstance(chosen, NbhdAc2):
+        _check_field("target", target, NbhdAc2)
         D, probes, escapes = _ac2_grid(side, translator, chosen, target)
     else:
-        raise TypeError("chosen and target must be zero neighbourhoods of the same kind")
+        raise _not_a("chosen", chosen, (NbhdAc1, NbhdAc2))
     for xs, ys in probes[:samples]:
         if escapes(xs, ys):
             s = _confirm(side, translator, chosen, target, xs, ys, D)

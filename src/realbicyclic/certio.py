@@ -57,15 +57,20 @@ from .semigroup import Elem, TooLarge, _check_field, _elem as _trusted_elem, _fr
 from .order_geometry import Side
 from .topology import NbhdAc1, NbhdAc2, _ac1, _ac2
 from .certificates import (
+    CaseEvidence,
     ContinuityCert,
     Interval,
     MalformedCert,
+    TopEvidence,
     _branch,
     _case,
     _cert,
+    _check_kinds,
     _interval,
+    _not_a_record,
     _ratio,
     _top_evidence,
+    _translator_q,
 )
 
 _HEADER, _END_CASE, _END_CERT = "realbicyclic-cert 1", "end-case", "end-cert"
@@ -146,10 +151,12 @@ def _iv(iv: Interval) -> str:
 def cert_to_text(cert: ContinuityCert) -> str:
     """The canonical text of ``cert``.  Raises ``TooLarge`` for a number with
     more digits than the interpreter converts, ``MalformedCert`` for an
-    unknown topology or an image row of other than three coefficients, which
-    the format cannot hold, and ``TypeError`` for a side that is not a
-    ``Side``, a ``cert`` that is not a certificate or a record value that is
-    not a Fraction."""
+    unknown topology, neighbourhoods of the wrong kind, an evidence entry
+    that is not a record of the topology's kind or an image row of other
+    than three coefficients, which the format cannot hold, and ``TypeError``
+    for a side that is not a ``Side``, a translator that is not an ``Elem``,
+    a ``cert`` that is not a certificate or a record value that is not a
+    Fraction."""
     try:
         topology = cert.topology
     except AttributeError:
@@ -157,8 +164,11 @@ def cert_to_text(cert: ContinuityCert) -> str:
     if topology not in ("ac1", "ac2"):
         raise MalformedCert(f"unknown certificate topology {topology!r}")
     _check_field("side", cert.side, Side)
+    _check_kinds(cert, NbhdAc1 if topology == "ac1" else NbhdAc2)
     try:
         return "\n".join(_lines(cert)) + "\n"
+    except MalformedCert:
+        raise
     except ValueError:  # int to str past the digit limit
         raise TooLarge() from None
     except AttributeError as exc:  # "_numerator": _ratio read a value that is not a Fraction
@@ -166,7 +176,7 @@ def cert_to_text(cert: ContinuityCert) -> str:
 
 
 def _lines(cert: ContinuityCert) -> List[str]:
-    lines = [_HEADER_TEXT(cert.topology, cert.side._value_, *cert.translator._q)]
+    lines = [_HEADER_TEXT(cert.topology, cert.side._value_, *_translator_q(cert.translator))]
     if cert.topology == "ac1":
         lines.append(
             _THRESHOLDS_TEXT(
@@ -176,7 +186,11 @@ def _lines(cert: ContinuityCert) -> List[str]:
             )
         )
         for case in cert.evidence:
-            lines.append(_CASE_TEXT(case.case_id, _iv(case.a_range), _iv(case.b_range)))
+            try:
+                case_id = case.case_id
+            except AttributeError:
+                raise _not_a_record(case, CaseEvidence) from None
+            lines.append(_CASE_TEXT(case_id, _iv(case.a_range), _iv(case.b_range)))
             for br in case.branches:
                 if len(br.image_a) != 3 or len(br.image_b) != 3:
                     raise MalformedCert("an image row must have three coefficients")
@@ -202,7 +216,10 @@ def _lines(cert: ContinuityCert) -> List[str]:
             lines += [_TOP_TEXT(*top._q) for top in nbhd.tops]
         lines.append(_COUNT_LINES["evidence"][0](len(cert.evidence)))
         for ev in cert.evidence:
-            pre, cover = ev.preimage_top, ev.covering_top
+            try:
+                pre, cover = ev.preimage_top, ev.covering_top
+            except AttributeError:
+                raise _not_a_record(ev, TopEvidence) from None
             lines.append(
                 _EVIDENCE_TEXT[pre is not None, cover is not None](
                     *ev.target_top._q,

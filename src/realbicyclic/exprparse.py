@@ -30,7 +30,7 @@ parenthesised group) reaches Python's limit.  A text that is not a str is a
 from __future__ import annotations
 
 import re
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .semigroup import (
     SCALAR_LITERAL,
@@ -46,7 +46,7 @@ from .semigroup import (
     natural_leq_ext,
 )
 
-Value = Union[Elem, ZeroType, bool]
+Value = Elem | ZeroType | bool
 
 MAX_NESTING = 100
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Union
+from typing import Iterator
 
 from .semigroup import Elem, _check_field, _check_int, _new, _set_q
 
@@ -49,7 +49,7 @@ class IntegerMode:
             raise ValueError("max must be non-negative")
 
 
-ScalarMode = Union[RationalMode, IntegerMode]
+ScalarMode = RationalMode | IntegerMode
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
+A type alias over the package's own classes is written ``Elem | ZeroType``
+or ``tuple[...]``, never ``typing.Union[...]``, because a ``typing``
+subscription caches its arguments for the life of the process and so would
+keep every re-import's classes and modules alive.
 ``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments, and
 ``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
 stores two non-negative plain ints as they are and reads two Fractions with
@@ -274,7 +278,7 @@ class ZeroType:
 
 ZERO = ZeroType()
 
-ExtElem = Union[Elem, ZeroType]
+ExtElem = Elem | ZeroType
 
 
 class Sign(Enum):

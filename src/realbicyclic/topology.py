@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
     _check_field,
+    _not_a,
     _trusted,
     classify_line,
     inv,
@@ -123,7 +124,7 @@ class NbhdAc2:
 
 _ac1, _ac2 = _trusted(NbhdAc1), _trusted(NbhdAc2)
 
-ZeroNbhd = Union[NbhdAc1, NbhdAc2]
+ZeroNbhd = NbhdAc1 | NbhdAc2
 
 
 def nbhd_invert(nbhd: ZeroNbhd) -> ZeroNbhd:
@@ -136,7 +137,7 @@ def nbhd_invert(nbhd: ZeroNbhd) -> ZeroNbhd:
         return nbhd
     if isinstance(nbhd, NbhdAc2):
         return NbhdAc2(tuple(inv(top) for top in nbhd.tops))
-    raise TypeError(f"cannot invert neighbourhood of type {type(nbhd).__name__}")
+    raise _not_a("nbhd", nbhd, (NbhdAc1, NbhdAc2))
 
 
 def nbhd_intersect_ac2(n1: NbhdAc2, n2: NbhdAc2) -> NbhdAc2:

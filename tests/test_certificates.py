@@ -49,6 +49,7 @@ from realbicyclic import (
     line_point,
     line_product,
     mul,
+    nbhd_invert,
     parse_expr,
     preimage_up_segment,
     read_cert,
@@ -1150,6 +1151,17 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(continuity_cert_ac2, Side.LEFT, Elem(1, 2), target), "target")
         for target in (nb, (Elem(3, 1),), Elem(3, 1), None)
     ]
+    # a translator that is not an Elem, and a falsifier's neighbourhoods of
+    # mixed or no kind, used to fail with an AttributeError or a bespoke message
+    table += [
+        (functools.partial(continuity_cert_ac1, Side.LEFT, (1, 2), nb), "translator"),
+        (functools.partial(continuity_cert_ac2, Side.LEFT, (1, 2), nb2), "translator"),
+        (functools.partial(falsify, Side.LEFT, (1, 2), NbhdAc1(3), nb, 10), "translator"),
+        (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb, nb2, 10), "target"),
+        (functools.partial(falsify, Side.LEFT, Elem(1, 2), nb2, nb, 10), "target"),
+        (functools.partial(falsify, Side.LEFT, Elem(1, 2), "x", nb, 10), "chosen"),
+        (functools.partial(nbhd_invert, "x"), "nbhd"),
+    ]
     table += [
         (functools.partial(DownRay, (1, 2)), "base"),
         (functools.partial(DownRay, ZERO), "base"),
@@ -1208,6 +1220,11 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     for cert in bad:
         own = validate_cert_ac1 if cert.topology == "ac1" else validate_cert_ac2
         table += [(functools.partial(f, cert), "value") for f in (validate_cert, own, cert_to_text)]
+    for cert, own in ((ac1, validate_cert_ac1), (ac2, validate_cert_ac2)):
+        cert = dataclasses.replace(cert, translator=(1, 2))
+        table += [
+            (functools.partial(f, cert), "translator") for f in (validate_cert, own, cert_to_text)
+        ]
     # an expression or a line that is not a str used to fail in the regex
     # module or with an AttributeError
     table += [(functools.partial(parse_expr, text), "text") for text in (None, 12, b"(1,2)")]
@@ -1225,6 +1242,39 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         with pytest.raises(TypeError) as info:
             call(bad[0])
         assert str(info.value) == "value must be a Fraction, not -3.0"
+    either = "must be a NbhdAc1 or a NbhdAc2, not 'x'"
+    for call, message in (
+        (lambda: nbhd_invert("x"), f"nbhd {either}"),
+        (lambda: falsify(Side.LEFT, t, "x", nb, 10), f"chosen {either}"),
+        (lambda: falsify(Side.LEFT, t, nb, nb2, 10), f"target must be a NbhdAc1, not {nb2!r}"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+    # the writer refuses neighbourhoods of the wrong kind as the validators
+    # do, and all three refuse an evidence entry that is not a record of the
+    # topology's kind: each used to end in an AttributeError; an image row of
+    # two coefficients used to be reported as a number past the digit limit
+    kinds = "{} certificate carries wrong neighbourhood kinds"
+    entry = "evidence entry {!r} is not a {}"
+    replace = dataclasses.replace
+    for cert, message in (
+        (replace(ac1, target=ac2.target), kinds.format("threshold")),
+        (replace(ac1, chosen=ac2.chosen), kinds.format("threshold")),
+        (replace(ac2, target=ac1.target), kinds.format("segment")),
+        (replace(ac1, evidence=(case, None)), entry.format(None, "CaseEvidence")),
+        (replace(ac1, evidence=ac2.evidence), entry.format(ev, "CaseEvidence")),
+        (replace(ac2, evidence=(None, *evs)), entry.format(None, "TopEvidence")),
+        (replace(ac2, evidence=ac1.evidence), entry.format(case, "TopEvidence")),
+    ):
+        own = validate_cert_ac1 if cert.topology == "ac1" else validate_cert_ac2
+        for call in (validate_cert, own, cert_to_text):
+            with pytest.raises(MalformedCert) as info:
+                call(cert)
+            assert str(info.value) == message, (call, message)
+    short = replace(case.branches[0], image_a=case.branches[0].image_a[:2])
+    with pytest.raises(MalformedCert, match="^an image row must have three coefficients$"):
+        cert_to_text(replace(ac1, evidence=(replace(case, branches=(short,)), *cases)))
     # the same calls with a Side: the left side's witness (4,0), not the
     # right side's (4,1) that "left" used to give
     results = {name: call() for name, call in _api_calls(Side.LEFT).items()}

@@ -4,8 +4,10 @@ and the case-table route, plus law checks with hypothesis."""
 import ast
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -514,3 +516,41 @@ def test_function_bodies_read_enum_members_as_module_constants():
                 ):
                     found.add(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert sorted(found) == []
+
+
+# Imports every submodule three times, dropping the package from
+# ``sys.modules`` in between, and prints the names of the classes of the
+# earlier imports that a collection leaves alive.
+_REIMPORT_PROBE = """
+import gc, importlib, importlib.util, inspect, pkgutil, sys, weakref
+path = importlib.util.find_spec("realbicyclic").submodule_search_locations
+names = ["realbicyclic"] + [
+    "realbicyclic." + m.name for m in pkgutil.iter_modules(path) if m.name != "__main__"
+]
+imports = []
+for _ in range(3):
+    for key in [k for k in sys.modules if k.partition(".")[0] == "realbicyclic"]:
+        del sys.modules[key]
+    classes = []
+    for name in names:
+        module = importlib.import_module(name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == name:
+                classes.append(weakref.ref(cls))
+    imports.append(classes)
+    del module, cls, classes
+gc.collect()
+assert min(len(classes) for classes in imports) > 30, [len(c) for c in imports]
+print(sorted({ref().__qualname__ for classes in imports[:-1] for ref in classes if ref()}))
+"""
+
+
+def test_reimported_package_leaves_no_stale_classes():
+    # a typing.Union[...] over a package class would cache it, and through it
+    # its module, for the life of the process
+    env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REIMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
