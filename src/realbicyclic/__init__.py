@@ -7,7 +7,6 @@ from .semigroup import (
     Elem,
     ExtElem,
     LineRef,
-    Scalar,
     Sign,
     TooLarge,
     ZERO,
@@ -44,8 +43,6 @@ from .topology import (
     NbhdAc1,
     NbhdAc2,
     NbhdOrder,
-    NbhdUsual,
-    nbhd_intersect_ac2,
     nbhd_invert,
 )
 from .certificates import (

@@ -38,9 +38,9 @@ for a ``cert`` that is no certificate or a record value that is no Fraction.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .semigroup import Elem, _check_field, _check_int, _fraction, _not_a, _sum, _trusted, mul
 from .order_geometry import (
@@ -57,7 +57,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 FM1 = Fraction(-1)
 
-Affine = Tuple[Fraction, Fraction, Fraction]  # coefficient of a, of b, constant
+Affine = tuple[Fraction, Fraction, Fraction]  # coefficient of a, of b, constant
 
 
 class MalformedCert(ValueError):
@@ -70,7 +70,7 @@ class Interval:
 
     lo: Fraction
     lo_strict: bool
-    hi: Optional[Fraction]
+    hi: Fraction | None
     hi_strict: bool
 
     def contains(self, v: Fraction) -> bool:
@@ -111,7 +111,7 @@ class CaseEvidence:
     case_id: str
     a_range: Interval
     b_range: Interval
-    branches: Tuple[BranchEvidence, ...]
+    branches: tuple[BranchEvidence, ...]
 
 
 _case = _trusted(CaseEvidence)
@@ -122,9 +122,9 @@ class TopEvidence:
     """Per excluded target segment: its preimage and the chosen cover."""
 
     target_top: Elem
-    preimage_top: Optional[Elem]  # None when the preimage is empty
+    preimage_top: Elem | None  # None when the preimage is empty
     offset: Fraction  # diagonal offset (b - a) of the preimage line
-    covering_top: Optional[Elem]
+    covering_top: Elem | None
 
 
 _top_evidence = _trusted(TopEvidence)
@@ -140,7 +140,7 @@ class ContinuityCert:
     target: ZeroNbhd  # as requested
     chosen: ZeroNbhd
     evidence: Evidence
-    effective: Optional[NbhdAc1] = None  # ac1 only: target after threshold adjustment
+    effective: NbhdAc1 | None = None  # ac1 only: target after threshold adjustment
 
 
 _cert = _trusted(ContinuityCert)
@@ -149,7 +149,7 @@ _cert = _trusted(ContinuityCert)
 _ratio = Fraction.as_integer_ratio  # unbound: refuses a float, an int or a bool
 
 
-def _ratios(values: Sequence[Fraction]) -> List[Tuple[int, int]]:
+def _ratios(values: Sequence[Fraction]) -> list[tuple[int, int]]:
     """The ``_ratio`` of each record value; any other value is a ``TypeError``."""
     try:
         return [_ratio(v) for v in values]
@@ -172,7 +172,7 @@ def _not_a_record(entry: object, kind: type) -> MalformedCert:
     return MalformedCert(f"evidence entry {entry!r} is not a {kind.__name__}")
 
 
-def _translator_q(translator: Elem) -> Tuple[int, int, int, int]:
+def _translator_q(translator: Elem) -> tuple[int, int, int, int]:
     """The translator's ``_q``; any other value is a ``TypeError``."""
     try:
         return translator._q
@@ -215,7 +215,7 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     return _cert("ac1", side, translator, target, _ac1(m), evidence, effective)
 
 
-def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[CaseEvidence, ...]:
+def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> tuple[CaseEvidence, ...]:
     """The big, mid and low boxes of the chosen set for the translator (x, y).
 
     ``rows`` holds, per branch of the product, the image rows (coefficient of
@@ -262,7 +262,7 @@ def _cases(side: Side, translator: Elem, n: Fraction, m: Fraction) -> Tuple[Case
     )
 
 
-def _covers_chosen(boxes: Sequence[Tuple[Tuple[int, Optional[int]], ...]], top: int) -> bool:
+def _covers_chosen(boxes: Sequence[tuple[tuple[int, int | None], ...]], top: int) -> bool:
     """Do the case boxes cover everything with a coordinate beyond top?
 
     ``boxes`` holds each case's closed integer (a, b) ranges on the grid of
@@ -309,7 +309,7 @@ def _covers_chosen(boxes: Sequence[Tuple[Tuple[int, Optional[int]], ...]], top: 
     return True
 
 
-def _grid_mul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+def _grid_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """The product (a, b) * (c, d) of grid points, by its case split on the
     gap g = c - b: (a + g, d) when g > 0, else (a, d - g)."""
     g = c - b
@@ -459,15 +459,15 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             ca, cb, inf_value = exp_a if record.witness == "a" else exp_b
             # the coefficients are -G, 0 or G: add the least (subtract the
             # greatest) value of each coordinate, its even grid end; the
-            # driving coordinate ranges over the meet [lo, hi]
+            # driving coordinate ranges over the meet [lo, hi].  Only the
+            # driving coordinate of the left gt and right lt rows has a -G,
+            # and their ranges stop at y - 1 and x - 1, so c_hi is never None
             c_lo, c_hi = (lo, hi) if left else (a_lo, a_hi)
             attained = True
             if ca > 0:
                 inf_value += c_lo - (c_lo & 1)
                 attained = not c_lo & 1
             elif ca < 0:
-                if c_hi is None:
-                    return False
                 inf_value -= c_hi + (c_hi & 1)
                 attained = not c_hi & 1
             c_lo, c_hi = (b_lo, b_hi) if left else (lo, hi)
@@ -475,8 +475,6 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                 inf_value += c_lo - (c_lo & 1)
                 attained = attained and not c_lo & 1
             elif cb < 0:
-                if c_hi is None:
-                    return False
                 inf_value -= c_hi + (c_hi & 1)
                 attained = attained and not c_hi & 1
             if inf_value != grid[end] or attained != record.inf_attained:
@@ -509,8 +507,8 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     _check_field("target", target, NbhdAc2)
     an, ad, bn, bd = _translator_q(translator)
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
-    chosen_tops: List[Elem] = []
-    evidence: List[TopEvidence] = []
+    chosen_tops: list[Elem] = []
+    evidence: list[TopEvidence] = []
     for u in target.tops:
         if side is _LEFT:
             w = shrink_witness(translator, u)
@@ -562,7 +560,7 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     offsets = _ratios([ev.offset for ev in cert.evidence])
     D = math.lcm(*(d for e in points for d in e._q[1::2]), *(d for _, d in offsets))
 
-    def grid(e: Optional[Elem]) -> Optional[Tuple[int, int]]:
+    def grid(e: Elem | None) -> tuple[int, int] | None:
         if e is None:
             return None
         an, ad, bn, bd = e._q
@@ -626,7 +624,7 @@ def falsify(
     target: ZeroNbhd,
     samples: int,
     seed: int = 0,
-) -> Optional[Elem]:
+) -> Elem | None:
     """Hunt for s in the chosen neighbourhood whose image escapes the target.
 
     The search runs on the integer grid of the inputs' common denominator.  It
@@ -680,7 +678,7 @@ def falsify(
 
 def _confirm(
     side: Side, t: Elem, chosen: ZeroNbhd, target: ZeroNbhd, xs: int, ys: int, D: int
-) -> Optional[Elem]:
+) -> Elem | None:
     """The grid point (xs, ys)/D if exact membership confirms it escapes."""
     s = Elem(Fraction(xs, D), Fraction(ys, D))
     img = mul(t, s) if side is _LEFT else mul(s, t)
@@ -689,7 +687,7 @@ def _confirm(
 
 # The grid denominator D, the probes in the order they are tried, and the
 # escape predicate on grid points (xs, ys).
-Probing = Tuple[int, Sequence[Tuple[int, int]], Callable[[int, int], bool]]
+Probing = tuple[int, Sequence[tuple[int, int]], Callable[[int, int], bool]]
 
 
 def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
@@ -746,9 +744,9 @@ def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     return D, probes, escapes
 
 
-def _furthest(tops: Sequence[Tuple[int, int]]) -> Dict[int, int]:
+def _furthest(tops: Sequence[tuple[int, int]]) -> dict[int, int]:
     """Per diagonal a - b, the largest first coordinate among the tops on it."""
-    far: Dict[int, int] = {}
+    far: dict[int, int] = {}
     for a, b in tops:
         if a > far.get(a - b, -1):
             far[a - b] = a
@@ -776,7 +774,7 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     """
     D = math.lcm(*(d for e in (t, *chosen.tops, *target.tops) for d in e._q[1::2]))
 
-    def grid(e: Elem) -> Tuple[int, int]:
+    def grid(e: Elem) -> tuple[int, int]:
         an, ad, bn, bd = e._q
         return an * (D // ad), bn * (D // bd)
 
@@ -787,7 +785,7 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     # every image on a target segment's diagonal pulls back to one source
     # diagonal, since both product coordinates subtract the same min term
     deltas = [(ub - ua) + (ta - tb) for ua, ub in tg]
-    probes: List[Tuple[int, int]] = []
+    probes: list[tuple[int, int]] = []
     for ca, cb in ch:
         probes.append((ca + 1, cb + 1))
         probes.append((ca + D, cb + D))
@@ -797,7 +795,7 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
         probes.append((x0 + 1, x0 + 1 + d))
         probes.append((x0 + D, x0 + D + d))
     far_ch = _furthest(ch)
-    reach: Dict[int, Tuple[int, int]] = {}
+    reach: dict[int, tuple[int, int]] = {}
     for image_k, t_far in _furthest(tg).items():
         k = image_k - (ta - tb)
         if left:

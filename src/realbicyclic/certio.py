@@ -49,9 +49,9 @@ repeat none of these checks.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Optional, Tuple
 
 from .semigroup import Elem, TooLarge, _check_field, _elem as _trusted_elem, _fraction, _not_a
 from .order_geometry import Side
@@ -93,7 +93,7 @@ def _template(spec: str) -> Callable[..., str]:
     return _SLOT.sub(lambda m: _WRITTEN.get(m[1], "{}"), spec).format
 
 
-def _record(spec: str, end: str = "", **words: str) -> Tuple[Callable[..., str], re.Pattern[str]]:
+def _record(spec: str, end: str = "", **words: str) -> tuple[Callable[..., str], re.Pattern[str]]:
     """The writer's template and the reader's pattern of the record ``spec``:
     its lines, literal words but for slots.  The pattern reads a rational
     ``{q}`` as ``_Q``, one group holding the token, an element ``{e}`` as
@@ -175,7 +175,7 @@ def cert_to_text(cert: ContinuityCert) -> str:
         raise (_not_a("value", exc.obj, Fraction) if exc.name == "_numerator" else exc) from None
 
 
-def _lines(cert: ContinuityCert) -> List[str]:
+def _lines(cert: ContinuityCert) -> list[str]:
     lines = [_HEADER_TEXT(cert.topology, cert.side._value_, *_translator_q(cert.translator))]
     if cert.topology == "ac1":
         lines.append(
@@ -249,13 +249,13 @@ class _Reader(dict):
         self.text = text
         self.pos = self.mark = 0
 
-    def error(self, problem: str, pos: Optional[int] = None) -> MalformedCert:
+    def error(self, problem: str, pos: int | None = None) -> MalformedCert:
         """``problem`` at the line holding ``pos``, by default the first line
         of the record being read."""
         line = self.text.count("\n", 0, self.mark if pos is None else pos) + 1
         return MalformedCert(f"line {line}: {problem}")
 
-    def record(self, pattern: re.Pattern[str], what: str) -> Tuple[Optional[str], ...]:
+    def record(self, pattern: re.Pattern[str], what: str) -> tuple[str | None, ...]:
         """The groups of the record ``what``, which must come next."""
         self.mark = self.pos
         m = pattern.match(self.text, self.pos)

@@ -32,7 +32,6 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from . import certificates as certs
 from .certio import cert_to_text, read_cert, write_cert
@@ -43,6 +42,7 @@ from .semigroup import Elem, LineRef, TooLarge, leq_witness, line_literal, mul, 
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
 from .topology import NbhdAc1, NbhdAc2
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
@@ -126,7 +126,7 @@ def _gen_config(args) -> GenConfig:
 
 
 @functools.cache
-def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
     """The top-level parser, and each command's parser keyed by its words."""
     import argparse
     ap = argparse.ArgumentParser(
@@ -135,7 +135,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[Tuple[str, ...], argp
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def positional(sub, words: Tuple[str, ...]) -> None:
+    def positional(sub, words: tuple[str, ...]) -> None:
         names, run, help_text = _POSITIONAL[words]
         p = sub.add_parser(words[-1], help=help_text)
         for name in names:
@@ -286,7 +286,7 @@ _POSITIONAL = {
 }
 
 
-def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
+def _route(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
     """The most specific parser that argv's leading words name, and the rest
     of argv; the top-level parser, with all of argv, when they name none."""
     top, routes = _build_parser()
@@ -297,7 +297,7 @@ def _route(argv: List[str]) -> Tuple[argparse.ArgumentParser, List[str]]:
     return top, argv
 
 
-def _parse(argv: List[str]) -> Union[SimpleNamespace, argparse.Namespace]:
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """argv's namespace.  A positional command with exactly its arity and no
     argument that starts with '-' gets a plain namespace of the attributes
     argparse would set; every other argv goes through its parser."""
@@ -313,7 +313,7 @@ def _parse(argv: List[str]) -> Union[SimpleNamespace, argparse.Namespace]:
     return parser.parse_args(rest)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parse(argv)

@@ -30,7 +30,6 @@ parenthesised group) reaches Python's limit.  A text that is not a str is a
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
 
 from .semigroup import (
     SCALAR_LITERAL,
@@ -68,7 +67,7 @@ class NegativeScalar(ParseError):
 
 # kind, value, position; a number's value is its lowest-terms (numerator,
 # denominator), an element literal's the four non-negative ints ``_elem`` takes.
-_Token = Tuple[str, object, int]
+_Token = tuple[str, object, int]
 
 _S1 = r"([0-9]+)(?:/(0*[1-9][0-9]*)|(\.[0-9]+))?"  # SCALAR_LITERAL, denominator nonzero
 
@@ -94,9 +93,9 @@ _LEXICAL = {"zero": "zero denominator", "noden": "missing denominator",
 _BAD = {"^": "expected ^-1", "<": "expected <=", "-": "unexpected '-'"}
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     """The tokens of ``text`` to its last non-space, then an end token at its length."""
-    tokens: List[_Token] = []
+    tokens: list[_Token] = []
     for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
         i = m.start(kind)
@@ -133,7 +132,7 @@ def _expected(what: str, kind: str, pos: int, detail: str = "") -> ParseError:
     return ParseError(f"expected {what}{detail}", pos)
 
 
-def _expr(tokens: List[_Token], i: int, depth: int) -> Tuple[Value, int]:
+def _expr(tokens: list[_Token], i: int, depth: int) -> tuple[Value, int]:
     """The value of the expression at ``tokens[i]``, inside ``depth``
     parentheses, and the index of the token after it."""
     left = value = None

@@ -13,10 +13,10 @@ is reduced by ``gcd``.  Either way the draws, and so the stream, are the same.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator
 
 from .semigroup import Elem, _check_field, _check_int, _new, _set_q
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
 
 from .semigroup import (
     Elem,
@@ -118,7 +117,7 @@ down_set, up_set = DownRay, UpSegment
 _down, _up, _full = _trusted(DownRay), _trusted(UpSegment), _trusted(FullLine)
 
 
-def line_product(l1: LineRef, l2: LineRef) -> Union[FullLine, DownRay]:
+def line_product(l1: LineRef, l2: LineRef) -> FullLine | DownRay:
     """The exact product set of two diagonal lines.
 
     Like-signed lines multiply to the line with the offsets added; a PLUS
@@ -148,7 +147,7 @@ class NotInProduct(ValueError):
     """Raised when a factorisation target is outside the stated product set."""
 
 
-def factor_in_line_product(target: Elem, l1: LineRef, l2: LineRef) -> Tuple[Elem, Elem]:
+def factor_in_line_product(target: Elem, l1: LineRef, l2: LineRef) -> tuple[Elem, Elem]:
     """Split ``target`` as e1 * e2 with e1 on ``l1`` and e2 on ``l2``.
 
     The choice is deterministic: one factor sits at the start of its line or
@@ -238,7 +237,7 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     return _down(base, r.punctured and not collapsed)
 
 
-def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> Optional[UpSegment]:
+def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> UpSegment | None:
     """Exact solution set of ``t * s in u`` (left) or ``s * t in u`` (right).
 
     Both product coordinates subtract the same min term, so the image lands on

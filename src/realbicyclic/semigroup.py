@@ -14,12 +14,14 @@ Besides multiplication the module provides the adjoined absorbing zero,
 inversion (coordinate swap), idempotents, the natural partial order, and the
 partition of the quadrant into diagonal lines of constant offset ``b - a``.
 All values are immutable and all operations are pure functions.
-A type alias over the package's own classes is written ``Elem | ZeroType``
-or ``tuple[...]``, never ``typing.Union[...]``, because a ``typing``
+The package imports no ``typing``: annotations and type aliases are written
+with builtins, ``|`` and ``collections.abc`` (``Elem | ZeroType``,
+``tuple[...]``), never ``typing.Union[...]``, because a ``typing``
 subscription caches its arguments for the life of the process and so would
 keep every re-import's classes and modules alive.
-``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments, and
-``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
+``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments,
+``mul``, ``inv`` and ``natural_leq`` raise ``TypeError`` for an operand that
+is no ``Elem``, and ``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
 stores two non-negative plain ints as they are and reads two Fractions with
 one ``as_integer_ratio`` each; every other argument goes through ``scalar``.
 Rationals are compared as integer cross-products and summed in lowest terms
@@ -47,15 +49,14 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, FrozenInstanceError, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional, Tuple, Type, TypeVar, Union
 
-Scalar = Fraction
-ScalarLike = Union[Fraction, int, str]
+ScalarLike = Fraction | int | str
 
 # The scalar grammar of every text input (``scalar`` of a string, the
 # expression language, the CLI's lines): ASCII digits, optionally followed by
@@ -64,7 +65,7 @@ SCALAR_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+)|(\.[0-9]+))?")
 _NOT_A_SCALAR = "not a scalar (digits, digits/digits or digits.digits): {!r}"
 
 
-def literal_ratio(whole: str, den: Optional[str], decimals: Optional[str]) -> Tuple[int, int]:
+def literal_ratio(whole: str, den: str | None, decimals: str | None) -> tuple[int, int]:
     """The exact value, as a lowest-terms (numerator, denominator), of the
     three groups of a ``SCALAR_LITERAL`` match (a finite decimal converts
     exactly).  Raises ``TooLarge`` for a number past the digit limit, then
@@ -195,22 +196,6 @@ class Elem(_Frozen):
         an, ad, bn, bd = self._q
         return f"Elem({_format(an, ad)!r}, {_format(bn, bd)!r})"
 
-    def __mul__(self, other: "Elem") -> "Elem":
-        return mul(self, other)
-
-    def inv(self) -> "Elem":
-        return inv(self)
-
-    def __le__(self, other: "Elem"):
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return natural_leq(self, other)
-
-    def __ge__(self, other: "Elem"):
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return natural_leq(other, self)
-
 
 _new = object.__new__
 _set_q = Elem._q.__set__
@@ -222,23 +207,27 @@ def _check_int(name: str, value: object) -> None:
         raise _not_a(name, value, int)
 
 
-def _not_a(name: str, value: object, kind: Union[type, Tuple[type, ...]]) -> TypeError:
+def _not_a(name: str, value: object, kind: type | tuple[type, ...]) -> TypeError:
     """The error for a field or argument ``value`` that is no ``kind`` (or tuple of kinds)."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     words = [("an " if k.__name__[0] in "AEIOUaeiou" else "a ") + k.__name__ for k in kinds]
     return TypeError(f"{name} must be {' or '.join(words)}, not {value!r}")
 
 
-def _check_field(name: str, value: object, kind: Union[type, Tuple[type, ...]]) -> None:
+def _not_elems(e1: object, e2: object) -> TypeError:
+    """The error for the first of two operands ``e1``, ``e2`` that is no ``Elem``."""
+    if isinstance(e1, Elem):
+        return _not_a("e2", e2, Elem)
+    return _not_a("e1", e1, Elem)
+
+
+def _check_field(name: str, value: object, kind: type | tuple[type, ...]) -> None:
     """The one check of a field or argument of type ``kind`` (or tuple of kinds)."""
     if not isinstance(value, kind):
         raise _not_a(name, value, kind)
 
 
-_R = TypeVar("_R")
-
-
-def _trusted(cls: Type[_R]) -> Callable[..., _R]:
+def _trusted(cls: type) -> Callable[..., object]:
     """The trusted constructor of the frozen slotted dataclass ``cls``, its
     fields (with their defaults) as parameters.  Its code is generated, as
     ``dataclasses`` generates ``__init__``, to run as fast as one written out."""
@@ -265,9 +254,9 @@ def _elem(an: int, ad: int, bn: int, bd: int) -> Elem:
 class ZeroType:
     """The adjoined absorbing zero.  A singleton; use the ``ZERO`` constant."""
 
-    _instance: Optional["ZeroType"] = None
+    _instance: ZeroType | None = None
 
-    def __new__(cls) -> "ZeroType":
+    def __new__(cls) -> ZeroType:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
@@ -365,7 +354,7 @@ def line_literal(text: str) -> LineRef:
     return _line(_SIGNS[m.group(1)] if num else _PLUS, num, den)  # L-0 is L+0
 
 
-def _sum(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+def _sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     """an/ad + bn/bd in lowest terms, for summands in lowest terms (numerators
     of either sign, denominators positive).  As in ``fractions``, only the
     common factor g of the denominators can cancel."""
@@ -382,8 +371,11 @@ def mul(e1: Elem, e2: Elem) -> Elem:
     """Semigroup product (a+c-min(b,c), b+d-min(b,c)) by its case split on the gap
     c - b = g/q (unreduced): (a + g/q, d), (a, d) or (a, d - g/q) as g > 0, = 0 or
     < 0.  Only the one coordinate that moves is summed, and reduced by one gcd."""
-    an, ad, bn, bd = e1._q
-    cn, cd, dn, dd = e2._q
+    try:
+        an, ad, bn, bd = e1._q
+        cn, cd, dn, dd = e2._q
+    except AttributeError:
+        raise _not_elems(e1, e2) from None
     g = cn * bd - bn * cd
     e = _new(Elem)
     if g == 0:
@@ -424,7 +416,10 @@ def mul_ext(e1: ExtElem, e2: ExtElem) -> ExtElem:
 
 def inv(e: Elem) -> Elem:
     """The unique inverse: coordinate swap."""
-    an, ad, bn, bd = e._q
+    try:
+        an, ad, bn, bd = e._q
+    except AttributeError:
+        raise _not_a("e", e, Elem) from None
     r = _new(Elem)
     _set_q(r, (bn, bd, an, ad))
     return r
@@ -448,8 +443,11 @@ def natural_leq(e1: Elem, e2: Elem) -> bool:
     Both gaps are compared as unreduced integer ratios over the products of
     their denominators.
     """
-    an, ad, bn, bd = e1._q
-    cn, cd, dn, dd = e2._q
+    try:
+        an, ad, bn, bd = e1._q
+        cn, cd, dn, dd = e2._q
+    except AttributeError:
+        raise _not_elems(e1, e2) from None
     x = an * cd - cn * ad
     if x < 0:
         return False
@@ -466,7 +464,7 @@ def natural_leq_ext(e1: ExtElem, e2: ExtElem) -> bool:
     return natural_leq(e1, e2)
 
 
-def leq_witness(e1: Elem, e2: Elem) -> Optional[Elem]:
+def leq_witness(e1: Elem, e2: Elem) -> Elem | None:
     """If e1 lies below e2, the canonical idempotent f with e2 * f = e1.
 
     Returns (b1, b1), the right-multiplier witness; None when incomparable.
@@ -477,7 +475,7 @@ def leq_witness(e1: Elem, e2: Elem) -> Optional[Elem]:
     return _elem(bn, bd, bn, bd)
 
 
-def classify_line(e: Elem) -> Tuple[LineRef, Fraction]:
+def classify_line(e: Elem) -> tuple[LineRef, Fraction]:
     """The unique diagonal line through ``e`` and its line parameter x.
 
     The side is the sign of b - a, the offset its absolute value, and x the

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List
 
 from . import certificates as certs
 from .generate import GenConfig, IntegerMode, gen_elem
@@ -72,15 +72,15 @@ class SuiteReport:
     seed: int
     cases: int
     mode: str
-    branch_counts: Dict[str, int]
-    failures: List[Failure]
+    branch_counts: dict[str, int]
+    failures: list[Failure]
     elapsed: float
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def body_lines(self) -> List[str]:
+    def body_lines(self) -> list[str]:
         lines = [
             f"suite {self.suite}",
             f"seed {self.seed}",
@@ -122,7 +122,7 @@ class _Runner:
         self.cfg = cfg
         self.draw: Callable[[], Elem] = gen_elem(cfg).__next__
         self.branch_counts = {"lt": 0, "eq": 0, "gt": 0}
-        self.failures: List[Failure] = []
+        self.failures: list[Failure] = []
 
     def mul(self, e1: Elem, e2: Elem) -> Elem:
         """The product, tallied under the branch of its gap.  ``mul_branch``
@@ -445,7 +445,7 @@ def _suite_bicyclic(run: _Runner) -> None:
             run.fail("bicyclic-exponents", f"{e1} {e2}", str(want), str(formula))
 
 
-_SUITES: Dict[str, Callable[[_Runner], None]] = {
+_SUITES: dict[str, Callable[[_Runner], None]] = {
     "axioms": _suite_axioms,
     "order": _suite_order,
     "lines": _suite_lines,

@@ -1,9 +1,7 @@
 """Neighbourhood models for topologies on the quadrant and its zero extension.
 
-Four basic-neighbourhood shapes, all with exact rational membership:
+Three basic-neighbourhood shapes, all with exact rational membership:
 
-* ``NbhdUsual`` -- open axis-aligned box around a point, a base for the plane
-  topology restricted to the quadrant;
 * ``NbhdOrder`` -- interval of one diagonal line around a point, a base for
   the topology generated by the natural partial order (each line is open and
   closed there);
@@ -22,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .semigroup import (
     Elem,
     ExtElem,
     ZERO,
+    ZeroType,
     _check_field,
     _not_a,
     _trusted,
@@ -43,25 +41,6 @@ def _positive(value) -> Fraction:
     if f == 0:
         raise ValueError("size parameter must be positive")
     return f
-
-
-@dataclass(frozen=True)
-class NbhdUsual:
-    """Open box |a - center.a| < radius, |b - center.b| < radius, within the quadrant."""
-
-    center: Elem
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", _positive(self.radius))
-
-    def member(self, e: ExtElem) -> bool:
-        if e is ZERO:
-            return False
-        return (
-            abs(e.a - self.center.a) < self.radius
-            and abs(e.b - self.center.b) < self.radius
-        )
 
 
 @dataclass(frozen=True)
@@ -94,8 +73,11 @@ class NbhdAc1:
     def member(self, e: ExtElem) -> bool:
         if e is ZERO:
             return True
+        try:
+            an, ad, bn, bd = e._q
+        except AttributeError:
+            raise _not_a("e", e, (Elem, ZeroType)) from None
         nn, nd = self.n.as_integer_ratio()
-        an, ad, bn, bd = e._q
         return an * nd > nn * ad or bn * nd > nn * bd
 
 
@@ -103,7 +85,7 @@ class NbhdAc1:
 class NbhdAc2:
     """Zero plus every point outside the up-segments of the listed tops."""
 
-    tops: Tuple[Elem, ...]
+    tops: tuple[Elem, ...]
 
     def __post_init__(self) -> None:
         tops = tuple(self.tops)
@@ -138,12 +120,3 @@ def nbhd_invert(nbhd: ZeroNbhd) -> ZeroNbhd:
     if isinstance(nbhd, NbhdAc2):
         return NbhdAc2(tuple(inv(top) for top in nbhd.tops))
     raise _not_a("nbhd", nbhd, (NbhdAc1, NbhdAc2))
-
-
-def nbhd_intersect_ac2(n1: NbhdAc2, n2: NbhdAc2) -> NbhdAc2:
-    """Intersection: exclude the union of both top lists (deduplicated)."""
-    seen = []
-    for top in n1.tops + n2.tops:
-        if top not in seen:
-            seen.append(top)
-    return NbhdAc2(tuple(seen))

@@ -46,9 +46,11 @@ from realbicyclic import (
     down_set,
     factor_in_line_product,
     falsify,
+    inv,
     line_point,
     line_product,
     mul,
+    natural_leq,
     nbhd_invert,
     parse_expr,
     preimage_up_segment,
@@ -1192,6 +1194,15 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(factor_in_line_product, Elem(1, 2), "L+1", line), "l1"),
         (functools.partial(factor_in_line_product, (1, 2), line, line), "target"),
     ]
+    # a point of the wrong type handed to the product, the order, inversion
+    # or a threshold neighbourhood used to fail with an AttributeError
+    table += [
+        (functools.partial(mul, (1, 2), Elem(1, 2)), "e1"),
+        (functools.partial(mul, Elem(1, 2), (1, 2)), "e2"),
+        (functools.partial(natural_leq, (1, 2), Elem(1, 2)), "e1"),
+        (functools.partial(inv, "x"), "e"),
+        (functools.partial(NbhdAc1(4).member, (1, 2)), "e"),
+    ]
     # a certificate entry point handed no certificate, or a reader no str,
     # used to fail with an AttributeError
     table += [
@@ -1238,6 +1249,9 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     with pytest.raises(TypeError) as info:
         classify_line((1, 2))
     assert str(info.value) == "e must be an Elem, not (1, 2)"
+    with pytest.raises(TypeError) as info:
+        NbhdAc1(4).member((1, 2))
+    assert str(info.value) == "e must be an Elem or a ZeroType, not (1, 2)"
     for call in (validate_cert, cert_to_text):
         with pytest.raises(TypeError) as info:
             call(bad[0])
@@ -1360,6 +1374,10 @@ def test_ac2_mismatched_evidence_malformed():
     tampered = dataclasses.replace(cert, target=NbhdAc2((Elem(4, 1),)))
     with pytest.raises(MalformedCert):
         validate_cert_ac2(tampered)
+    # chosen tops that exclude nothing, which only a trusted build can hold
+    empty = dataclasses.replace(cert, chosen=_ac2(()))
+    with pytest.raises(MalformedCert, match="^chosen neighbourhood must exclude at least one"):
+        validate_cert_ac2(empty)
 
 
 @settings(max_examples=40)

@@ -757,16 +757,19 @@ def test_import_builds_no_parser():
 
 
 def test_positional_command_imports_no_argparse():
+    # neither the package nor a positional command imports argparse or
+    # typing; -S keeps site's own imports (typing, on some installs) out
     env = dict(os.environ, PYTHONPATH=str(Path(realbicyclic.__file__).parents[1]))
     probe = (
-        "import sys; from realbicyclic import cli; cli.main(['eval', '(1,3)*(2,5)']); "
-        "print('argparse' in sys.modules)"
+        "import sys, realbicyclic; from realbicyclic import cli; "
+        "cli.main(['eval', '(1,3)*(2,5)']); "
+        "print(sorted({'argparse', 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(1,6)\nFalse\n"
+    assert proc.stdout == "(1,6)\n[]\n"
 
 
 def test_integer_flags_take_ascii_digits_only(capsys, monkeypatch):

@@ -152,6 +152,8 @@ def test_oversized_literal_is_not_a_zero_denominator(capsys):
     assert parse_expr(f"(1,{at})") == Elem(1, int(at))
     message = f"a number has more than {limit} digits"
     for text, pos in (
+        (past, 0),
+        (f"(1,2) * {past}", 8),
         (f"(1,{past})", 3),
         (f"({past}/2,1)", 1),
         (f"(1,2/{past})", 3),

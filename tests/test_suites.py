@@ -7,6 +7,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,8 @@ from realbicyclic import (
     run_suite,
 )
 from realbicyclic import certificates, suites
-from realbicyclic.semigroup import mul, mul_branch
+from realbicyclic.order_geometry import factor_in_line_product, shrink_witness
+from realbicyclic.semigroup import line_point, mul, mul_branch, natural_leq
 from realbicyclic.suites import SUITE_NAMES
 
 
@@ -116,6 +118,10 @@ def test_gen_scalar_is_the_randrange_stream(mode, seed):
 def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(seed=-1)
+    with pytest.raises(ValueError, match="^max_num must be non-negative$"):
+        RationalMode(-1, 8)
+    with pytest.raises(ValueError, match="^max must be non-negative$"):
+        IntegerMode(-1)
     with pytest.raises(ValueError):
         GenConfig(seed=2**64)
     with pytest.raises(ValueError):
@@ -335,3 +341,69 @@ def test_failures_print_exact_rationals(monkeypatch):
     report = run_suite("ac1", GenConfig(seed=11, cases=2))
     text = report.render()
     assert "/" in text or "(" in text  # counterexamples rendered exactly
+
+
+def _wrong_unless_lt(e1, e2):
+    """The product, with its second coordinate one too big off the lt branch."""
+    p = mul(e1, e2)
+    return p if mul_branch(e1, e2) == "lt" else Elem(p.a, p.b + 1)
+
+
+def _accepts_all(*args):
+    """A neighbourhood or preimage that holds every point."""
+    return SimpleNamespace(member=lambda e: True)
+
+
+_BREAKS = [
+    # suite, the module and name replaced, the replacement, the checks it fails
+    ("axioms", suites, "mul", _wrong_unless_lt,
+     {"associativity", "idempotents-commute", "inverse-of-inverse", "inverse-restores",
+      "mul-min-formula"}),
+    ("axioms", suites, "mul_branch", lambda e1, e2: "eq", {"branch-coverage"}),
+    ("order", suites, "natural_leq", lambda s, t: not natural_leq(s, t),
+     {"antisymmetry", "leq-witness", "leq-witness-none", "order-characterisations",
+      "reflexivity"}),
+    ("order", suites, "natural_leq", lambda s, t: natural_leq(s, t) and s.a - t.a <= 1,
+     {"leq-witness-none", "order-characterisations", "transitivity"}),
+    ("order", suites, "mul", _wrong_unless_lt,
+     {"leq-witness", "mul-min-formula", "order-characterisations", "order-compatibility"}),
+    ("lines", suites, "inv", lambda e: e, {"inversion-flips-line"}),
+    ("lines", suites, "line_point", lambda line, x: line_point(line, x / 2),
+     {"line-roundtrip", "order-nbhd-edge", "order-nbhd-inside"}),
+    ("lines", suites, "NbhdOrder", _accepts_all, {"order-nbhd-edge", "order-nbhd-off-line"}),
+    ("products", suites, "mul", _wrong_unless_lt,
+     {"factor-product", "mul-min-formula", "product-membership"}),
+    ("products", suites, "factor_in_line_product",
+     lambda target, l1, l2: factor_in_line_product(target, l1, l2)[::-1],
+     {"factor-lines", "factor-product"}),
+    ("translations", suites, "mul", _wrong_unless_lt,
+     {"mul-min-formula", "translate-backward", "translate-forward"}),
+    ("translations", suites, "preimage_up_segment", _accepts_all, {"preimage-pointwise"}),
+    ("witnesses", suites, "natural_leq", lambda s, t: False,
+     {"shrink-dual", "shrink-dual-hereditary", "shrink-hereditary", "shrink-witness"}),
+    ("witnesses", suites, "shrink_witness_dual", shrink_witness, {"shrink-dual-direct"}),
+    ("bicyclic", suites, "_bicyclic_word_mul", lambda k, l, m, n: Elem(k + m, l + n),
+     {"bicyclic-exponents", "bicyclic-word"}),
+    ("ac1", certificates, "falsify", lambda *args: None, {"ac1-corrupt-falsified"}),
+    ("ac1", certificates, "falsify", lambda *args: Elem(0, 0), {"ac1-honest-unfalsifiable"}),
+    ("ac2", certificates, "falsify", lambda *args: None, {"ac2-corrupt-falsified"}),
+    ("ac2", certificates, "falsify", lambda *args: Elem(0, 0), {"ac2-honest-unfalsifiable"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, module, attr, wrong, checks",
+    _BREAKS,
+    ids=[f"{name}-{attr}-{i}" for i, (name, _, attr, _, _) in enumerate(_BREAKS)],
+)
+def test_suite_reports_a_broken_operation(monkeypatch, name, module, attr, wrong, checks):
+    # every failure report of every suite: a wrong product, order, line
+    # operation, neighbourhood, witness, word oracle, branch tally or
+    # falsifier is reported by the checks it breaks, not raised
+    monkeypatch.setattr(module, attr, wrong)
+    cases = 4 if name in ("ac1", "ac2") else 40
+    report = run_suite(name, GenConfig(seed=7, cases=cases))
+    lines = report.body_lines()
+    assert lines[-1] == "status fail"
+    failures = [line.split()[1] for line in lines if line.startswith("failure ")]
+    assert {check.removeprefix("check=") for check in failures} == checks

@@ -1,5 +1,5 @@
-"""Neighbourhood membership, inversion coherence, intersections, and the
-line-local character of order neighbourhoods."""
+"""Neighbourhood membership, inversion coherence, and the line-local
+character of order neighbourhoods."""
 
 from fractions import Fraction as F
 
@@ -13,14 +13,12 @@ from realbicyclic import (
     NbhdAc1,
     NbhdAc2,
     NbhdOrder,
-    NbhdUsual,
     ZERO,
     classify_line,
     inv,
     inv_ext,
     line_point,
     mul_ext,
-    nbhd_intersect_ac2,
     nbhd_invert,
 )
 
@@ -51,8 +49,6 @@ def test_positive_parameters_required():
     with pytest.raises(ValueError):
         NbhdAc1(0)
     with pytest.raises(ValueError):
-        NbhdUsual(Elem(1, 1), 0)
-    with pytest.raises(ValueError):
         NbhdOrder(Elem(1, 1), F(0))
     with pytest.raises(ValueError):
         NbhdAc2(())
@@ -64,14 +60,6 @@ def test_segment_tops_must_be_elems():
     for tops in ((1,), (Elem(1, 2), "(3,1)"), (ZERO,), ((1, 2),)):
         with pytest.raises(TypeError, match="^tops must be an Elem, not "):
             NbhdAc2(tops)
-
-
-def test_usual_box_membership():
-    nb = NbhdUsual(Elem(2, 3), F(1, 2))
-    assert nb.member(Elem("9/4", "13/4"))
-    assert not nb.member(Elem("5/2", 3))  # boundary excluded
-    assert not nb.member(Elem(2, 4))
-    assert not nb.member(ZERO)
 
 
 def test_order_neighbourhood_is_line_local():
@@ -98,7 +86,7 @@ def test_invert_examples():
         (Elem(3, 2), Elem(1, 5))
     )
     with pytest.raises(TypeError):
-        nbhd_invert(NbhdUsual(Elem(1, 1), 1))
+        nbhd_invert(NbhdOrder(Elem(1, 1), 1))
 
 
 @given(ext_elems)
@@ -111,21 +99,6 @@ def test_invert_threshold_pointwise(e):
 def test_invert_segments_pointwise(e):
     nb = NbhdAc2((Elem(2, 3), Elem(5, 1), Elem("1/2", 4)))
     assert nbhd_invert(nb).member(e) == nb.member(inv_ext(e))
-
-
-def test_intersect_examples():
-    n1 = NbhdAc2((Elem(1, 1),))
-    n2 = NbhdAc2((Elem(2, 3),))
-    assert nbhd_intersect_ac2(n1, n2) == NbhdAc2((Elem(1, 1), Elem(2, 3)))
-    assert nbhd_intersect_ac2(n1, n1) == n1
-
-
-@given(ext_elems)
-def test_intersect_membership_is_conjunction(e):
-    n1 = NbhdAc2((Elem(1, 1), Elem(3, 0)))
-    n2 = NbhdAc2((Elem(2, 3),))
-    both = nbhd_intersect_ac2(n1, n2)
-    assert both.member(e) == (n1.member(e) and n2.member(e))
 
 
 @given(ext_elems)
