@@ -23,21 +23,22 @@ it; inclusion of up-segments lying on one diagonal is decided by comparing
 offsets and furthest points.
 
 The generator computes on the integers of ``Elem._q`` and of the
-thresholds, as the validators do, with its own arithmetic (``semigroup._sum``
-and cross-products; it shares no grid code with the validators).  The
-records stay frozen, slotted dataclasses of Fractions, each value built once
-from its integers through ``semigroup._fraction``.  The generator and the
-``certio`` reader, which have already checked what they hold, build them
-through the trusted constructors ``_interval``, ``_branch``, ``_case``,
-``_top_evidence`` and ``_cert`` (see ``semigroup``).  Every public entry point
-takes a ``Side`` and raises ``TypeError`` for anything else; so do the
-generators for a target of the other neighbourhood kind, and the validators
-for a ``cert`` that is no certificate or a record value that is no Fraction.
+thresholds, with its own arithmetic (``semigroup._sum`` and cross-products;
+it shares no grid code with the validators).  The records are frozen,
+slotted dataclasses of Fractions.  Their public constructors, written here
+alone, refuse every value the text format cannot hold: a wrong type is a
+``TypeError``, a wrong word or shape a ``MalformedCert``.  So the writer and
+the validators read the fields unchecked, and the validators judge only the
+content.  The generator and the ``certio`` reader hold checked values and
+build the records through the trusted constructors ``_interval``,
+``_branch``, ``_case``, ``_top_evidence`` and ``_cert`` (see ``semigroup``).
+Every entry point raises ``TypeError`` for an argument of the wrong type.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,23 +65,27 @@ class MalformedCert(ValueError):
     """Certificate is structurally broken (unknown ids, mismatched shape)."""
 
 
+_BRANCH_ORDER = ("lt", "eq", "gt")
+_CASE_ID = re.compile("[a-z]+(?:-[a-z]+)*")  # the words the text format holds as a case id
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """One-dimensional constraint lo <(=) var <(=) hi; hi None means unbounded."""
+    """One-dimensional constraint lo <(=) var <(=) hi; hi None means open at inf."""
 
     lo: Fraction
     lo_strict: bool
     hi: Fraction | None
     hi_strict: bool
 
-    def contains(self, v: Fraction) -> bool:
-        if v < self.lo or (v == self.lo and self.lo_strict):
-            return False
-        if self.hi is None:
-            return True
-        if v > self.hi or (v == self.hi and self.hi_strict):
-            return False
-        return True
+    def __post_init__(self) -> None:
+        _check_field("lo", self.lo, Fraction)
+        _check_field("lo_strict", self.lo_strict, bool)
+        _check_field("hi_strict", self.hi_strict, bool)
+        if self.hi is not None:
+            _check_field("hi", self.hi, Fraction)
+        elif not self.hi_strict:
+            raise MalformedCert("a range with no hi must be open at inf")
 
 
 _interval = _trusted(Interval)
@@ -102,6 +107,20 @@ class BranchEvidence:
     inf_value: Fraction
     inf_attained: bool
 
+    def __post_init__(self) -> None:
+        if self.branch not in _BRANCH_ORDER:
+            raise MalformedCert(f"unknown branch tag {self.branch!r}")
+        for name, row in (("image_a", self.image_a), ("image_b", self.image_b)):
+            _check_field(name, row, tuple)
+            if len(row) != 3:
+                raise MalformedCert("an image row must have three coefficients")
+            for value in row:
+                _check_field(name, value, Fraction)
+        if self.witness not in ("a", "b"):
+            raise MalformedCert(f"unknown witness coordinate {self.witness!r}")
+        _check_field("inf_value", self.inf_value, Fraction)
+        _check_field("inf_attained", self.inf_attained, bool)
+
 
 _branch = _trusted(BranchEvidence)
 
@@ -112,6 +131,16 @@ class CaseEvidence:
     a_range: Interval
     b_range: Interval
     branches: tuple[BranchEvidence, ...]
+
+    def __post_init__(self) -> None:
+        _check_field("case_id", self.case_id, str)
+        if not _CASE_ID.fullmatch(self.case_id):
+            raise MalformedCert(f"unknown case id {self.case_id!r}")
+        _check_field("a_range", self.a_range, Interval)
+        _check_field("b_range", self.b_range, Interval)
+        _check_field("branches", self.branches, tuple)
+        for br in self.branches:
+            _check_field("branches", br, BranchEvidence)
 
 
 _case = _trusted(CaseEvidence)
@@ -125,6 +154,13 @@ class TopEvidence:
     preimage_top: Elem | None  # None when the preimage is empty
     offset: Fraction  # diagonal offset (b - a) of the preimage line
     covering_top: Elem | None
+
+    def __post_init__(self) -> None:
+        _check_field("target_top", self.target_top, Elem)
+        for name, top in (("preimage_top", self.preimage_top), ("covering_top", self.covering_top)):
+            if top is not None:
+                _check_field(name, top, Elem)
+        _check_field("offset", self.offset, Fraction)
 
 
 _top_evidence = _trusted(TopEvidence)
@@ -142,42 +178,29 @@ class ContinuityCert:
     evidence: Evidence
     effective: NbhdAc1 | None = None  # ac1 only: target after threshold adjustment
 
+    def __post_init__(self) -> None:
+        if self.topology not in ("ac1", "ac2"):
+            raise MalformedCert(f"unknown certificate topology {self.topology!r}")
+        _check_field("side", self.side, Side)
+        _check_field("translator", self.translator, Elem)
+        ac1 = self.topology == "ac1"
+        kind, record = (NbhdAc1, CaseEvidence) if ac1 else (NbhdAc2, TopEvidence)
+        if not isinstance(self.target, kind) or not isinstance(self.chosen, kind):
+            word = "threshold" if ac1 else "segment"
+            raise MalformedCert(f"{word} certificate carries wrong neighbourhood kinds")
+        if ac1 and self.effective is None:
+            raise MalformedCert("missing effective target threshold")
+        _check_field("effective", self.effective, NbhdAc1 if ac1 else type(None))
+        _check_field("evidence", self.evidence, tuple)
+        for entry in self.evidence:
+            if not isinstance(entry, record):
+                raise MalformedCert(f"evidence entry {entry!r} is not a {record.__name__}")
+
 
 _cert = _trusted(ContinuityCert)
 
 
-_ratio = Fraction.as_integer_ratio  # unbound: refuses a float, an int or a bool
-
-
-def _ratios(values: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """The ``_ratio`` of each record value; any other value is a ``TypeError``."""
-    try:
-        return [_ratio(v) for v in values]
-    except AttributeError as exc:
-        raise _not_a("value", exc.obj, Fraction) from None
-
-
-def _check_kinds(cert: ContinuityCert, kind: type) -> None:
-    """The neighbourhood checks the validators and the writer share: target and
-    chosen of the topology's ``kind``, and an ac1 certificate's effective target."""
-    if not isinstance(cert.target, kind) or not isinstance(cert.chosen, kind):
-        word = "threshold" if kind is NbhdAc1 else "segment"
-        raise MalformedCert(f"{word} certificate carries wrong neighbourhood kinds")
-    if kind is NbhdAc1 and cert.effective is None:
-        raise MalformedCert("missing effective target threshold")
-
-
-def _not_a_record(entry: object, kind: type) -> MalformedCert:
-    """The error for an evidence entry that is no ``kind`` record."""
-    return MalformedCert(f"evidence entry {entry!r} is not a {kind.__name__}")
-
-
-def _translator_q(translator: Elem) -> tuple[int, int, int, int]:
-    """The translator's ``_q``; any other value is a ``TypeError``."""
-    try:
-        return translator._q
-    except AttributeError:
-        raise _not_a("translator", translator, Elem) from None
+_ratio = Fraction.as_integer_ratio  # unbound: a record value's integers in one call
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +211,6 @@ _CASE_IDS = {
     Side.LEFT: ("big-a", "mid-a", "low-a"),
     Side.RIGHT: ("big-b", "mid-b", "low-b"),
 }
-
-_BRANCH_ORDER = ("lt", "eq", "gt")
 
 
 def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> ContinuityCert:
@@ -202,7 +223,8 @@ def continuity_cert_ac1(side: Side, translator: Elem, target: NbhdAc1) -> Contin
     """
     _check_field("side", side, Side)
     _check_field("target", target, NbhdAc1)
-    an, ad, bn, bd = _translator_q(translator)
+    _check_field("translator", translator, Elem)
+    an, ad, bn, bd = translator._q
     pn, pd = (an, ad) if an * bd >= bn * ad else (bn, bd)  # max(translator)
     tn, td = target.n.as_integer_ratio()
     if tn * pd > (pn + pd) * td:  # past max + 1
@@ -362,19 +384,12 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     closed ranges inline, and coverage reads the ranges it built; the corner
     scan reads the scaled translator and thresholds.
     """
-    try:
-        side = cert.side
-    except AttributeError:
-        raise _not_a("cert", cert, ContinuityCert) from None
-    _check_field("side", side, Side)
+    _check_field("cert", cert, ContinuityCert)
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
-    _check_kinds(cert, NbhdAc1)
+    side = cert.side
     known_ids = _CASE_IDS[side]
-    try:
-        seen_ids = [c.case_id for c in cert.evidence]
-    except AttributeError as exc:
-        raise _not_a_record(exc.obj, CaseEvidence) from None
+    seen_ids = [c.case_id for c in cert.evidence]
     for cid in seen_ids:
         if cid not in known_ids:
             raise MalformedCert(f"unknown case id {cid!r}")
@@ -382,12 +397,12 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         raise MalformedCert("duplicate case id")
 
     thresholds = cert.effective.n, cert.target.n, cert.chosen.n
-    (ne_num, ne_den), (tn, td), (top_num, top_den) = _ratios(thresholds)
+    (ne_num, ne_den), (tn, td), (top_num, top_den) = map(_ratio, thresholds)
     if ne_num * td < tn * ne_den:  # the effective threshold below the requested one
         return False
 
     left = side is _LEFT
-    an, ad, bn, bd = _translator_q(cert.translator)
+    an, ad, bn, bd = cert.translator._q
     values = []
     for case in cert.evidence:
         a_range, b_range = case.a_range, case.b_range
@@ -399,7 +414,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             values += br.image_a
             values += br.image_b
             values.append(br.inf_value)
-    ratios = _ratios(values)
+    ratios = [_ratio(v) for v in values]
     G = 2 * math.lcm(top_den, ad, bd, ne_den, *{d for _, d in ratios})
     grid = [n * (G // d) for n, d in ratios]
     x, y = an * (G // ad), bn * (G // bd)
@@ -430,12 +445,10 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         b_lo = grid[i + 2] + (1 if b_range.lo_strict else 0)
         b_hi = None if b_range.hi is None else grid[i + 3] - (1 if b_range.hi_strict else 0)
         i += 4
-        records = {}  # branch tag -> (record, grid indices of its image rows and infimum)
+        records = {}  # branch tag -> (record, grid index of its image rows and infimum)
         for br in case.branches:
-            k = i + len(br.image_a)
-            end = k + len(br.image_b)
-            records[br.branch] = br, i, k, end
-            i = end + 1
+            records[br.branch] = br, i
+            i += 7
         for tag in records:
             if tag not in _BRANCH_ORDER:
                 raise MalformedCert(f"unknown branch tag {tag!r}")
@@ -451,8 +464,8 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                 return False
             if entry is None:
                 continue
-            record, j, k, end = entry
-            if grid[j:k] != exp_a or grid[k:end] != exp_b:
+            record, j = entry
+            if grid[j : j + 3] != exp_a or grid[j + 3 : j + 6] != exp_b:
                 return False
             if record.witness not in ("a", "b"):
                 raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
@@ -477,7 +490,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             elif cb < 0:
                 inf_value -= c_hi + (c_hi & 1)
                 attained = attained and not c_hi & 1
-            if inf_value != grid[end] or attained != record.inf_attained:
+            if inf_value != grid[j + 6] or attained != record.inf_attained:
                 return False
             if attained:
                 if inf_value <= ne:
@@ -505,7 +518,8 @@ def continuity_cert_ac2(side: Side, translator: Elem, target: NbhdAc2) -> Contin
     """
     _check_field("side", side, Side)
     _check_field("target", target, NbhdAc2)
-    an, ad, bn, bd = _translator_q(translator)
+    _check_field("translator", translator, Elem)
+    an, ad, bn, bd = translator._q
     kn, kd = _sum(an, ad, -bn, bd)  # the translator's a - b
     chosen_tops: list[Elem] = []
     evidence: list[TopEvidence] = []
@@ -537,27 +551,17 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     all reach the same boundary point, so the one below (ca, cb) contains the
     one below (pa, pb) exactly when ca - cb == pa - pb and ca >= pa.
     """
-    try:
-        side = cert.side
-    except AttributeError:
-        raise _not_a("cert", cert, ContinuityCert) from None
-    _check_field("side", side, Side)
+    _check_field("cert", cert, ContinuityCert)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
-    _check_kinds(cert, NbhdAc2)
     if not cert.chosen.tops:
         raise MalformedCert("chosen neighbourhood must exclude at least one segment")
-    try:
-        target_tops = tuple(ev.target_top for ev in cert.evidence)
-    except AttributeError as exc:
-        raise _not_a_record(exc.obj, TopEvidence) from None
-    if target_tops != cert.target.tops:
+    if tuple(ev.target_top for ev in cert.evidence) != cert.target.tops:
         raise MalformedCert("evidence tops do not match the target")
-    _translator_q(cert.translator)
     points = [cert.translator, *cert.chosen.tops]
     for ev in cert.evidence:
         points += [e for e in (ev.target_top, ev.preimage_top, ev.covering_top) if e is not None]
-    offsets = _ratios([ev.offset for ev in cert.evidence])
+    offsets = [_ratio(ev.offset) for ev in cert.evidence]
     D = math.lcm(*(d for e in points for d in e._q[1::2]), *(d for _, d in offsets))
 
     def grid(e: Elem | None) -> tuple[int, int] | None:
@@ -568,7 +572,7 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
     ta, tb = grid(cert.translator)
     chosen = [grid(c) for c in cert.chosen.tops]
-    left = side is _LEFT
+    left = cert.side is _LEFT
     for ev, (on, od) in zip(cert.evidence, offsets):
         ua, ub = grid(ev.target_top)
         if on * (D // od) != (ta - tb) + (ub - ua):
@@ -597,19 +601,13 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
 
 def validate_cert(cert: ContinuityCert) -> bool:
     """The verdict of ``validate_cert_ac1`` or ``validate_cert_ac2``, chosen
-    by ``cert.topology``.  Raises ``MalformedCert`` for an unknown topology,
-    neighbourhoods of the wrong kind or an evidence entry that is not a
-    record of the topology's kind, and ``TypeError`` for a ``cert`` that is
-    not a certificate or a translator that is not an ``Elem``."""
-    try:
-        topology = cert.topology
-    except AttributeError:
-        raise _not_a("cert", cert, ContinuityCert) from None
-    if topology == "ac1":
-        return validate_cert_ac1(cert)
-    if topology == "ac2":
-        return validate_cert_ac2(cert)
-    raise MalformedCert(f"unknown certificate topology {topology!r}")
+    by ``cert.topology``.  The records checked their fields when they were
+    built; the validators judge the content, and raise ``MalformedCert`` for
+    a case id of the wrong side, a duplicate case or branch, an unknown
+    branch tag or witness, or tops that do not match the target, and
+    ``TypeError`` for a ``cert`` that is not a certificate."""
+    _check_field("cert", cert, ContinuityCert)
+    return validate_cert_ac1(cert) if cert.topology == "ac1" else validate_cert_ac2(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +657,7 @@ def falsify(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    _translator_q(translator)
+    _check_field("translator", translator, Elem)
     if isinstance(chosen, NbhdAc1):
         _check_field("target", target, NbhdAc1)
         D, probes, escapes = _ac1_grid(side, translator, chosen, target)

@@ -33,6 +33,7 @@ from .semigroup import (
     _elem,
     _line,
     _not_a,
+    _not_elems,
     _sum,
     _trusted,
     inv,
@@ -64,6 +65,10 @@ class DownRay:
         _check_field("punctured", self.punctured, bool)
 
     def member(self, e: Elem) -> bool:
+        try:
+            e._q
+        except AttributeError:
+            raise _not_a("e", e, Elem) from None
         if self.punctured and e == self.base:
             return False
         return natural_leq(e, self.base)
@@ -84,6 +89,10 @@ class UpSegment:
         _check_field("top", self.top, Elem)
 
     def member(self, e: Elem) -> bool:
+        try:
+            e._q
+        except AttributeError:
+            raise _not_a("e", e, Elem) from None
         return natural_leq(self.top, e)
 
     def __str__(self) -> str:
@@ -101,7 +110,10 @@ class FullLine:
         """Whether ``e`` has the line's signed offset: (b - a) * q, with q the
         product of e's denominators, equals +-alpha * q on integers.  A
         canonical MINUS line has alpha > 0, so only one side can match."""
-        an, ad, bn, bd = e._q
+        try:
+            an, ad, bn, bd = e._q
+        except AttributeError:
+            raise _not_a("e", e, Elem) from None
         line = self.line
         g = bn * ad - an * bd
         if line.sign is _MINUS:
@@ -192,8 +204,11 @@ def shrink_witness(e0: Elem, e1: Elem) -> Elem:
     witness keeps the containment: e0 * s lies below e1 whenever s lies below
     the witness.
     """
-    an, ad, bn, bd = e0._q
-    cn, cd, dn, dd = e1._q
+    try:
+        an, ad, bn, bd = e0._q
+        cn, cd, dn, dd = e1._q
+    except AttributeError:
+        raise _not_elems(e0, e1, ("e0", "e1")) from None
     c = _sum(*_sum(cn, cd, an, ad), bn, bd)  # e1.a + e0.a + e0.b
     d = _sum(*_sum(an, ad, an, ad), dn, dd)  # e0.a + e0.a + e1.b
     return _elem(*c, *d)  # d - c = (e0.a - e0.b) + (e1.b - e1.a)
@@ -205,7 +220,10 @@ def shrink_witness_dual(e0: Elem, e1: Elem) -> Elem:
     Obtained from ``shrink_witness`` through the coordinate-swap involution,
     which reverses products and preserves the order.
     """
-    return inv(shrink_witness(inv(e0), inv(e1)))
+    try:
+        return inv(shrink_witness(inv(e0), inv(e1)))
+    except TypeError:  # only inv can raise, for an operand that is no Elem
+        raise _not_elems(e0, e1, ("e0", "e1")) from None
 
 
 def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:

@@ -19,9 +19,9 @@ with builtins, ``|`` and ``collections.abc`` (``Elem | ZeroType``,
 ``tuple[...]``), never ``typing.Union[...]``, because a ``typing``
 subscription caches its arguments for the life of the process and so would
 keep every re-import's classes and modules alive.
-``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments,
-``mul``, ``inv`` and ``natural_leq`` raise ``TypeError`` for an operand that
-is no ``Elem``, and ``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
+``Elem(a, b)`` and ``LineRef(sign, alpha)`` check their arguments, every
+operation on points raises a ``TypeError`` naming an operand that is no
+``Elem``, and ``line_literal`` reads a line from its text (``"L-1/2"``).  ``Elem``
 stores two non-negative plain ints as they are and reads two Fractions with
 one ``as_integer_ratio`` each; every other argument goes through ``scalar``.
 Rationals are compared as integer cross-products and summed in lowest terms
@@ -214,11 +214,11 @@ def _not_a(name: str, value: object, kind: type | tuple[type, ...]) -> TypeError
     return TypeError(f"{name} must be {' or '.join(words)}, not {value!r}")
 
 
-def _not_elems(e1: object, e2: object) -> TypeError:
-    """The error for the first of two operands ``e1``, ``e2`` that is no ``Elem``."""
+def _not_elems(e1: object, e2: object, names: tuple[str, str] = ("e1", "e2")) -> TypeError:
+    """The error for the first of two operands that is no ``Elem``, named by ``names``."""
     if isinstance(e1, Elem):
-        return _not_a("e2", e2, Elem)
-    return _not_a("e1", e1, Elem)
+        return _not_a(names[1], e2, Elem)
+    return _not_a(names[0], e1, Elem)
 
 
 def _check_field(name: str, value: object, kind: type | tuple[type, ...]) -> None:
@@ -397,8 +397,11 @@ def mul_branch(e1: Elem, e2: Elem) -> str:
     """Which case of the product's case split applies: ``lt``/``eq``/``gt``
     according as the left factor's second coordinate compares to the right
     factor's first, read off the sign of the same integer gap as ``mul``."""
-    _, _, bn, bd = e1._q
-    cn, cd, _, _ = e2._q
+    try:
+        _, _, bn, bd = e1._q
+        cn, cd, _, _ = e2._q
+    except AttributeError:
+        raise _not_elems(e1, e2) from None
     g = cn * bd - bn * cd
     if g > 0:
         return "lt"
@@ -431,7 +434,10 @@ def inv_ext(e: ExtElem) -> ExtElem:
 
 def is_idempotent(e: Elem) -> bool:
     """True exactly for diagonal points (u, u)."""
-    an, ad, bn, bd = e._q
+    try:
+        an, ad, bn, bd = e._q
+    except AttributeError:
+        raise _not_a("e", e, Elem) from None
     return an == bn and ad == bd
 
 

@@ -98,6 +98,10 @@ class NbhdAc2:
     def member(self, e: ExtElem) -> bool:
         if e is ZERO:
             return True
+        try:
+            e._q
+        except AttributeError:
+            raise _not_a("e", e, (Elem, ZeroType)) from None
         for top in self.tops:
             if natural_leq(top, e):
                 return False

@@ -12,6 +12,7 @@ import os
 import pickle
 import pkgutil
 import random
+import re
 import sys
 import textwrap
 from collections import Counter
@@ -47,15 +48,18 @@ from realbicyclic import (
     factor_in_line_product,
     falsify,
     inv,
+    is_idempotent,
     line_point,
     line_product,
     mul,
+    mul_branch,
     natural_leq,
     nbhd_invert,
     parse_expr,
     preimage_up_segment,
     read_cert,
     shrink_witness,
+    shrink_witness_dual,
     translate_down_ray,
     up_set,
     validate_cert,
@@ -457,20 +461,21 @@ def test_ac1_wrong_topology_malformed():
 def test_structural_faults_malformed():
     ac1 = continuity_cert_ac1(Side.LEFT, Elem(1, 2), NbhdAc1(4))
     ac2 = continuity_cert_ac2(Side.LEFT, Elem(1, 2), NbhdAc2((Elem(3, 1),)))
-    unknown = dataclasses.replace(ac1, topology="ac3")
+    with pytest.raises(MalformedCert, match="not a threshold-neighbourhood certificate"):
+        validate_cert_ac1(ac2)
+    # the certificate record refuses the rest when it is built, in the words
+    # the validators and the writer used
     kinds = "carries wrong neighbourhood kinds"
-    for check, cert, message in (
-        (validate_cert_ac1, ac2, "not a threshold-neighbourhood certificate"),
-        (validate_cert_ac1, dataclasses.replace(ac1, target=ac2.target), kinds),
-        (validate_cert_ac1, dataclasses.replace(ac1, chosen=ac2.chosen), kinds),
-        (validate_cert_ac1, dataclasses.replace(ac1, effective=None), "missing effective"),
-        (validate_cert_ac2, dataclasses.replace(ac2, target=ac1.target), kinds),
-        (validate_cert_ac2, dataclasses.replace(ac2, chosen=ac1.chosen), kinds),
-        (validate_cert, unknown, "unknown certificate topology 'ac3'"),
-        (cert_to_text, unknown, "unknown certificate topology 'ac3'"),
+    for cert, changes, message in (
+        (ac1, {"target": ac2.target}, kinds),
+        (ac1, {"chosen": ac2.chosen}, kinds),
+        (ac1, {"effective": None}, "missing effective"),
+        (ac2, {"target": ac1.target}, kinds),
+        (ac2, {"chosen": ac1.chosen}, kinds),
+        (ac1, {"topology": "ac3"}, "unknown certificate topology 'ac3'"),
     ):
         with pytest.raises(MalformedCert, match=message):
-            check(cert)
+            dataclasses.replace(cert, **changes)
 
 def test_corner_scan_helper():
     # the honest doubled threshold clears the scan; the halved one is caught
@@ -532,6 +537,12 @@ def _fraction_grid_covers(cases, m):
     endpoint, the midpoint of each consecutive pair and one point beyond,
     each in the quadrant (a negative range end is no point of the chosen
     set)."""
+
+    def contains(iv, v):
+        if v < iv.lo or (v == iv.lo and iv.lo_strict):
+            return False
+        return iv.hi is None or v < iv.hi or (v == iv.hi and not iv.hi_strict)
+
     reps = []
     for pick in (lambda c: c.a_range, lambda c: c.b_range):
         vals = {F(0), m}
@@ -547,7 +558,7 @@ def _fraction_grid_covers(cases, m):
         for rb in reps[1]:
             if ra <= m and rb <= m:
                 continue
-            if not any(c.a_range.contains(ra) and c.b_range.contains(rb) for c in cases):
+            if not any(contains(c.a_range, ra) and contains(c.b_range, rb) for c in cases):
                 return False
     return True
 
@@ -751,11 +762,43 @@ def _outcome(validate, cert):
         return f"malformed: {exc}"
 
 
+_TRUSTED = {
+    Interval: _interval,
+    BranchEvidence: _branch,
+    CaseEvidence: _case,
+    TopEvidence: _top_evidence,
+    ContinuityCert: _cert,
+    NbhdAc1: _ac1,
+    NbhdAc2: _ac2,
+}
+
+
+def _unchecked_replace(record, **changes):
+    """``dataclasses.replace`` through the record's trusted constructor, so
+    that a tamper may hold a value the public constructors refuse."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return _TRUSTED[type(record)](**{**values, **changes})
+
+
+def _public_build(value):
+    """``value`` rebuilt, at every depth, through the public constructors of
+    its records, which refuse what the text format cannot hold."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value)(*(_public_build(getattr(value, f.name)) for f in fields))
+    if isinstance(value, tuple):
+        return tuple(_public_build(v) for v in value)
+    return value
+
+
 def _tamper_ac1(rng, cert):
     """One to three seeded edits of an ac1 certificate: range endpoints and
     strictness (some moved onto the pivot), image rows, infima, attained
     flags, witnesses, branch tags, dropped branches and cases, thresholds
-    (alone, or with the range ends on them) and the translator."""
+    (alone, or with the range ends on them) and the translator.  The edits
+    are built through the trusted constructors (``_public_build`` checks
+    them)."""
+    replace = _unchecked_replace
     cases = list(cert.evidence)
 
     def shift():
@@ -773,23 +816,23 @@ def _tamper_ac1(rng, cert):
 
             def move(iv):
                 hi = new if iv.hi == old else iv.hi
-                return dataclasses.replace(iv, lo=new if iv.lo == old else iv.lo, hi=hi)
+                return replace(iv, lo=new if iv.lo == old else iv.lo, hi=hi)
 
             cases = [
-                dataclasses.replace(c, a_range=move(c.a_range), b_range=move(c.b_range))
+                replace(c, a_range=move(c.a_range), b_range=move(c.b_range))
                 for c in cases
             ]
-            cert = dataclasses.replace(cert, **{field: NbhdAc1(new)})
+            cert = replace(cert, **{field: NbhdAc1(new)})
             continue
         if op >= 9 or not cases:
             field = ("target", "effective", "chosen", "translator")[rng.randrange(4)]
             if field == "translator":
                 t = cert.translator
                 t = Elem(max(F(0), t.a + shift()), max(F(0), t.b + shift()))
-                cert = dataclasses.replace(cert, translator=t)
+                cert = replace(cert, translator=t)
             else:
                 n = getattr(cert, field).n + shift()
-                cert = dataclasses.replace(cert, **{field: NbhdAc1(n if n > 0 else F(1, 2))})
+                cert = replace(cert, **{field: NbhdAc1(n if n > 0 else F(1, 2))})
             continue
         i = rng.randrange(len(cases))
         case = cases[i]
@@ -800,10 +843,10 @@ def _tamper_ac1(rng, cert):
             if op == 1:  # put an end on the pivot
                 pivot = cert.translator.b if cert.side is Side.LEFT else cert.translator.a
                 end = "lo" if iv.hi is None or rng.random() < 0.5 else "hi"
-                iv = dataclasses.replace(iv, **{end: pivot})
+                iv = replace(iv, **{end: pivot})
             else:
                 iv = _mutate_range(rng, iv)
-            cases[i] = dataclasses.replace(case, **{field: iv})
+            cases[i] = replace(case, **{field: iv})
             continue
         if op == 8:
             if rng.random() < 0.8:
@@ -820,15 +863,15 @@ def _tamper_ac1(rng, cert):
             coeffs = list(getattr(br, row))
             k = rng.randrange(3)
             coeffs[k] = rng.choice((F(-1), F(0), F(1), coeffs[k] + shift()))
-            br = dataclasses.replace(br, **{row: tuple(coeffs)})
+            br = replace(br, **{row: tuple(coeffs)})
         elif op == 3:
-            br = dataclasses.replace(br, inf_value=br.inf_value + shift())
+            br = replace(br, inf_value=br.inf_value + shift())
         elif op == 4:
-            br = dataclasses.replace(br, inf_attained=not br.inf_attained)
+            br = replace(br, inf_attained=not br.inf_attained)
         elif op == 5:
-            br = dataclasses.replace(br, witness=rng.choice(("a", "b", "a", "b", "c")))
+            br = replace(br, witness=rng.choice(("a", "b", "a", "b", "c")))
         elif op == 6:
-            br = dataclasses.replace(br, branch=rng.choice(("lt", "eq", "gt", "lt", "eq", "gt", "ge")))
+            br = replace(br, branch=rng.choice(("lt", "eq", "gt", "lt", "eq", "gt", "ge")))
         if op == 7:
             if rng.random() < 0.85:
                 del branches[j]
@@ -836,8 +879,8 @@ def _tamper_ac1(rng, cert):
                 branches.insert(j, br)
         else:
             branches[j] = br
-        cases[i] = dataclasses.replace(case, branches=tuple(branches))
-    return dataclasses.replace(cert, evidence=tuple(cases))
+        cases[i] = replace(case, branches=tuple(branches))
+    return replace(cert, evidence=tuple(cases))
 
 
 def _rederive_records(cert):
@@ -881,10 +924,18 @@ def test_ac1_validator_matches_fraction_reference():
             cert = _tamper_ac1(rng, cert)
         if k % 3 == 0:
             cert = _rederive_records(cert)
+        try:
+            cert = _public_build(cert)
+        except MalformedCert as exc:
+            # refused when built, in the reference's words for the fault
+            assert re.fullmatch("unknown (branch tag|witness coordinate) '[a-z]+'", str(exc)), exc
+            outcomes["malformed"] += 1
+            outcomes["refused"] += 1
+            continue
         expected = _outcome(_reference_validate_ac1, cert)
         assert _outcome(validate_cert_ac1, cert) == expected, cert
         outcomes[expected if expected in (True, False) else "malformed"] += 1
-    assert min(outcomes.values()) > 150, outcomes
+    assert min(outcomes.values()) > 50 and outcomes["malformed"] > 150, outcomes
 
 
 @settings(max_examples=40)
@@ -1213,29 +1264,39 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(cert_from_text, None), "text"),
         (functools.partial(cert_from_text, b"realbicyclic-cert 1\n"), "text"),
     ]
-    # a float, an int or a bool where a record holds a Fraction: a float
-    # offset or chosen threshold used to validate, and the writer wrote -3.0
-    # as -3/1
+    # a float, an int or a bool where a record holds a Fraction, and a
+    # translator that is not an Elem: a float offset used to validate and be
+    # written as -3/1; the records refuse each when they are built
     t = Elem(1, 2)
     ac1 = continuity_cert_ac1(Side.LEFT, t, NbhdAc1(4))
     ac2 = continuity_cert_ac2(Side.LEFT, t, NbhdAc2((Elem(3, 1), Elem(2, 5))))
     (case, *cases), (ev, *evs) = ac1.evidence, ac2.evidence
     assert ac1.chosen.n == 8 and ev.offset == -3
-    bad = [dataclasses.replace(ac2, evidence=(dataclasses.replace(ev, offset=-3.0), *evs))]
-    bad += [dataclasses.replace(ac1, chosen=_ac1(v)) for v in (8.0, 8, True)]
-    bad += [dataclasses.replace(ac1, effective=_ac1(4.0))]
-    a_range = dataclasses.replace(case.a_range, lo=float(case.a_range.lo))
-    branches = (dataclasses.replace(case.branches[0], inf_value=8), *case.branches[1:])
-    for field in ({"a_range": a_range}, {"branches": branches}):
-        bad += [dataclasses.replace(ac1, evidence=(dataclasses.replace(case, **field), *cases))]
-    for cert in bad:
-        own = validate_cert_ac1 if cert.topology == "ac1" else validate_cert_ac2
-        table += [(functools.partial(f, cert), "value") for f in (validate_cert, own, cert_to_text)]
-    for cert, own in ((ac1, validate_cert_ac1), (ac2, validate_cert_ac2)):
-        cert = dataclasses.replace(cert, translator=(1, 2))
-        table += [
-            (functools.partial(f, cert), "translator") for f in (validate_cert, own, cert_to_text)
-        ]
+    replace = dataclasses.replace
+    table += [
+        (functools.partial(replace, ev, offset=-3.0), "offset"),
+        (functools.partial(replace, case.a_range, lo=float(case.a_range.lo)), "lo"),
+        (functools.partial(replace, case.branches[0], inf_value=8), "inf_value"),
+        (functools.partial(replace, ac1, translator=(1, 2)), "translator"),
+        (functools.partial(replace, ac2, translator=(1, 2)), "translator"),
+    ]
+    # the last operands that used to fail with an AttributeError, or to name
+    # the parameter of the callee they reached
+    e = Elem(1, 2)
+    table += [
+        (functools.partial(mul_branch, (1, 2), e), "e1"),
+        (functools.partial(mul_branch, e, "x"), "e2"),
+        (functools.partial(is_idempotent, (1, 2)), "e"),
+        (functools.partial(shrink_witness, (1, 2), e), "e0"),
+        (functools.partial(shrink_witness, e, (1, 2)), "e1"),
+        (functools.partial(shrink_witness_dual, (1, 2), e), "e0"),
+        (functools.partial(shrink_witness_dual, e, (1, 2)), "e1"),
+        (functools.partial(FullLine(line).member, (1, 2)), "e"),
+        (functools.partial(NbhdAc2((Elem(3, 1),)).member, (1, 2)), "e"),
+        (functools.partial(UpSegment(e).member, (1, 2)), "e"),
+        (functools.partial(DownRay(e).member, (1, 2)), "e"),
+        (functools.partial(DownRay(e, True).member, (1, 2)), "e"),
+    ]
     # an expression or a line that is not a str used to fail in the regex
     # module or with an AttributeError
     table += [(functools.partial(parse_expr, text), "text") for text in (None, 12, b"(1,2)")]
@@ -1252,10 +1313,12 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     with pytest.raises(TypeError) as info:
         NbhdAc1(4).member((1, 2))
     assert str(info.value) == "e must be an Elem or a ZeroType, not (1, 2)"
-    for call in (validate_cert, cert_to_text):
-        with pytest.raises(TypeError) as info:
-            call(bad[0])
-        assert str(info.value) == "value must be a Fraction, not -3.0"
+    with pytest.raises(TypeError) as info:
+        replace(ev, offset=-3.0)
+    assert str(info.value) == "offset must be a Fraction, not -3.0"
+    with pytest.raises(TypeError) as info:
+        NbhdAc2((Elem(3, 1),)).member((1, 2))
+    assert str(info.value) == "e must be an Elem or a ZeroType, not (1, 2)"
     either = "must be a NbhdAc1 or a NbhdAc2, not 'x'"
     for call, message in (
         (lambda: nbhd_invert("x"), f"nbhd {either}"),
@@ -1265,30 +1328,27 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         with pytest.raises(TypeError) as info:
             call()
         assert str(info.value) == message
-    # the writer refuses neighbourhoods of the wrong kind as the validators
-    # do, and all three refuse an evidence entry that is not a record of the
-    # topology's kind: each used to end in an AttributeError; an image row of
-    # two coefficients used to be reported as a number past the digit limit
+    # the records refuse neighbourhoods of the wrong kind, an evidence entry
+    # that is not a record of the topology's kind and an image row of two
+    # coefficients when they are built, in the words the writer and the
+    # validators used: each used to end in an AttributeError, and the short
+    # row used to be reported as a number past the digit limit
     kinds = "{} certificate carries wrong neighbourhood kinds"
     entry = "evidence entry {!r} is not a {}"
-    replace = dataclasses.replace
-    for cert, message in (
-        (replace(ac1, target=ac2.target), kinds.format("threshold")),
-        (replace(ac1, chosen=ac2.chosen), kinds.format("threshold")),
-        (replace(ac2, target=ac1.target), kinds.format("segment")),
-        (replace(ac1, evidence=(case, None)), entry.format(None, "CaseEvidence")),
-        (replace(ac1, evidence=ac2.evidence), entry.format(ev, "CaseEvidence")),
-        (replace(ac2, evidence=(None, *evs)), entry.format(None, "TopEvidence")),
-        (replace(ac2, evidence=ac1.evidence), entry.format(case, "TopEvidence")),
+    short = case.branches[0].image_a[:2]
+    for record, changes, message in (
+        (ac1, {"target": ac2.target}, kinds.format("threshold")),
+        (ac1, {"chosen": ac2.chosen}, kinds.format("threshold")),
+        (ac2, {"target": ac1.target}, kinds.format("segment")),
+        (ac1, {"evidence": (case, None)}, entry.format(None, "CaseEvidence")),
+        (ac1, {"evidence": ac2.evidence}, entry.format(ev, "CaseEvidence")),
+        (ac2, {"evidence": (None, *evs)}, entry.format(None, "TopEvidence")),
+        (ac2, {"evidence": ac1.evidence}, entry.format(case, "TopEvidence")),
+        (case.branches[0], {"image_a": short}, "an image row must have three coefficients"),
     ):
-        own = validate_cert_ac1 if cert.topology == "ac1" else validate_cert_ac2
-        for call in (validate_cert, own, cert_to_text):
-            with pytest.raises(MalformedCert) as info:
-                call(cert)
-            assert str(info.value) == message, (call, message)
-    short = replace(case.branches[0], image_a=case.branches[0].image_a[:2])
-    with pytest.raises(MalformedCert, match="^an image row must have three coefficients$"):
-        cert_to_text(replace(ac1, evidence=(replace(case, branches=(short,)), *cases)))
+        with pytest.raises(MalformedCert) as info:
+            replace(record, **changes)
+        assert str(info.value) == message, changes
     # the same calls with a Side: the left side's witness (4,0), not the
     # right side's (4,1) that "left" used to give
     results = {name: call() for name, call in _api_calls(Side.LEFT).items()}
@@ -1308,6 +1368,73 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot {verb} {path}: embedded null byte\n", argv
+
+
+_WRONG_KINDS = (None, (1, 2), "x", 3.0, -1, F(-1), Elem(1, 1), True)
+
+
+def _field_paths(value, path=()):
+    """The path of every field of a record at every depth: each dataclass
+    field, and each entry of a tuple a field holds."""
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _field_paths(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    """``value`` with the field or tuple entry at ``path`` set to ``new``,
+    rebuilt outwards with nested ``dataclasses.replace``."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        return value[:key] + (_replaced(value[key], rest, new),) + value[key + 1 :]
+    return dataclasses.replace(value, **{key: _replaced(getattr(value, key), rest, new)})
+
+
+def test_every_record_field_is_checked_when_built():
+    # each wrong-kind value at each field path of a generated certificate of
+    # each kind is refused when its records are built, or the certificate it
+    # builds has a text that reads back as itself and gets a verdict or a
+    # MalformedCert; no AttributeError reaches the caller
+    ac1 = continuity_cert_ac1(Side.RIGHT, Elem("5/2", "1/3"), NbhdAc1("9/2"))
+    ac2 = continuity_cert_ac2(Side.LEFT, Elem(5, 0), NbhdAc2((Elem(3, 1), Elem(7, 2))))
+    assert {ev.preimage_top is None for ev in ac2.evidence} == {True, False}
+    seen = Counter()
+    for cert in (ac1, ac2):
+        for path in _field_paths(cert):
+            for new in _WRONG_KINDS:
+                try:
+                    built = _replaced(cert, path, new)
+                except (TypeError, ValueError):
+                    seen["refused"] += 1
+                    continue
+                assert cert_from_text(cert_to_text(built)) == built, (path, new)
+                verdict = _outcome(validate_cert, built)
+                assert verdict in (True, False) or verdict.startswith("malformed: "), verdict
+                seen["built"] += 1
+    assert seen["refused"] > 900 and seen["built"] > 80, seen
+    # the faults that used to validate, be written as text the reader
+    # refuses, or end in an AttributeError
+    (case, mid, _), (ev, _) = ac1.evidence, ac2.evidence
+    for record, changes, error, message in (
+        (case.a_range, {"lo_strict": "x"}, TypeError, "lo_strict must be a bool, not 'x'"),
+        (ac2, {"effective": "x"}, TypeError, "effective must be a NoneType, not 'x'"),
+        (case.branches[0], {"witness": 3.0}, MalformedCert, "unknown witness coordinate 3.0"),
+        (case, {"branches": (None,)}, TypeError, "branches must be a BranchEvidence, not None"),
+        (ev, {"covering_top": (1, 2)}, TypeError, "covering_top must be an Elem, not (1, 2)"),
+        (case, {"case_id": "Big A"}, MalformedCert, "unknown case id 'Big A'"),
+        (mid.b_range, {"hi": None}, MalformedCert, "a range with no hi must be open at inf"),
+    ):
+        with pytest.raises(error) as info:
+            dataclasses.replace(record, **changes)
+        assert str(info.value) == message
 
 
 def test_ac1_soundness_ten_seeds():
@@ -1473,7 +1600,9 @@ def _tamper_ac2(rng, cert):
     preimage top, off its diagonal, or not among the chosen tops, each also
     with the chosen tops following); chosen tops dropped, reordered or moved;
     target tops (alone or with their evidence); the translator; and the
-    neighbourhood kinds and topology."""
+    neighbourhood kinds and topology.  The edits are built through the
+    trusted constructors (``_public_build`` checks them)."""
+    replace = _unchecked_replace
     evidence = list(cert.evidence)
     chosen = list(cert.chosen.tops)
     step = _ac2_grid_step(cert)
@@ -1489,19 +1618,19 @@ def _tamper_ac2(rng, cert):
         if op == 10:
             field = rng.choice(("topology", "chosen", "target", "target", "evidence"))
             if field == "topology":
-                cert = dataclasses.replace(cert, topology="ac1")
+                cert = replace(cert, topology="ac1")
             elif field == "chosen":
-                cert = dataclasses.replace(cert, chosen=NbhdAc1(1))
+                cert = replace(cert, chosen=NbhdAc1(1))
                 chosen = None
             elif field == "target":
-                cert = dataclasses.replace(
+                cert = replace(
                     cert, target=NbhdAc2(tuple(moved(u) for u in cert.target.tops))
                 )
             elif len(evidence) > 1:
                 del evidence[rng.randrange(len(evidence))]
             continue
         if op == 9:
-            cert = dataclasses.replace(cert, translator=moved(cert.translator))
+            cert = replace(cert, translator=moved(cert.translator))
             continue
         if op == 8:
             k = rng.randrange(3)
@@ -1518,21 +1647,21 @@ def _tamper_ac2(rng, cert):
         i = rng.randrange(len(evidence))
         ev = evidence[i]
         if op == 0:
-            ev = dataclasses.replace(ev, offset=ev.offset + shift())
+            ev = replace(ev, offset=ev.offset + shift())
         elif op == 1:
             if ev.preimage_top is None:
                 top = rng.choice((ev.target_top, moved(ev.target_top)))
             else:
                 top = rng.choice((None, moved(ev.preimage_top)))
-            ev = dataclasses.replace(ev, preimage_top=top)
+            ev = replace(ev, preimage_top=top)
         elif op == 2:
             # a target top moved with its evidence record, so the evidence
             # still matches the target
             top = moved(ev.target_top)
             tops = list(cert.target.tops)
             tops[i] = top
-            cert = dataclasses.replace(cert, target=NbhdAc2(tuple(tops)))
-            ev = dataclasses.replace(ev, target_top=top)
+            cert = replace(cert, target=NbhdAc2(tuple(tops)))
+            ev = replace(ev, target_top=top)
         elif ev.preimage_top is not None:
             p = ev.preimage_top
             k = rng.randrange(5)
@@ -1550,13 +1679,13 @@ def _tamper_ac2(rng, cert):
                     chosen[chosen.index(ev.covering_top)] = cover
                 else:
                     chosen.append(cover)
-            ev = dataclasses.replace(ev, covering_top=cover)
+            ev = replace(ev, covering_top=cover)
         else:
-            ev = dataclasses.replace(ev, covering_top=rng.choice(chosen or [Elem(1, 1)]))
+            ev = replace(ev, covering_top=rng.choice(chosen or [Elem(1, 1)]))
         evidence[i] = ev
     if chosen is not None:
-        cert = dataclasses.replace(cert, chosen=NbhdAc2(tuple(chosen)))
-    return dataclasses.replace(cert, evidence=tuple(evidence))
+        cert = replace(cert, chosen=NbhdAc2(tuple(chosen)))
+    return replace(cert, evidence=tuple(evidence))
 
 
 def test_ac2_validator_matches_fraction_reference():
@@ -1579,10 +1708,19 @@ def test_ac2_validator_matches_fraction_reference():
         cert = continuity_cert_ac2(side, t, NbhdAc2(tops))
         if k % 10:
             cert = _tamper_ac2(rng, cert)
+        try:
+            cert = _public_build(cert)
+        except MalformedCert as exc:
+            # refused when built, in the references' words for the fault
+            kinds = "(threshold|segment) certificate carries wrong neighbourhood kinds"
+            assert re.fullmatch(kinds, str(exc)), exc
+            outcomes["malformed"] += 1
+            outcomes["refused"] += 1
+            continue
         expected = _outcome(_reference_validate_ac2, cert)
         assert _outcome(validate_cert_ac2, cert) == expected, cert
         outcomes[expected if expected in (True, False) else "malformed"] += 1
-    assert min(outcomes.values()) > 150, outcomes
+    assert min(outcomes.values()) > 50 and outcomes["malformed"] > 150, outcomes
 
 
 # ---------------------------------------------------------------------------
