@@ -188,9 +188,13 @@ class ContinuityCert:
         if not isinstance(self.target, kind) or not isinstance(self.chosen, kind):
             word = "threshold" if ac1 else "segment"
             raise MalformedCert(f"{word} certificate carries wrong neighbourhood kinds")
-        if ac1 and self.effective is None:
+        if not ac1:
+            if self.effective is not None:
+                raise MalformedCert("an ac2 certificate has no effective threshold")
+        elif self.effective is None:
             raise MalformedCert("missing effective target threshold")
-        _check_field("effective", self.effective, NbhdAc1 if ac1 else type(None))
+        else:
+            _check_field("effective", self.effective, NbhdAc1)
         _check_field("evidence", self.evidence, tuple)
         for entry in self.evidence:
             if not isinstance(entry, record):
@@ -449,9 +453,6 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
         for br in case.branches:
             records[br.branch] = br, i
             i += 7
-        for tag in records:
-            if tag not in _BRANCH_ORDER:
-                raise MalformedCert(f"unknown branch tag {tag!r}")
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
         boxes.append(((a_lo, a_hi), (b_lo, b_hi)))
@@ -467,8 +468,6 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
             record, j = entry
             if grid[j : j + 3] != exp_a or grid[j + 3 : j + 6] != exp_b:
                 return False
-            if record.witness not in ("a", "b"):
-                raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
             ca, cb, inf_value = exp_a if record.witness == "a" else exp_b
             # the coefficients are -G, 0 or G: add the least (subtract the
             # greatest) value of each coordinate, its even grid end; the
@@ -603,9 +602,9 @@ def validate_cert(cert: ContinuityCert) -> bool:
     """The verdict of ``validate_cert_ac1`` or ``validate_cert_ac2``, chosen
     by ``cert.topology``.  The records checked their fields when they were
     built; the validators judge the content, and raise ``MalformedCert`` for
-    a case id of the wrong side, a duplicate case or branch, an unknown
-    branch tag or witness, or tops that do not match the target, and
-    ``TypeError`` for a ``cert`` that is not a certificate."""
+    a case id of the wrong side, a duplicate case or branch, or tops that do
+    not match the target, and ``TypeError`` for a ``cert`` that is not a
+    certificate."""
     _check_field("cert", cert, ContinuityCert)
     return validate_cert_ac1(cert) if cert.topology == "ac1" else validate_cert_ac2(cert)
 

@@ -147,8 +147,6 @@ def _ac1_body(r: _Reader, side: Side, translator: Elem) -> ContinuityCert:
         line = r.line()
         while line != "end-case":
             tag = r.field("branch", line)
-            if tag not in ("lt", "eq", "gt"):
-                raise MalformedCert(f"unknown branch tag {tag!r}")
             image_a = tuple(r.fracs_of("image-a", 3))
             image_b = tuple(r.fracs_of("image-b", 3))
             witness = r.choice("witness", ("a", "b"), "witness coordinate")

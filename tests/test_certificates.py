@@ -12,7 +12,6 @@ import os
 import pickle
 import pkgutil
 import random
-import re
 import sys
 import textwrap
 from collections import Counter
@@ -703,6 +702,12 @@ def _reference_validate_ac1(cert):
         raise MalformedCert("threshold certificate carries wrong neighbourhood kinds")
     if cert.effective is None:
         raise MalformedCert("missing effective target threshold")
+    for case in cert.evidence:
+        for record in case.branches:
+            if record.branch not in ("lt", "eq", "gt"):
+                raise MalformedCert(f"unknown branch tag {record.branch!r}")
+            if record.witness not in ("a", "b"):
+                raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
     known_ids = certificates._CASE_IDS[cert.side]
     seen_ids = [c.case_id for c in cert.evidence]
     for cid in seen_ids:
@@ -717,9 +722,6 @@ def _reference_validate_ac1(cert):
     pivot = cert.translator.b if left else cert.translator.a
     for case in cert.evidence:
         records = {b.branch: b for b in case.branches}
-        for tag in records:
-            if tag not in ("lt", "eq", "gt"):
-                raise MalformedCert(f"unknown branch tag {tag!r}")
         if len(records) != len(case.branches):
             raise MalformedCert("duplicate branch record")
         driving = case.a_range if left else case.b_range
@@ -734,8 +736,6 @@ def _reference_validate_ac1(cert):
                 cert.side, cert.translator, tag
             ):
                 return False
-            if record.witness not in ("a", "b"):
-                raise MalformedCert(f"unknown witness coordinate {record.witness!r}")
             iv_a, iv_b = (meet, case.b_range) if left else (case.a_range, meet)
             coeffs = record.image_a if record.witness == "a" else record.image_b
             derived = _affine_inf(coeffs, iv_a, iv_b)
@@ -917,25 +917,25 @@ def test_ac1_validator_matches_fraction_reference():
         return F(rng.randrange(lo, hi), rng.randrange(1, 9))
 
     outcomes = Counter()
-    for k in range(3000):
+    for k in range(4000):
         side = (Side.LEFT, Side.RIGHT)[k % 2]
         cert = continuity_cert_ac1(side, Elem(q(0, 49), q(0, 49)), NbhdAc1(q(1, 97)))
         if k % 10:
             cert = _tamper_ac1(rng, cert)
         if k % 3 == 0:
             cert = _rederive_records(cert)
+        expected = _outcome(_reference_validate_ac1, cert)
         try:
             cert = _public_build(cert)
         except MalformedCert as exc:
-            # refused when built, in the reference's words for the fault
-            assert re.fullmatch("unknown (branch tag|witness coordinate) '[a-z]+'", str(exc)), exc
-            outcomes["malformed"] += 1
+            # the records refuse the tamper when built, in the reference's words
+            assert expected == f"malformed: {exc}", cert
             outcomes["refused"] += 1
             continue
-        expected = _outcome(_reference_validate_ac1, cert)
         assert _outcome(validate_cert_ac1, cert) == expected, cert
         outcomes[expected if expected in (True, False) else "malformed"] += 1
-    assert min(outcomes.values()) > 50 and outcomes["malformed"] > 150, outcomes
+    assert min(outcomes[k] for k in (True, False, "malformed")) > 150, outcomes
+    assert outcomes["refused"] > 50, outcomes
 
 
 @settings(max_examples=40)
@@ -1425,7 +1425,7 @@ def test_every_record_field_is_checked_when_built():
     (case, mid, _), (ev, _) = ac1.evidence, ac2.evidence
     for record, changes, error, message in (
         (case.a_range, {"lo_strict": "x"}, TypeError, "lo_strict must be a bool, not 'x'"),
-        (ac2, {"effective": "x"}, TypeError, "effective must be a NoneType, not 'x'"),
+        (ac2, {"effective": "x"}, MalformedCert, "an ac2 certificate has no effective threshold"),
         (case.branches[0], {"witness": 3.0}, MalformedCert, "unknown witness coordinate 3.0"),
         (case, {"branches": (None,)}, TypeError, "branches must be a BranchEvidence, not None"),
         (ev, {"covering_top": (1, 2)}, TypeError, "covering_top must be an Elem, not (1, 2)"),
@@ -1709,18 +1709,20 @@ def test_ac2_validator_matches_fraction_reference():
         if k % 10:
             cert = _tamper_ac2(rng, cert)
         try:
-            cert = _public_build(cert)
+            built = _public_build(cert)
         except MalformedCert as exc:
-            # refused when built, in the references' words for the fault
-            kinds = "(threshold|segment) certificate carries wrong neighbourhood kinds"
-            assert re.fullmatch(kinds, str(exc)), exc
-            outcomes["malformed"] += 1
+            # the records refuse the tamper when built, in the words of the
+            # reference its topology names
+            ac1 = cert.topology == "ac1"
+            reference = _reference_validate_ac1 if ac1 else _reference_validate_ac2
+            assert _outcome(reference, cert) == f"malformed: {exc}", cert
             outcomes["refused"] += 1
             continue
-        expected = _outcome(_reference_validate_ac2, cert)
-        assert _outcome(validate_cert_ac2, cert) == expected, cert
+        expected = _outcome(_reference_validate_ac2, built)
+        assert _outcome(validate_cert_ac2, built) == expected, built
         outcomes[expected if expected in (True, False) else "malformed"] += 1
-    assert min(outcomes.values()) > 50 and outcomes["malformed"] > 150, outcomes
+    assert min(outcomes[k] for k in (True, False, "malformed")) > 150, outcomes
+    assert outcomes["refused"] > 50, outcomes
 
 
 # ---------------------------------------------------------------------------
