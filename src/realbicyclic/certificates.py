@@ -335,45 +335,17 @@ def _covers_chosen(boxes: Sequence[tuple[tuple[int, int | None], ...]], top: int
     return True
 
 
-def _grid_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """The product (a, b) * (c, d) of grid points, by its case split on the
-    gap g = c - b: (a + g, d) when g > 0, else (a, d - g)."""
-    g = c - b
-    return (a + g, d) if g > 0 else (a, d - g)
-
-
-def _corner_scan_ok(left: bool, x: int, y: int, m: int, n: int) -> bool:
-    """Push the extreme points of the chosen set's inner boundary through the
-    translation by the grid point (x, y), on the left when ``left``, and
-    demand every image clears the closed target box below (n, n).
-
-    The boundary is two segments meeting at (m, m); the piecewise-affine
-    translation can only switch branches where the driving coordinate equals
-    the pivot, which adds at most one more corner.  The meeting corner itself
-    is never needed.  On the left the image of (c, d) is
-    (x + max(c - y, 0), d + max(y - c, 0)): its first coordinate depends on c
-    alone and its second does not decrease as d grows, so if (m, m) lands in
-    the box so does (m, 0).  On the right, by the mirror argument, (0, m)
-    dominates (m, m) in the same way.
-    """
-    corners = [(m, 0), (0, m)]
-    pivot = y if left else x
-    if pivot <= m:
-        corners.append((pivot, m) if left else (m, pivot))
-    for c, d in corners:
-        a, b = _grid_mul(x, y, c, d) if left else _grid_mul(c, d, x, y)
-        if a <= n and b <= n:
-            return False
-    return True
-
-
 def validate_cert_ac1(cert: ContinuityCert) -> bool:
     """Re-derive an ac1 certificate from scratch.
 
     Checks, in order: structural sanity, the threshold relation between the
     requested and effective targets, per-case branch completeness with exact
-    affine images and infima, coverage of the chosen set by the case boxes,
-    and a corner scan of the chosen set's boundary.
+    affine images and infima, and coverage of the chosen set by the case
+    boxes.  Coverage and the branch infima decide the inclusion: each chosen
+    point lies in a case box and in the one branch region its driving
+    coordinate picks, whose record carries the true image rows, and that
+    branch's witness coordinate is > n_eff over the box (its infimum > n_eff
+    when attained, >= n_eff when not), so the image avoids [0, n_eff]^2.
 
     Every check after the threshold relation runs on one integer grid.  One
     flat pass collects the values in the order the case loop reads them: per
@@ -385,8 +357,7 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
     and a range becomes the closed integer range of its grid points, a strict
     end moved one step inwards (odd).  Meets are then max/min of ends and a
     range is empty exactly when lo > hi.  The case loop reads each case's
-    closed ranges inline, and coverage reads the ranges it built; the corner
-    scan reads the scaled translator and thresholds.
+    closed ranges inline, and coverage reads the ranges it built.
     """
     _check_field("cert", cert, ContinuityCert)
     if cert.topology != "ac1":
@@ -498,8 +469,6 @@ def validate_cert_ac1(cert: ContinuityCert) -> bool:
                 return False
     if not _covers_chosen(boxes, top):
         return False
-    if not _corner_scan_ok(left, x, y, top, ne):
-        return False
     return True
 
 
@@ -587,8 +556,6 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
         if grid(ev.preimage_top) != pre:
             return False
         pa, pb = pre
-        if not any(ca - cb == pa - pb and ca >= pa for ca, cb in chosen):
-            return False
         cover = grid(ev.covering_top)
         if cover is None or cover not in chosen:
             return False

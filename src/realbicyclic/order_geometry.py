@@ -10,10 +10,11 @@ constructive factorisations, the right/left shrink witnesses that squeeze a
 translated down-ray below a prescribed point, exact translation images of
 down-rays, and exact preimages of up-segments under one-sided multiplication.
 A field of the wrong type in a public region-record constructor, a side
-that is not a ``Side``, a region of the wrong kind handed to
-``translate_down_ray`` or ``preimage_up_segment``, and a line or point of
-the wrong type handed to ``line_product`` or ``factor_in_line_product``, is
-a ``TypeError`` naming the field, the side, the region or the argument.
+that is not a ``Side``, a region of the wrong kind or a translator that is
+not an ``Elem`` handed to ``translate_down_ray`` or ``preimage_up_segment``,
+and a line or point of the wrong type handed to ``line_product`` or
+``factor_in_line_product``, is a ``TypeError`` naming the field, the side,
+the region or the argument.
 ``down_set`` and ``up_set`` are the checked constructors ``DownRay`` and
 ``UpSegment``; ``_down``, ``_up`` and ``_full`` are the records' trusted
 constructors (see ``semigroup``).
@@ -234,22 +235,24 @@ def translate_down_ray(side: Side, t: Elem, r: DownRay) -> DownRay:
     t.b exceeds the base's first coordinate; right: t.a exceeds the base's
     second), a punctured source still covers the image base, so the image is
     unpunctured; otherwise the translation is injective on the ray and
-    puncturing is preserved.  An ``r`` that is not a ``DownRay`` is a
-    ``TypeError``.
+    puncturing is preserved.  An ``r`` that is not a ``DownRay``, or a ``t``
+    that is not an ``Elem``, is a ``TypeError``.
     """
     try:
         source = r.base
     except AttributeError:
         raise _not_a("r", r, DownRay) from None
+    try:
+        an, ad, bn, bd = t._q
+    except AttributeError:
+        raise _not_a("t", t, Elem) from None
     if side is _LEFT:
         base = mul(t, source)
-        _, _, bn, bd = t._q
         pn, pd, _, _ = source._q
         collapsed = bn * pd > pn * bd  # t.b > source.a
     else:
         _check_field("side", side, Side)  # any other value would act as RIGHT
         base = mul(source, t)
-        an, ad, _, _ = t._q
         _, _, qn, qd = source._q
         collapsed = an * qd > qn * ad  # t.a > source.b
     return _down(base, r.punctured and not collapsed)
@@ -262,14 +265,18 @@ def preimage_up_segment(side: Side, t: Elem, u: UpSegment) -> UpSegment | None:
     u's diagonal iff s sits on one fixed diagonal; the threshold coordinate is
     piecewise affine and monotone along it, which makes the preimage a single
     up-segment, or empty (``None``) when the translator already overshoots the
-    segment's top.  A ``u`` that is not an ``UpSegment`` is a ``TypeError``.
+    segment's top.  A ``u`` that is not an ``UpSegment``, or a ``t`` that is
+    not an ``Elem``, is a ``TypeError``.
     """
     try:
         top = u.top
     except AttributeError:
         raise _not_a("u", u, UpSegment) from None
+    try:
+        an, ad, bn, bd = t._q
+    except AttributeError:
+        raise _not_a("t", t, Elem) from None
     pn, pd, qn, qd = top._q
-    an, ad, bn, bd = t._q
     # the moved coordinate is non-negative: the overshoot test rules out t.a > p
     # (left) and t.b > q (right)
     if side is _LEFT:

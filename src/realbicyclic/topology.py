@@ -11,8 +11,8 @@ Three basic-neighbourhood shapes, all with exact rational membership:
 * ``NbhdAc2`` -- zero neighbourhood in the one-point compactification of the
   order topology: the complement of a finite union of up-segments.
 
-The two zero-neighbourhood classes check their arguments; ``_ac1`` and
-``_ac2`` are their trusted constructors (see ``semigroup``), for the
+The three classes check their arguments; ``_ac1`` and ``_ac2`` are the
+zero-neighbourhood classes' trusted constructors (see ``semigroup``), for the
 certificate generator and reader.
 """
 
@@ -51,6 +51,7 @@ class NbhdOrder:
     epsilon: Fraction
 
     def __post_init__(self) -> None:
+        _check_field("center", self.center, Elem)
         object.__setattr__(self, "epsilon", _positive(self.epsilon))
 
     def member(self, e: ExtElem) -> bool:

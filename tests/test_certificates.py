@@ -34,6 +34,7 @@ from realbicyclic import (
     MalformedCert,
     NbhdAc1,
     NbhdAc2,
+    NbhdOrder,
     Side,
     Sign,
     UpSegment,
@@ -75,7 +76,6 @@ from realbicyclic.certificates import (
     _branch,
     _case,
     _cert,
-    _corner_scan_ok,
     _covers_chosen,
     _interval,
     _top_evidence,
@@ -105,14 +105,6 @@ def _covers(cases, m):
 
     boxes = [(closed(c.a_range), closed(c.b_range)) for c in cases]
     return _covers_chosen(boxes, m.numerator * (G // m.denominator))
-
-
-def _corner_scan(side, t, m, n):
-    """``_corner_scan_ok`` of a rational translator and thresholds, scaled to
-    the grid of their common denominator."""
-    vals = (t.a, t.b, F(m), F(n))
-    D = math.lcm(*(v.denominator for v in vals))
-    return _corner_scan_ok(side is Side.LEFT, *(v.numerator * (D // v.denominator) for v in vals))
 
 
 def assert_violates(side, t, chosen, target, witness):
@@ -219,8 +211,7 @@ def test_ac1_open_mid_range_caught_by_coverage(side, monkeypatch):
     )
     assert not validate_cert_ac1(tampered)
     assert _covers(tampered.evidence, m) is False
-    # the branch checks and the corner scan pass: coverage alone rejects it
-    assert _corner_scan(side, t, m, cert.effective.n)
+    # the branch checks pass: coverage alone rejects it
     monkeypatch.setattr(certificates, "_covers_chosen", lambda boxes, top: True)
     assert validate_cert_ac1(tampered)
 
@@ -287,7 +278,7 @@ def test_ac1_attained_infimum_at_threshold_rejected(side):
     # a box reaching down to n_eff, whose witness coordinate attains n_eff:
     # the infimum is recorded truly, so only the attained bound (inf > n_eff
     # when attained) rejects it.  The extra box lies outside the chosen set,
-    # so coverage and the corner scan both pass.
+    # so coverage passes.
     t = Elem(1, 2) if side is Side.LEFT else Elem(2, 1)
     cert = continuity_cert_ac1(side, t, NbhdAc1(F(9, 2)))
     ne, m = cert.effective.n, cert.chosen.n
@@ -296,7 +287,6 @@ def test_ac1_attained_infimum_at_threshold_rejected(side):
     assert cert_from_text(cert_to_text(tampered)) == tampered
     assert not validate_cert_ac1(tampered)
     assert _covers(tampered.evidence, m)
-    assert _corner_scan(side, t, m, ne)
     mutant = _mutant_validate_ac1("if inf_value <= ne:", "if inf_value < ne:")
     assert mutant(cert) and mutant(tampered)
 
@@ -375,7 +365,6 @@ def test_ac1_effective_threshold_denominator_on_the_grid(side):
     assert cert_from_text(cert_to_text(tampered)) == tampered
     assert not validate_cert_ac1(tampered)
     assert _covers(tampered.evidence, cert.chosen.n)
-    assert _corner_scan(side, t, cert.chosen.n, cert.effective.n)
     mutant = _mutant_validate_ac1("ne_den, *{", "*{")
     assert mutant(cert) and mutant(tampered)
 
@@ -476,59 +465,22 @@ def test_structural_faults_malformed():
         with pytest.raises(MalformedCert, match=message):
             dataclasses.replace(cert, **changes)
 
-def test_corner_scan_helper():
-    # the honest doubled threshold clears the scan; the halved one is caught
-    assert _corner_scan(Side.LEFT, Elem(1, 2), F(8), F(4))
-    assert not _corner_scan(Side.LEFT, Elem(1, 2), F(4), F(4))
-    assert _corner_scan(Side.RIGHT, Elem(2, 1), F(8), F(4))
-    assert not _corner_scan(Side.RIGHT, Elem(2, 1), F(4), F(4))
-    # the integer scan agrees with the Fraction one, also where a corner's
-    # image lies on the target box and where the pivot equals m
-    rng = random.Random(5150)
 
-    def q():
-        return F(rng.randrange(25), rng.randrange(1, 5))
-
-    verdicts = Counter()
-    for k in range(4000):
-        side = (Side.LEFT, Side.RIGHT)[k % 2]
-        t = Elem(q(), q())
-        m = rng.choice((q(), q() + q(), t.a, t.b))
-        if m == 0:
-            continue
-        corner = rng.choice((Elem(m, 0), Elem(m, m), Elem(0, m), Elem(t.b, m), Elem(m, t.a)))
-        img = image(side, t, corner)
-        n = rng.choice((q(), img.a, img.b, max(img.a, img.b)))
-        expected = _fraction_corner_scan_ok(side, t, m, n)
-        assert _corner_scan(side, t, m, n) == expected, (side, t, m, n)
-        verdicts[expected] += 1
-    assert min(verdicts.values()) > 1000, verdicts
-
-
-def test_corner_scan_needs_no_meeting_corner():
-    # The scan leaves out (m, m), which (m, 0) on the left and (0, m) on the
-    # right dominate.  The Fraction reference still scans it, and no verdict
-    # may differ, also where the image of (m, m) lies on the target box.
-    rng = random.Random(6161)
-
-    def q():
-        return F(rng.randrange(25), rng.randrange(1, 5))
-
-    verdicts = Counter()
-    for k in range(12000):
-        side = (Side.LEFT, Side.RIGHT)[k % 2]
-        t = Elem(q(), q())
-        m = rng.choice((q(), q() + q(), t.a, t.b))
-        if m == 0:
-            continue
-        img = image(side, t, Elem(m, m))
-        n = rng.choice((q(), img.a, img.b, max(img.a, img.b), max(img.a, img.b) + F(1, 8)))
-        if n == 0:
-            continue
-        expected = _fraction_corner_scan_ok(side, t, m, n)
-        assert _corner_scan(side, t, m, n) == expected, (side, t, m, n)
-        verdicts[expected] += 1
-    assert sum(verdicts.values()) >= 10000 and min(verdicts.values()) > 1500, verdicts
+def test_ac1_boundary_certificate_validates():
+    # The chosen threshold moved down onto the target's 20 on the left by
+    # (9/2, 0): a point (c, d) with c > 20 or d > 20 maps to (9/2 + c, d),
+    # or to (9/2, d) when c = 0, so its image has a coordinate beyond 20.
+    # The boundary point (0, 20) maps into the target box, but it is not a
+    # chosen point, and every branch record of the certificate is true.
+    t = Elem(F(9, 2), 0)
+    cert = continuity_cert_ac1(Side.LEFT, t, NbhdAc1(20))
+    assert cert.chosen.n == 40 and image(Side.LEFT, t, Elem(0, 20)) == Elem(F(9, 2), 20)
+    text = cert_to_text(cert).replace("40/1", "20/1").replace("89/2", "49/2")
+    edge = cert_from_text(text)
+    assert "\nchosen-n 20/1\n" in text and edge.chosen == NbhdAc1(20)
+    assert validate_cert(edge) is True
+    assert _reference_validate_ac1(edge) is True
+    assert falsify(Side.LEFT, t, edge.chosen, edge.effective, 8) is None
 
 
 def _fraction_grid_covers(cases, m):
@@ -606,7 +558,7 @@ def test_coverage_grid_matches_fraction_reference():
     assert min(outcomes.values()) > 200, outcomes
 
 
-# The Fraction reference for the integer branch checks and corner scan of
+# The Fraction reference for the integer branch checks and coverage of
 # ``validate_cert_ac1``: the same checks in the same order, on rationals.
 
 
@@ -682,19 +634,6 @@ def _affine_inf(coeffs, iv_a, iv_b):
     return total, attained
 
 
-def _fraction_corner_scan_ok(side, translator, m, n_eff):
-    """The corner scan as first written, with the meeting corner (m, m)."""
-    corners = [Elem(m, 0), Elem(m, m), Elem(0, m)]
-    pivot = translator.b if side is Side.LEFT else translator.a
-    if pivot <= m:
-        corners.append(Elem(pivot, m) if side is Side.LEFT else Elem(m, pivot))
-    for corner in corners:
-        img = image(side, translator, corner)
-        if img.a <= n_eff and img.b <= n_eff:
-            return False
-    return True
-
-
 def _reference_validate_ac1(cert):
     if cert.topology != "ac1":
         raise MalformedCert("not a threshold-neighbourhood certificate")
@@ -749,9 +688,7 @@ def _reference_validate_ac1(cert):
                     return False
             elif inf_value < n_eff:
                 return False
-    if not _fraction_grid_covers(cert.evidence, m):
-        return False
-    return _fraction_corner_scan_ok(cert.side, cert.translator, m, n_eff)
+    return _fraction_grid_covers(cert.evidence, m)
 
 
 def _outcome(validate, cert):
@@ -885,9 +822,9 @@ def _tamper_ac1(rng, cert):
 
 def _rederive_records(cert):
     """The certificate with every case's branch records derived by the
-    reference, so that only the threshold checks, coverage and the corner
-    scan can reject it: each branch whose meet is nonempty, its images, and
-    the witness with the larger infimum."""
+    reference, so that only the threshold checks and coverage can reject
+    it: each branch whose meet is nonempty, its images, and the witness with
+    the larger infimum."""
     left = cert.side is Side.LEFT
     pivot = cert.translator.b if left else cert.translator.a
     cases = []
@@ -934,6 +871,11 @@ def test_ac1_validator_matches_fraction_reference():
             continue
         assert _outcome(validate_cert_ac1, cert) == expected, cert
         outcomes[expected if expected in (True, False) else "malformed"] += 1
+        if expected is True:
+            # an accepted certificate holds: the probes at budget 8 are
+            # exhaustive, so no chosen point escapes the effective target
+            assert cert.effective.n >= cert.target.n, cert
+            assert falsify(cert.side, cert.translator, cert.chosen, cert.effective, 8) is None
     assert min(outcomes[k] for k in (True, False, "malformed")) > 150, outcomes
     assert outcomes["refused"] > 50, outcomes
 
@@ -1234,6 +1176,16 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(translate_down_ray, Side.LEFT, Elem(1, 2), (1, 2)), "r"),
         (functools.partial(preimage_up_segment, Side.LEFT, Elem(1, 2), Elem(3, 1)), "u"),
     ]
+    # and a translator that is not an Elem used to fail with an AttributeError,
+    # or to name the parameter of the product it reached
+    table += [
+        (functools.partial(translate, side, (1, 2), region), "t")
+        for side in (Side.LEFT, Side.RIGHT)
+        for translate, region in (
+            (translate_down_ray, down_set(Elem(3, 1))),
+            (preimage_up_segment, up_set(Elem(3, 1))),
+        )
+    ]
     # a line or point of the wrong type handed to the line layer used to fail
     # with an AttributeError
     line = LineRef(Sign.MINUS, 2)
@@ -1253,6 +1205,7 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
         (functools.partial(natural_leq, (1, 2), Elem(1, 2)), "e1"),
         (functools.partial(inv, "x"), "e"),
         (functools.partial(NbhdAc1(4).member, (1, 2)), "e"),
+        (functools.partial(NbhdOrder, (1, 2), 1), "center"),
     ]
     # a certificate entry point handed no certificate, or a reader no str,
     # used to fail with an AttributeError
@@ -1307,6 +1260,9 @@ def test_bad_arguments_are_typed_errors(tmp_path, capsys):
     with pytest.raises(TypeError) as info:
         line_product("L+1", line)
     assert str(info.value) == "l1 must be a LineRef, not 'L+1'"
+    with pytest.raises(TypeError) as info:
+        NbhdOrder((1, 2), 1)
+    assert str(info.value) == "center must be an Elem, not (1, 2)"
     with pytest.raises(TypeError) as info:
         classify_line((1, 2))
     assert str(info.value) == "e must be an Elem, not (1, 2)"
