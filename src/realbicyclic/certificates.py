@@ -11,8 +11,8 @@ concrete point of the chosen neighbourhood whose image escapes the target,
 double-checking any hit by direct evaluation before reporting it.  It tries a fixed list of
 structural probes that provably reach every escaping point, so its result
 depends on no seed, and its sample count is a budget, an upper bound that
-covers every probe from 8 points (threshold neighbourhoods) or
-2|chosen| + 3|target| points (segment ones).
+covers every probe from 2 points (threshold neighbourhoods) or one point
+per target diagonal (segment ones).
 
 For threshold neighbourhoods the evidence is a case split of the chosen set
 into boxes, each carrying the affine image formula of the product's applicable
@@ -522,8 +522,6 @@ def validate_cert_ac2(cert: ContinuityCert) -> bool:
     _check_field("cert", cert, ContinuityCert)
     if cert.topology != "ac2":
         raise MalformedCert("not an up-segment-complement certificate")
-    if not cert.chosen.tops:
-        raise MalformedCert("chosen neighbourhood must exclude at least one segment")
     if tuple(ev.target_top for ev in cert.evidence) != cert.target.tops:
         raise MalformedCert("evidence tops do not match the target")
     points = [cert.translator, *cert.chosen.tops]
@@ -598,11 +596,11 @@ def falsify(
     membership would.  The probes provably reach every escaping point
     (``_ac1_grid`` proves it for threshold neighbourhoods, ``_ac2_grid`` for
     segment ones), so when none escapes, no point of the chosen set does.
-    ``samples`` is a budget, an upper bound on the probes tried: 8 cover
-    them all for threshold neighbourhoods, 2|chosen| + 3|target| for segment
-    ones, and a larger budget changes nothing.  Any candidate is re-verified
-    with exact rational membership before being returned, so a returned
-    point is always a true violation.  Returns None when no violation is
+    ``samples`` is a budget, an upper bound on the probes tried: 2 cover
+    them all for threshold neighbourhoods, one per target diagonal for
+    segment ones, and a larger budget changes nothing.  Any candidate is
+    re-verified with exact rational membership before being returned, so a
+    returned point is always a true violation.  Returns None when no violation is
     found.
 
     ``seed`` plays no part in the search; it stays so that callers that
@@ -660,20 +658,18 @@ def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     Returns D, the probes, and the escape predicate: does the grid point
     (xs, ys) lie in the chosen set with its image in the closed target box?
 
-    The probes reach every escaping point, whatever the thresholds.  In the
+    Two probes reach every escaping point, whatever the thresholds.  In the
     terms of the cut-off comment below, with nc and nt the chosen and target
-    thresholds, let (u, v) escape.
-      u >  nc, u >= p:  (max(nc + 1, p), 0) escapes as well, and it is the
-               probe (nc + 1, 0) or (p, 0).
-      u >  nc, u <  p:  q <= nt and p > u > nc, so (p, 0) escapes:
-               p <= nt - q + p and 0 <= nt.
+    thresholds, they are (u, v) = (max(nc + 1, p), 0) and (p, nc + 1).  Let
+    (u, v) escape.
+      u >  nc, u >= p:  the first probe escapes as well.
+      u >  nc, u <  p:  q <= nt and p > u > nc, so the first probe is (p, 0),
+               and it escapes: p <= nt - q + p and 0 <= nt.
       u <= nc:  then v > nc.  Both branches force q <= nt and v <= nt, so
-               nc < nt, and the probe (p, nc + 1) escapes: it is on the
-               u >= p branch with p <= nt - q + p and nc + 1 <= nt, and
+               nc < nt, and the second probe escapes: it is on the u >= p
+               branch with p <= nt - q + p and nc + 1 <= nt, and
                v = nc + 1 > nc puts it in the chosen set.
-    In (xs, ys) these are (nc + 1, 0), (tb, 0) and (tb, nc + 1) on the left,
-    (0, nc + 1), (0, ta) and (nc + 1, ta) on the right, all among the probes.
-    So when no probe escapes, no grid point does.
+    So when neither probe escapes, no grid point does.
     """
     an, ad, bn, bd = t._q
     cn, cd = chosen.n.as_integer_ratio()
@@ -681,16 +677,10 @@ def _ac1_grid(side: Side, t: Elem, chosen: NbhdAc1, target: NbhdAc1) -> Probing:
     D = math.lcm(ad, bd, cd, td)
     ta, tb, nc, nt = an * (D // ad), bn * (D // bd), cn * (D // cd), tn * (D // td)
     left = side is _LEFT
-    probes = (
-        (nc + 1, 0),
-        (0, nc + 1),
-        (tb, 0),
-        (0, ta),
-        (nc + 1, nt + 1),
-        (nt + 1, nc + 1),
-        (nc + 1, nc + 1),
-        (tb, nc + 1) if left else (nc + 1, ta),
-    )
+    if left:
+        probes = ((max(nc + 1, tb), 0), (tb, nc + 1))
+    else:
+        probes = ((0, max(nc + 1, ta)), (nc + 1, ta))
     # With u the coordinate the product branches on (a on the left, b on the
     # right), v the other one, p the translator's pivot and q its remaining
     # coordinate, the image stays in the closed target box exactly when
@@ -723,18 +713,19 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     Returns D, the probes, and the escape predicate: does the grid point
     (xs, ys) lie in the chosen set with its image in a target segment?
 
-    The probes reach the least escaping point of every diagonal.  Up-segment
+    There is one probe per pulled-back target diagonal, the least grid point
+    of its escaping interval, so at most |target| probes.  Up-segment
     membership needs a top on the point's diagonal at least as far out.  On
     diagonal k = xs - ys the image (on k + ta - tb) has first coordinate
     ta + max(xs - tb, 0) on the left, max(xs, ta + k) on the right,
     non-decreasing in xs.  With c_far and t_far the furthest chosen and
     target tops there, the escaping points of the diagonal are therefore the
-    interval c_far < xs <= cut, and only diagonals k = -d, for d in the
-    target's pulled-back offsets, have any.  The least grid point of the
-    interval is c_far + 1, the probe just past the furthest chosen top, when
-    a chosen top lies on k (its first coordinate is at least max(k, 0)), and
-    otherwise the diagonal's first point max(k, 0), the probe (x0, x0 + d).
-    So when no probe escapes, no grid point does.
+    interval c_far < xs <= cut, and only the diagonals that a target
+    diagonal pulls back to have any.  The least grid point of the interval
+    is c_far + 1, just past the furthest chosen top, when a chosen top lies
+    on k (its first coordinate is at least max(k, 0)), and otherwise the
+    diagonal's first point max(k, 0).  So when no probe escapes, no grid
+    point does.
     """
     D = math.lcm(*(d for e in (t, *chosen.tops, *target.tops) for d in e._q[1::2]))
 
@@ -746,27 +737,22 @@ def _ac2_grid(side: Side, t: Elem, chosen: NbhdAc2, target: NbhdAc2) -> Probing:
     ch = [grid(c) for c in chosen.tops]
     tg = [grid(u) for u in target.tops]
     left = side is _LEFT
+    far_ch = _furthest(ch)
+    probes: list[tuple[int, int]] = []
+    reach: dict[int, tuple[int, int]] = {}
     # every image on a target segment's diagonal pulls back to one source
     # diagonal, since both product coordinates subtract the same min term
-    deltas = [(ub - ua) + (ta - tb) for ua, ub in tg]
-    probes: list[tuple[int, int]] = []
-    for ca, cb in ch:
-        probes.append((ca + 1, cb + 1))
-        probes.append((ca + D, cb + D))
-    for d in deltas:
-        x0 = -d if d < 0 else 0
-        probes.append((x0, x0 + d))
-        probes.append((x0 + 1, x0 + 1 + d))
-        probes.append((x0 + D, x0 + D + d))
-    far_ch = _furthest(ch)
-    reach: dict[int, tuple[int, int]] = {}
     for image_k, t_far in _furthest(tg).items():
         k = image_k - (ta - tb)
         if left:
             cut = t_far - ta + tb if ta <= t_far else -1
         else:
             cut = t_far if ta + k <= t_far else -1
-        reach[k] = (far_ch.get(k, -1), cut)
+        c_far = far_ch.get(k, -1)
+        # the least point of the escaping interval (c_far is -1 off the tops)
+        xs = max(c_far + 1, k, 0)
+        probes.append((xs, xs - k))
+        reach[k] = (c_far, cut)
     nowhere = (0, -1)
 
     def escapes(xs: int, ys: int) -> bool:

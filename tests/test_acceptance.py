@@ -164,7 +164,7 @@ def _sample_ac1_instances(count):
 def test_criterion_6_threshold_certificates():
     """100 sampled certificates validate; the falsifier, called once per
     certificate with a budget of 1e4, finds nothing against them (it reads no
-    seed and tries its 8 probes, which reach every escaping point); corrupted
+    seed and tries its 2 probes, which reach every escaping point); corrupted
     twins are rejected and falsified; the worked (1,2)/4 instance is checked
     explicitly."""
     ok = True
@@ -202,13 +202,13 @@ def test_criterion_6_threshold_certificates():
         )
         if not spot:
             ok, detail = False, "worked (1,2), n=4 instance failed"
-    report("criterion 6: threshold certificates, 100 instances x 8 falsifier probes", ok, detail)
+    report("criterion 6: threshold certificates, 100 instances x 2 falsifier probes", ok, detail)
 
 
 def test_criterion_7_segment_certificates():
     """100 sampled segment certificates validate exactly and survive
     falsification, called once per certificate with a budget of 3000 (it
-    reads no seed and tries its 2|chosen| + 3|target| probes, which reach
+    reads no seed and tries one probe per target diagonal; the probes reach
     every escaping point); the worked (1,2) -> [(3,1)] instance gives chosen
     [(6,3)]."""
     stream = gen_elem(GenConfig(seed=1007, scalar_mode=RationalMode(8, 6)))
